@@ -23,8 +23,8 @@ Commands mirror the paper's artifacts::
 Sweeps accept ``--workloads`` to restrict the suite, ``--jobs/-j`` to
 fan cells out over worker processes (default ``REPRO_JOBS``, then the
 CPU count), ``--no-cache`` to skip the persistent artifact cache,
-``--engine compiled|interp`` to pick the simulation engine (default
-compiled; also via ``REPRO_ENGINE``), and ``--perf`` to append a
+``--engine tiered|compiled|interp`` to pick the simulation engine
+(default tiered; also via ``REPRO_ENGINE``), and ``--perf`` to append a
 stage-timing / cache-effectiveness report.
 Every pipeline command also takes ``--trace PATH`` (write the
 invocation's nested span tree as JSON) and ``--metrics PATH`` (write a

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.isa.opcodes import Format, Opcode, opinfo
+from repro.isa.opcodes import Format, Opcode
 from repro.isa.program import Program
 
 # Instruction kind constants (dense ints for fast dispatch).
@@ -53,7 +53,7 @@ class DecodedProgram:
         self.branch: List[Optional[Callable[[int, int], bool]]] = [None] * n
         self.latency: List[int] = [1] * n
         for pc, inst in enumerate(program.instructions):
-            info = opinfo(inst.op)
+            info = inst.op.info
             if inst.op is Opcode.HALT:
                 self.kind[pc] = K_HALT
             elif inst.op is Opcode.NOP:

@@ -480,13 +480,14 @@ class ExperimentRunner:
                 # only user.
                 self.perf.miss("selection")
                 start = time.perf_counter()
-                granular = select_by_region(
-                    profile_workload.program,
-                    profile_trace.trace,
-                    params,
-                    region_size=config.granularity,
-                    constraints=config.constraints,
-                )
+                with tracer.span("slice+select", workload=profile_workload.name):
+                    granular = select_by_region(
+                        profile_workload.program,
+                        profile_trace.trace,
+                        params,
+                        region_size=config.granularity,
+                        constraints=config.constraints,
+                    )
                 schedule = granular.schedule()
                 num_regions = len(granular.regions)
                 # Report the aggregate of the region selections.

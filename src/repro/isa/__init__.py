@@ -2,7 +2,7 @@
 
 from repro.isa.assembler import AssemblerError, assemble
 from repro.isa.instruction import Instruction, format_instruction
-from repro.isa.opcodes import Format, MNEMONICS, Opcode, OpInfo, WORD_SIZE, opinfo
+from repro.isa.opcodes import Format, MNEMONICS, Opcode, OpInfo, WORD_SIZE
 from repro.isa.program import DataImage, Program, ProgramError
 from repro.isa.registers import (
     ALIASES,
@@ -28,7 +28,6 @@ __all__ = [
     "ZERO",
     "assemble",
     "format_instruction",
-    "opinfo",
     "parse_register",
     "register_name",
 ]

@@ -20,7 +20,7 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Format, MNEMONICS, Opcode, opinfo
+from repro.isa.opcodes import Format, MNEMONICS, Opcode
 from repro.isa.program import DataImage, Program, ProgramError
 from repro.isa.registers import parse_register
 
@@ -172,7 +172,7 @@ def _mem_operand(operand: Operand) -> Tuple[int, int]:
 
 
 def _build_instruction(op: Opcode, operands: List[Operand]) -> Instruction:
-    fmt = opinfo(op).fmt
+    fmt = op.info.fmt
     if fmt is Format.R:
         _require(3, operands, op)
         return Instruction(

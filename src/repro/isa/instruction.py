@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
-from repro.isa.opcodes import Format, Opcode, OpInfo, opinfo
+from repro.isa.opcodes import Format, Opcode, OpInfo
 from repro.isa.registers import register_name
 
 #: A branch/jump target: a label before linking, a PC after.
@@ -42,31 +42,31 @@ class Instruction:
 
     @property
     def info(self) -> OpInfo:
-        return opinfo(self.op)
+        return self.op.info
 
     @property
     def is_load(self) -> bool:
-        return self.info.is_load
+        return self.op.info.is_load
 
     @property
     def is_store(self) -> bool:
-        return self.info.is_store
+        return self.op.info.is_store
 
     @property
     def is_mem(self) -> bool:
-        return self.info.is_mem
+        return self.op.info.is_mem
 
     @property
     def is_branch(self) -> bool:
-        return self.info.is_branch
+        return self.op.info.is_branch
 
     @property
     def is_jump(self) -> bool:
-        return self.info.is_jump
+        return self.op.info.is_jump
 
     @property
     def is_control(self) -> bool:
-        return self.info.is_control
+        return self.op.info.is_control
 
     @property
     def is_halt(self) -> bool:
@@ -74,18 +74,16 @@ class Instruction:
 
     def sources(self) -> Tuple[int, ...]:
         """Register indices this instruction reads (in operand order)."""
-        fmt = self.info.fmt
-        if fmt is Format.R or fmt is Format.BRANCH:
+        num_sources = self.op.info.num_sources
+        if num_sources == 2:
             return (self.rs1, self.rs2)  # type: ignore[return-value]
-        if fmt in (Format.I, Format.LOAD, Format.JR):
+        if num_sources == 1:
             return (self.rs1,)  # type: ignore[return-value]
-        if fmt is Format.STORE:
-            return (self.rs1, self.rs2)  # type: ignore[return-value]
         return ()
 
     def dest(self) -> Optional[int]:
         """Register index this instruction writes, or ``None``."""
-        if self.info.writes_register:
+        if self.op.info.writes_register:
             return self.rd
         return None
 

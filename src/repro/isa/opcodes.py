@@ -16,7 +16,7 @@ two can never disagree about dataflow.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 
@@ -44,7 +44,15 @@ class Format(enum.Enum):
 
 
 class Opcode(enum.Enum):
-    """All opcodes in the ISA."""
+    """All opcodes in the ISA.
+
+    Every member carries its :class:`OpInfo` as the plain attribute
+    ``info`` (attached below the table).  Per-instruction queries read
+    it instead of looking the member up in :data:`OPINFO`, whose
+    ``Enum.__hash__`` runs in Python on every lookup.
+    """
+
+    info: "OpInfo"
 
     # Register-register ALU.
     ADD = "add"
@@ -125,42 +133,53 @@ class OpInfo:
             where ``a`` is the rs1 value and ``b`` is the rs2 or
             immediate value.  ``None`` for non-ALU opcodes.
         branch: for branch opcodes, the taken predicate ``f(a, b)``.
+
+    The operand-class flags below (``is_load`` through
+    ``num_sources``) are derived from ``fmt`` once, at construction, so
+    the slicing, dataflow and optimizer scans read them as plain
+    attributes.
     """
 
     fmt: Format
     latency: int = 1
     alu: Optional[Callable[[int, int], int]] = None
     branch: Optional[Callable[[int, int], bool]] = None
+    is_load: bool = field(init=False, repr=False, compare=False)
+    is_store: bool = field(init=False, repr=False, compare=False)
+    is_mem: bool = field(init=False, repr=False, compare=False)
+    is_branch: bool = field(init=False, repr=False, compare=False)
+    is_jump: bool = field(init=False, repr=False, compare=False)
+    is_control: bool = field(init=False, repr=False, compare=False)
+    writes_register: bool = field(init=False, repr=False, compare=False)
+    #: Register operands read, in operand order: 2 reads ``rs1, rs2``,
+    #: 1 reads ``rs1``, 0 reads none.
+    num_sources: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_load(self) -> bool:
-        return self.fmt is Format.LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.fmt is Format.STORE
-
-    @property
-    def is_mem(self) -> bool:
-        return self.fmt in (Format.LOAD, Format.STORE)
-
-    @property
-    def is_branch(self) -> bool:
-        return self.fmt is Format.BRANCH
-
-    @property
-    def is_jump(self) -> bool:
-        return self.fmt in (Format.JUMP, Format.JAL, Format.JR)
-
-    @property
-    def is_control(self) -> bool:
-        return self.is_branch or self.is_jump
-
-    @property
-    def writes_register(self) -> bool:
-        return self.fmt in (Format.R, Format.I, Format.LOAD, Format.JAL)
+    def __post_init__(self) -> None:
+        fmt = self.fmt
+        is_branch = fmt is Format.BRANCH
+        is_jump = fmt in (Format.JUMP, Format.JAL, Format.JR)
+        if fmt in (Format.R, Format.BRANCH, Format.STORE):
+            num_sources = 2
+        elif fmt in (Format.I, Format.LOAD, Format.JR):
+            num_sources = 1
+        else:
+            num_sources = 0
+        derived = {
+            "is_load": fmt is Format.LOAD,
+            "is_store": fmt is Format.STORE,
+            "is_mem": fmt in (Format.LOAD, Format.STORE),
+            "is_branch": is_branch,
+            "is_jump": is_jump,
+            "is_control": is_branch or is_jump,
+            "writes_register": fmt in (Format.R, Format.I, Format.LOAD, Format.JAL),
+            "num_sources": num_sources,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
+#: The table every ``Opcode.info`` is filled from; read ``op.info``.
 OPINFO: Dict[Opcode, OpInfo] = {
     Opcode.ADD: OpInfo(Format.R, alu=lambda a, b: _to_signed(a + b)),
     Opcode.SUB: OpInfo(Format.R, alu=lambda a, b: _to_signed(a - b)),
@@ -200,10 +219,9 @@ OPINFO: Dict[Opcode, OpInfo] = {
     Opcode.HALT: OpInfo(Format.NONE),
 }
 
+for _op, _info in OPINFO.items():
+    _op.info = _info
+del _op, _info
+
 #: Opcodes by mnemonic string, used by the assembler.
 MNEMONICS: Dict[str, Opcode] = {op.value: op for op in Opcode}
-
-
-def opinfo(op: Opcode) -> OpInfo:
-    """Return the :class:`OpInfo` for ``op``."""
-    return OPINFO[op]

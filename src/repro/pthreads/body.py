@@ -25,9 +25,6 @@ from repro.isa.registers import NUM_REGS
 #: First register index reserved for merger-introduced virtual registers.
 VIRTUAL_REG_BASE = NUM_REGS
 
-#: Sentinel base key for an unknown (non-static) store address base.
-_UNKNOWN = ("unknown",)
-
 
 @dataclass(frozen=True)
 class BodyDataflow:
@@ -57,48 +54,50 @@ class BodyDataflow:
         return tuple(sorted(set(deps) | {mem}))
 
 
-def _base_key(
-    base_reg: int, last_def: Dict[int, int], position_salt: int = 0
-) -> Tuple:
-    """Key identifying a memory base: producing position or live-in reg."""
-    if base_reg in last_def:
-        return ("def", last_def[base_reg])
-    return ("livein", base_reg)
-
-
 def analyze_dataflow(instructions: Sequence[Instruction]) -> BodyDataflow:
-    """Linear-scan dataflow analysis of a straight-line body."""
+    """Linear-scan dataflow analysis of a straight-line body.
+
+    Each instruction's opcode facts are read once (``inst.op.info``);
+    the operand roles follow from them.
+    """
     last_def: Dict[int, int] = {}
     live_ins: List[int] = []
     seen_live_ins = set()
     reg_deps: List[Tuple[int, ...]] = []
     mem_deps: List[Optional[int]] = []
     defs: List[Optional[int]] = []
-    # (base_key, offset) -> store position
+    # (base_key, offset) -> store position.  A base key is the base
+    # register's producing position, or the register itself when it is
+    # a live-in.
     stores: Dict[Tuple, int] = {}
 
     for position, inst in enumerate(instructions):
-        deps = []
-        for src in inst.sources():
+        info = inst.op.info
+        rs1 = inst.rs1
+        deps = set()
+        for src in (rs1, inst.rs2)[: info.num_sources]:
             if src == 0:
                 continue  # r0 reads are constant zero
             if src in last_def:
-                deps.append(last_def[src])
+                deps.add(last_def[src])
             elif src not in seen_live_ins:
                 seen_live_ins.add(src)
                 live_ins.append(src)
-        reg_deps.append(tuple(sorted(set(deps))))
+        reg_deps.append(tuple(sorted(deps)))
 
         mem_dep: Optional[int] = None
-        if inst.is_load:
-            key = (_base_key(inst.rs1, last_def), inst.imm)
-            mem_dep = stores.get(key)
-        elif inst.is_store:
-            key = (_base_key(inst.rs1, last_def), inst.imm)
-            stores[key] = position
+        if info.is_mem:
+            if rs1 in last_def:
+                key = (("def", last_def[rs1]), inst.imm)
+            else:
+                key = (("livein", rs1), inst.imm)
+            if info.is_load:
+                mem_dep = stores.get(key)
+            else:
+                stores[key] = position
         mem_deps.append(mem_dep)
 
-        dest = inst.dest()
+        dest = inst.rd if info.writes_register else None
         if dest is not None and dest != 0:
             last_def[dest] = position
             defs.append(dest)

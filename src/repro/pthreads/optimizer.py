@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.pthreads.body import PThreadBody, analyze_dataflow
+from repro.pthreads.body import BodyDataflow, PThreadBody, analyze_dataflow
 
 #: Opcodes that are pure immediate additions (foldable chains).
 _ADDITIVE = (Opcode.ADDI,)
@@ -83,22 +83,20 @@ def eliminate_moves(
     rewritten = 0
     out: List[Instruction] = []
     for inst in instructions:
-        changed = {}
-        for field_name in ("rs1", "rs2"):
-            src = getattr(inst, field_name)
-            if src is not None and src in copies:
-                changed[field_name] = copies[src]
-        if changed:
-            inst = inst.renamed(
-                rs1=changed.get("rs1"), rs2=changed.get("rs2")
-            )
-            rewritten += 1
+        if copies:
+            # ``None`` is never a key, and a copy's source never is.
+            rs1 = copies.get(inst.rs1)
+            rs2 = copies.get(inst.rs2)
+            if rs1 is not None or rs2 is not None:
+                inst = inst.renamed(rs1=rs1, rs2=rs2)
+                rewritten += 1
         dest = inst.dest()
         if dest is not None and dest != 0:
-            # Any copy *of* dest or *through* dest is invalidated.
-            copies.pop(dest, None)
-            for key in [k for k, v in copies.items() if v == dest]:
-                copies.pop(key)
+            if copies:
+                # Any copy *of* dest or *through* dest is invalidated.
+                copies.pop(dest, None)
+                for key in [k for k, v in copies.items() if v == dest]:
+                    copies.pop(key)
             if inst.op is Opcode.MOV and inst.rs1 not in (None, dest):
                 copies[dest] = inst.rs1
         out.append(inst)
@@ -107,36 +105,34 @@ def eliminate_moves(
 
 def eliminate_store_load_pairs(
     instructions: List[Instruction],
+    dataflow: Optional[BodyDataflow] = None,
 ) -> Tuple[List[Instruction], int]:
     """Replace loads forwarded from body stores with register moves.
 
     A load is rewritten when (a) static dataflow matches it to an
     earlier store at the same base definition + displacement, and
     (b) the stored value's register still holds that value at the load.
+
+    ``dataflow`` is :func:`analyze_dataflow` of ``instructions`` when
+    the caller already has it.
     """
-    dataflow = analyze_dataflow(instructions)
-    last_def_at: List[Dict[int, int]] = []
-    last_def: Dict[int, int] = {}
-    for position, inst in enumerate(instructions):
-        last_def_at.append(dict(last_def))
-        dest = inst.dest()
-        if dest is not None and dest != 0:
-            last_def[dest] = position
+    if dataflow is None:
+        dataflow = analyze_dataflow(instructions)
+    defs = dataflow.defs
     eliminated = 0
     out = list(instructions)
-    for position, inst in enumerate(instructions):
-        store_pos = dataflow.mem_deps[position]
-        if store_pos is None or not inst.is_load:
+    for position, store_pos in enumerate(dataflow.mem_deps):
+        if store_pos is None:
             continue
-        store = instructions[store_pos]
-        value_reg = store.rs2
+        inst = instructions[position]
+        if not inst.is_load:
+            continue
+        value_reg = instructions[store_pos].rs2
         if value_reg is None:
             continue
         # The value register must not have been redefined between the
         # store and the load.
-        def_at_store = last_def_at[store_pos].get(value_reg)
-        def_at_load = last_def_at[position].get(value_reg)
-        if def_at_store != def_at_load:
+        if value_reg in defs[store_pos:position]:
             continue
         out[position] = Instruction(
             Opcode.MOV, rd=inst.rd, rs1=value_reg, pc=inst.pc
@@ -148,6 +144,7 @@ def eliminate_store_load_pairs(
 def fold_constants(
     instructions: List[Instruction],
     protected: Optional[Set[int]] = None,
+    dataflow: Optional[BodyDataflow] = None,
 ) -> Tuple[List[Instruction], int, Optional[int]]:
     """Collapse one immediate-add chain link (induction-unrolling idiom).
 
@@ -162,6 +159,8 @@ def fold_constants(
     Args:
         protected: positions that must not be deleted (optimization
             targets).
+        dataflow: :func:`analyze_dataflow` of ``instructions``, when
+            the caller already has it.
 
     Returns:
         ``(instructions, links_folded, deleted_position)`` — callers
@@ -169,12 +168,12 @@ def fold_constants(
     """
     if protected is None:
         protected = set()
-    dataflow = analyze_dataflow(instructions)
+    if dataflow is None:
+        dataflow = analyze_dataflow(instructions)
     use_counts = [0] * len(instructions)
-    for position in range(len(instructions)):
-        for producer in dataflow.reg_deps[position]:
+    for producers, mem in zip(dataflow.reg_deps, dataflow.mem_deps):
+        for producer in producers:
             use_counts[producer] += 1
-        mem = dataflow.mem_deps[position]
         if mem is not None:
             use_counts[mem] += 1
     for position, inst in enumerate(instructions):
@@ -215,6 +214,7 @@ def eliminate_dead_code(
     instructions: List[Instruction],
     targets: Sequence[int],
     assume_no_alias: bool = True,
+    dataflow: Optional[BodyDataflow] = None,
 ) -> Tuple[List[Instruction], List[int], int]:
     """Keep only instructions whose results reach a target position.
 
@@ -230,23 +230,25 @@ def eliminate_dead_code(
     speculative prefetchers in any case.  Pass ``False`` for strictly
     semantics-preserving dead-code elimination (used by tests and any
     caller without profile evidence).
+
+    ``dataflow`` is :func:`analyze_dataflow` of ``instructions`` when
+    the caller already has it.
     """
     targets = _target_positions(len(instructions), targets)
-    dataflow = analyze_dataflow(instructions)
+    if dataflow is None:
+        dataflow = analyze_dataflow(instructions)
+    reg_deps = dataflow.reg_deps
+    mem_deps = dataflow.mem_deps
     live: Set[int] = set()
     work = list(targets)
-
-    def add_live(position: int) -> None:
-        if position in live:
-            return
-        live.add(position)
-        work.extend(dataflow.reg_deps[position])
-        mem = dataflow.mem_deps[position]
-        if mem is not None:
-            work.append(mem)
-
     while work:
-        add_live(work.pop())
+        position = work.pop()
+        if position not in live:
+            live.add(position)
+            work.extend(reg_deps[position])
+            mem = mem_deps[position]
+            if mem is not None:
+                work.append(mem)
         if work or assume_no_alias:
             continue
         # Conservative mode fixpoint: pull in stores that may alias a
@@ -254,8 +256,7 @@ def eliminate_dead_code(
         unknown_loads = [
             position
             for position in live
-            if instructions[position].is_load
-            and dataflow.mem_deps[position] is None
+            if instructions[position].is_load and mem_deps[position] is None
         ]
         if unknown_loads:
             for position, inst in enumerate(instructions):
@@ -324,25 +325,42 @@ def optimize_body(
         return cached
     instructions = list(body.instructions)
     target_list = _target_positions(len(instructions), targets)
+    # Each pass is handed the dataflow of its input.  A pass that
+    # reports no change returns an element-wise equal list, whose
+    # dataflow is the same, so it is recomputed only after a change.
+    dataflow = body.dataflow
     moves = pairs = folds = dead = 0
     for _ in range(max_passes):
-        before = list(instructions)
+        before = instructions
         instructions, n_moves = eliminate_moves(instructions)
         moves += n_moves
-        instructions, n_pairs = eliminate_store_load_pairs(instructions)
+        if n_moves:
+            dataflow = analyze_dataflow(instructions)
+        instructions, n_pairs = eliminate_store_load_pairs(
+            instructions, dataflow
+        )
         pairs += n_pairs
+        if n_pairs:
+            dataflow = analyze_dataflow(instructions)
         instructions, n_folds, deleted = fold_constants(
-            instructions, protected=set(target_list)
+            instructions, protected=set(target_list), dataflow=dataflow
         )
         folds += n_folds
         if deleted is not None:
             target_list = [
                 t - 1 if t > deleted else t for t in target_list
             ]
+        if n_folds:
+            dataflow = analyze_dataflow(instructions)
         instructions, target_list, n_dead = eliminate_dead_code(
-            instructions, target_list, assume_no_alias=assume_no_alias
+            instructions,
+            target_list,
+            assume_no_alias=assume_no_alias,
+            dataflow=dataflow,
         )
         dead += n_dead
+        if n_dead:
+            dataflow = analyze_dataflow(instructions)
         if instructions == before:
             break
     report = OptimizationReport(

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.engine.trace import Trace
 from repro.frontend.branch_predictor import HybridPredictor
-from repro.isa.opcodes import Format, opinfo
+from repro.isa.opcodes import Format
 from repro.isa.program import Program
 from repro.model.params import ModelParams, SelectionConstraints
 from repro.selection.program_selector import (
@@ -71,7 +71,7 @@ def profile_branches(
     conditional = {
         inst.pc: int(inst.target)
         for inst in program.instructions
-        if opinfo(inst.op).fmt is Format.BRANCH
+        if inst.op.info.fmt is Format.BRANCH
     }
     executions: Dict[int, int] = {}
     mispredicted: Dict[int, List[int]] = {}

@@ -18,6 +18,7 @@ import numpy as np
 from repro.engine.trace import Trace
 from repro.isa.program import Program
 from repro.model.params import ModelParams, SelectionConstraints
+from repro.obs import get_tracer
 from repro.pthreads.merger import merge_pthreads
 from repro.pthreads.pthread import PThreadPrediction, StaticPThread
 from repro.selection.selector import (
@@ -230,44 +231,50 @@ def select_pthreads(
     constraints = constraints or SelectionConstraints()
     start, end = region if region is not None else (0, None)
     tree_depth = max(constraints.max_pthread_length * 2, 48)
-    trees = build_slice_trees(
-        trace,
-        scope=constraints.scope,
-        max_length=tree_depth,
-        miss_level=miss_level,
-        start=start,
-        end=end,
-    )
-    dc_trig = _dc_trig_counts(trace, len(program), start, end)
+    # One span per stage of this call, never one per tree or per body
+    # (DESIGN §8): the per-tree loop is the hot one.
+    tracer = get_tracer()
+    with tracer.span("slice_trees"):
+        trees = build_slice_trees(
+            trace,
+            scope=constraints.scope,
+            max_length=tree_depth,
+            miss_level=miss_level,
+            start=start,
+            end=end,
+        )
+        dc_trig = _dc_trig_counts(trace, len(program), start, end)
 
     tree_selections: Dict[int, TreeSelection] = {}
     pthreads: List[StaticPThread] = []
     covered_total = 0
     fully_total = 0
     lt_agg_total = 0.0
-    for load_pc in sorted(trees):
-        tree = trees[load_pc]
-        tree_params = params
-        if lmem_overrides is not None and load_pc in lmem_overrides:
-            latency = max(1, round(lmem_overrides[load_pc]))
-            tree_params = params.with_mem_latency(
-                min(latency, params.mem_latency)
+    with tracer.span("select_trees"):
+        for load_pc in sorted(trees):
+            tree = trees[load_pc]
+            tree_params = params
+            if lmem_overrides is not None and load_pc in lmem_overrides:
+                latency = max(1, round(lmem_overrides[load_pc]))
+                tree_params = params.with_mem_latency(
+                    min(latency, params.mem_latency)
+                )
+            selection = select_from_tree(
+                tree, program, dc_trig, tree_params, constraints
             )
-        selection = select_from_tree(
-            tree, program, dc_trig, tree_params, constraints
-        )
-        tree_selections[load_pc] = selection
-        effective = _effective_coverage(selection.selected)
-        for candidate in selection.selected:
-            covered = effective[id(candidate.node)]
-            pthread = _candidate_to_pthread(candidate, covered, tree_params)
-            pthreads.append(pthread)
-            covered_total += pthread.prediction.misses_covered
-            fully_total += pthread.prediction.misses_fully_covered
-            lt_agg_total += pthread.prediction.lt_agg
+            tree_selections[load_pc] = selection
+            effective = _effective_coverage(selection.selected)
+            for candidate in selection.selected:
+                covered = effective[id(candidate.node)]
+                pthread = _candidate_to_pthread(candidate, covered, tree_params)
+                pthreads.append(pthread)
+                covered_total += pthread.prediction.misses_covered
+                fully_total += pthread.prediction.misses_fully_covered
+                lt_agg_total += pthread.prediction.lt_agg
 
-    if constraints.merge:
-        pthreads = merge_pthreads(pthreads, optimize=constraints.optimize)
+    with tracer.span("merge"):
+        if constraints.merge:
+            pthreads = merge_pthreads(pthreads, optimize=constraints.optimize)
 
     launches = sum(p.prediction.dc_trig for p in pthreads)
     injected = sum(p.prediction.injected_instructions for p in pthreads)

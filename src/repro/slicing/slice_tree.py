@@ -51,9 +51,10 @@ class SliceNode:
             this node's producers *within the slice*, recorded from the
             first dynamic slice that created the node.  Producers
             outside the slice are seed live-ins and are not listed.
-        truncated: number of slices that *ended* at this node because
-            the slicer ran out of scope or length (the computation
-            continued, but out of view).
+        truncated: number of slices that *ended* at this node.
+            :meth:`SliceTree.insert` counts every slice end, whatever
+            stopped the slice: the scope window, the length limit, or
+            producers that are all live-ins or already in the slice.
     """
 
     pc: int
@@ -105,27 +106,34 @@ class SliceTree:
         self.slices_inserted = 0
 
     def insert(self, dynamic_slice: DynamicSlice, trace: Trace) -> None:
-        """Insert one dynamic miss slice as a root-to-leaf path."""
+        """Insert one dynamic miss slice as a root-to-leaf path.
+
+        Static PCs are read through a zero-copy ``memoryview`` of the
+        trace's ``pc`` column, which yields plain ``int``s: a numpy
+        integer would key ``children`` and fill ``SliceNode.pc`` with a
+        value that pickles differently.
+        """
+        pcs = memoryview(trace.pc)
         indices = dynamic_slice.indices
-        if trace.pc[indices[0]] != self.load_pc:
+        root_index = indices[0]
+        if pcs[root_index] != self.load_pc:
             raise ValueError(
-                f"slice root pc {trace.pc[indices[0]]} does not match tree "
+                f"slice root pc {pcs[root_index]} does not match tree "
                 f"load pc {self.load_pc}"
             )
         self.slices_inserted += 1
-        root_index = indices[0]
+        dep_positions = dynamic_slice.dep_positions
         node = self.root
         node.visits += 1
-        for position in range(1, len(indices)):
-            dyn_index = indices[position]
-            pc = int(trace.pc[dyn_index])
+        for position, dyn_index in enumerate(indices[1:], 1):
+            pc = pcs[dyn_index]
             child = node.children.get(pc)
             if child is None:
                 child = SliceNode(
                     pc=pc,
                     depth=position,
                     parent=node,
-                    dep_depths=dynamic_slice.dep_positions[position],
+                    dep_depths=dep_positions[position],
                 )
                 node.children[pc] = child
             child.visits += 1
@@ -161,9 +169,9 @@ class SliceTree:
         """Verify the parent/child DCpt-cm invariant.
 
         For every interior node, visits must equal the sum of its
-        children's visits plus the slices that terminated at the node
-        itself (scope/length truncation).  Raises ``AssertionError`` on
-        violation — used heavily in tests.
+        children's visits plus the slices that ended at the node itself
+        (``truncated``).  Raises ``AssertionError`` on violation — used
+        heavily in tests.
         """
         for node in self.nodes():
             child_sum = sum(child.visits for child in node.children.values())
@@ -224,7 +232,7 @@ def build_slice_trees(
     """
     return build_slice_trees_for_roots(
         trace,
-        (int(i) for i in trace.miss_indices(miss_level)),
+        trace.miss_indices(miss_level),
         scope=scope,
         max_length=max_length,
         start=start,
@@ -248,13 +256,14 @@ def build_slice_trees_for_roots(
     our methods do apply in that scenario").
     """
     slicer = Slicer(trace, scope=scope, max_length=max_length)
+    pcs = memoryview(trace.pc)
     trees: Dict[int, SliceTree] = {}
     stop = len(trace) if end is None else min(end, len(trace))
     for root in roots:
         root = int(root)
         if root < start or root >= stop:
             continue
-        root_pc = int(trace.pc[root])
+        root_pc = pcs[root]
         tree = trees.get(root_pc)
         if tree is None:
             tree = SliceTree(root_pc)

@@ -24,6 +24,7 @@ thread by launch time and becomes a seed live-in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import List, Tuple
 
 from repro.engine.trace import Trace
@@ -53,6 +54,11 @@ class DynamicSlice:
 class Slicer:
     """Backward slicer over one trace.
 
+    The edge columns are read through zero-copy ``memoryview``s taken
+    once, at construction: indexing one yields a plain ``int``, with no
+    numpy scalar to box and convert per edge, and no copy of the
+    columns.  Build a new slicer after appending to the trace.
+
     Args:
         trace: the dynamic trace to slice.
         scope: slicing scope in dynamic instructions — only producers
@@ -70,59 +76,74 @@ class Slicer:
         self.trace = trace
         self.scope = scope
         self.max_length = max_length
+        self._dep1 = memoryview(trace.dep1)
+        self._dep2 = memoryview(trace.dep2)
+        self._memdep = memoryview(trace.memdep)
+        # Debug-mode post-pass switch, read once per slicer (lazy
+        # import: repro.analysis imports us).
+        from repro.analysis.report import verification_enabled
+
+        self._verify = verification_enabled()
 
     def slice_at(self, root: int) -> DynamicSlice:
         """Compute the backward slice of the dynamic load at ``root``."""
-        trace = self.trace
-        if not 0 <= root < len(trace):
+        dep1 = self._dep1
+        dep2 = self._dep2
+        memdep = self._memdep
+        if not 0 <= root < len(dep1):
             raise IndexError(f"root index out of range: {root}")
-        dep1 = trace.dep1
-        dep2 = trace.dep2
-        memdep = trace.memdep
-        horizon = root - self.scope
+        # Producers are followed while inside the scope window; -1 (a
+        # live-in, or memdep of anything but a store-forwarded load)
+        # never is.
+        floor = max(root - self.scope, -1)
+        limit = self.max_length + 1
 
+        # Grow the slice in descending dynamic order: the frontier is a
+        # max-heap of pending producers, stored negated.  ``seen`` holds
+        # members and frontier entries, so each index enters the
+        # frontier once.  The three edges are unrolled: this loop runs
+        # once per slice member.
         members: List[int] = [root]
-        member_set = {root}
-        # Grow the slice in descending dynamic order.  A max-heap over
-        # candidate producer indices gives exactly that order; a simple
-        # sorted working list is sufficient at these slice lengths.
+        seen = {root}
         frontier: List[int] = []
+        idx = root
+        while True:
+            producer = dep1[idx]
+            if producer > floor and producer not in seen:
+                seen.add(producer)
+                heappush(frontier, -producer)
+            producer = dep2[idx]
+            if producer > floor and producer not in seen:
+                seen.add(producer)
+                heappush(frontier, -producer)
+            producer = memdep[idx]
+            if producer > floor and producer not in seen:
+                seen.add(producer)
+                heappush(frontier, -producer)
+            if not frontier or len(members) >= limit:
+                break
+            idx = -heappop(frontier)
+            members.append(idx)
 
-        def push(idx: int) -> None:
-            if idx >= 0 and idx > horizon and idx not in member_set:
-                member_set.add(idx)
-                frontier.append(idx)
-
-        def expand(idx: int) -> None:
-            push(int(dep1[idx]))
-            push(int(dep2[idx]))
-            # memdep is -1 for anything but a store-forwarded load.
-            push(int(memdep[idx]))
-
-        expand(root)
-        while frontier and len(members) <= self.max_length:
-            nxt = max(frontier)
-            frontier.remove(nxt)
-            members.append(nxt)
-            expand(nxt)
-
-        position = {idx: pos for pos, idx in enumerate(members)}
+        # A producer outside the slice maps to the member's own position,
+        # which is then dropped along with any self-dependence.
+        position = dict(zip(members, range(len(members)))).get
         deps: List[Tuple[int, ...]] = []
-        for idx in members:
-            producer_positions = []
-            for producer in (int(dep1[idx]), int(dep2[idx]), int(memdep[idx])):
-                if producer in position and producer != idx:
-                    producer_positions.append(position[producer])
-            deps.append(tuple(sorted(set(producer_positions))))
+        for pos, idx in enumerate(members):
+            found = {
+                position(dep1[idx], pos),
+                position(dep2[idx], pos),
+                position(memdep[idx], pos),
+            }
+            found.discard(pos)
+            deps.append(tuple(sorted(found)))
         result = DynamicSlice(
             root=root,
             indices=tuple(members),
             dep_positions=tuple(deps),
         )
-        # Debug-mode post-pass (lazy import: repro.analysis imports us).
-        from repro.analysis.report import assert_clean, verification_enabled
-
-        if verification_enabled():
+        if self._verify:
+            from repro.analysis.report import assert_clean
             from repro.analysis.verifier import verify_slice
 
             assert_clean(verify_slice(result), f"slice_at(root={root})")

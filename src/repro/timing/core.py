@@ -224,8 +224,9 @@ class TimingSimulator:
             exclusive with ``schedule``).
         schedule: region-based p-thread activation for granularity
             experiments.
-        engine: ``"compiled"`` / ``"interp"``; ``None`` defers to the
-            ``REPRO_ENGINE`` environment variable (default compiled).
+        engine: ``"tiered"`` / ``"compiled"`` / ``"interp"``; ``None``
+            defers to the ``REPRO_ENGINE`` environment variable (default
+            tiered).
 
     Attributes:
         last_registers: committed register file after the most recent

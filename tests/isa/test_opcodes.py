@@ -7,7 +7,6 @@ from repro.isa.opcodes import (
     MNEMONICS,
     OPINFO,
     Opcode,
-    opinfo,
     _to_signed,
 )
 
@@ -15,7 +14,7 @@ from repro.isa.opcodes import (
 class TestOpInfoTable:
     def test_every_opcode_has_info(self):
         for op in Opcode:
-            assert op in OPINFO
+            assert op.info is OPINFO[op]
 
     def test_every_mnemonic_round_trips(self):
         for mnemonic, op in MNEMONICS.items():
@@ -32,29 +31,29 @@ class TestOpInfoTable:
                 assert info.branch is not None, op
 
     def test_load_store_classification(self):
-        assert opinfo(Opcode.LW).is_load
-        assert opinfo(Opcode.LW).is_mem
-        assert not opinfo(Opcode.LW).is_store
-        assert opinfo(Opcode.SW).is_store
-        assert opinfo(Opcode.SW).is_mem
-        assert not opinfo(Opcode.SW).writes_register
+        assert Opcode.LW.info.is_load
+        assert Opcode.LW.info.is_mem
+        assert not Opcode.LW.info.is_store
+        assert Opcode.SW.info.is_store
+        assert Opcode.SW.info.is_mem
+        assert not Opcode.SW.info.writes_register
 
     def test_control_classification(self):
         for op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
-            assert opinfo(op).is_branch
-            assert opinfo(op).is_control
+            assert op.info.is_branch
+            assert op.info.is_control
         for op in (Opcode.J, Opcode.JAL, Opcode.JR):
-            assert opinfo(op).is_jump
-            assert opinfo(op).is_control
-        assert not opinfo(Opcode.ADD).is_control
+            assert op.info.is_jump
+            assert op.info.is_control
+        assert not Opcode.ADD.info.is_control
 
     def test_jal_writes_register(self):
-        assert opinfo(Opcode.JAL).writes_register
-        assert not opinfo(Opcode.J).writes_register
+        assert Opcode.JAL.info.writes_register
+        assert not Opcode.J.info.writes_register
 
     def test_mul_is_multicycle(self):
-        assert opinfo(Opcode.MUL).latency == 3
-        assert opinfo(Opcode.ADD).latency == 1
+        assert Opcode.MUL.info.latency == 3
+        assert Opcode.ADD.info.latency == 1
 
 
 class TestAluSemantics:
@@ -76,30 +75,30 @@ class TestAluSemantics:
         ],
     )
     def test_r_format_values(self, op, a, b, expected):
-        assert opinfo(op).alu(a, b) == expected
+        assert op.info.alu(a, b) == expected
 
     def test_mov_copies_first_operand(self):
-        assert opinfo(Opcode.MOV).alu(42, 999) == 42
+        assert Opcode.MOV.info.alu(42, 999) == 42
 
     def test_lui_shifts_immediate(self):
-        assert opinfo(Opcode.LUI).alu(0, 5) == 5 << 16
+        assert Opcode.LUI.info.alu(0, 5) == 5 << 16
 
     def test_add_wraps_to_64_bits(self):
         big = (1 << 63) - 1
-        assert opinfo(Opcode.ADD).alu(big, 1) == -(1 << 63)
+        assert Opcode.ADD.info.alu(big, 1) == -(1 << 63)
 
     def test_srl_treats_value_as_unsigned(self):
-        assert opinfo(Opcode.SRL).alu(-1, 60) == 15
+        assert Opcode.SRL.info.alu(-1, 60) == 15
 
     def test_to_signed_identity_in_range(self):
         assert _to_signed(123) == 123
         assert _to_signed(-123) == -123
 
     def test_branch_predicates(self):
-        assert opinfo(Opcode.BEQ).branch(3, 3)
-        assert not opinfo(Opcode.BEQ).branch(3, 4)
-        assert opinfo(Opcode.BNE).branch(3, 4)
-        assert opinfo(Opcode.BLT).branch(-1, 0)
-        assert opinfo(Opcode.BGE).branch(0, 0)
-        assert opinfo(Opcode.BLE).branch(0, 0)
-        assert opinfo(Opcode.BGT).branch(1, 0)
+        assert Opcode.BEQ.info.branch(3, 3)
+        assert not Opcode.BEQ.info.branch(3, 4)
+        assert Opcode.BNE.info.branch(3, 4)
+        assert Opcode.BLT.info.branch(-1, 0)
+        assert Opcode.BGE.info.branch(0, 0)
+        assert Opcode.BLE.info.branch(0, 0)
+        assert Opcode.BGT.info.branch(1, 0)

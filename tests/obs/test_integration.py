@@ -26,6 +26,9 @@ SMALL_PHARMACY = dict(
 
 PIPELINE_STAGES = ("trace", "baseline", "selection", "timing")
 
+#: Child spans of ``slice+select``, one per ``select_pthreads`` call.
+SELECTION_STAGES = ("slice_trees", "select_trees", "merge")
+
 
 @pytest.fixture
 def small_inputs(monkeypatch):
@@ -69,6 +72,39 @@ def test_experiment_run_emits_nested_spans(fresh_obs):
     assert all(span.duration >= 0 for span in experiment.walk())
 
 
+def test_slice_select_resolves_into_one_span_per_stage(fresh_obs):
+    tracer, _ = fresh_obs
+    result = seeded_runner().run(ExperimentConfig(workload="pharmacy"))
+    (experiment,) = tracer.root.children
+    slice_select = experiment.find("slice+select")
+    # Exactly one of each per select_pthreads call, in pipeline order,
+    # with nothing nested below them (no per-tree or per-body spans).
+    names = [child.name for child in slice_select.children]
+    assert names == list(SELECTION_STAGES)
+    for child in slice_select.children:
+        assert child.children == []
+    assert sum(c.duration for c in slice_select.children) <= slice_select.duration
+    # The stage timings reported per result keep their keys.
+    assert set(result.timings) == set(PIPELINE_STAGES)
+
+
+def test_region_selection_emits_one_span_per_stage_per_region(fresh_obs):
+    tracer, _ = fresh_obs
+    result = seeded_runner().run(
+        ExperimentConfig(workload="pharmacy", granularity=2000)
+    )
+    assert result.num_regions > 1
+    (experiment,) = tracer.root.children
+    slice_select = experiment.find("slice+select")
+    # select_by_region calls select_pthreads once per region, and each
+    # call contributes its three stage spans, and nothing else.
+    names = [child.name for child in slice_select.children]
+    assert names == list(SELECTION_STAGES) * result.num_regions
+    for child in slice_select.children:
+        assert child.children == []
+    assert set(result.timings) == set(PIPELINE_STAGES)
+
+
 def test_experiment_run_registers_split_pthread_counters(fresh_obs):
     _, registry = fresh_obs
     result = seeded_runner().run(ExperimentConfig(workload="pharmacy"))
@@ -102,7 +138,7 @@ def test_parallel_sweep_merges_worker_spans_and_metrics(
     # attach() tagged each worker subtree with its cell index, in order.
     assert [e.meta["cell"] for e in experiments] == [0, 1]
     for experiment in experiments:
-        for stage in PIPELINE_STAGES:
+        for stage in PIPELINE_STAGES + SELECTION_STAGES:
             assert experiment.find(stage) is not None
 
     # Worker metric snapshots accumulated into the coordinator registry.

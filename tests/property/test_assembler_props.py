@@ -4,17 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.assembler import parse_line
 from repro.isa.instruction import Instruction, format_instruction
-from repro.isa.opcodes import Format, Opcode, opinfo
+from repro.isa.opcodes import Format, Opcode
 from repro.isa.registers import NUM_REGS
 
 registers = st.integers(min_value=0, max_value=NUM_REGS - 1)
 immediates = st.integers(min_value=-(1 << 20), max_value=1 << 20)
 
-_R_OPS = [op for op in Opcode if opinfo(op).fmt is Format.R]
+_R_OPS = [op for op in Opcode if op.info.fmt is Format.R]
 _I_OPS = [
     op
     for op in Opcode
-    if opinfo(op).fmt is Format.I and op not in (Opcode.MOV, Opcode.LUI)
+    if op.info.fmt is Format.I and op not in (Opcode.MOV, Opcode.LUI)
 ]
 
 

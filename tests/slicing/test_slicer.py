@@ -68,7 +68,10 @@ class TestSlicer:
             """
         )
         dyn_slice = Slicer(trace, scope=100).slice_at(4)
-        assert set(dyn_slice.indices) == {4, 3, 2, 1, 0}
+        assert dyn_slice.indices == (4, 3, 2, 1, 0)
+        # The reload depends on the spill (memdep) and on its base; the
+        # spill on its base (dep1) and on its value (dep2).
+        assert dyn_slice.dep_positions == ((1,), (2, 4), (3, 4), (), ())
 
     def test_max_length_limits_growth(self):
         lines = ["addi r1, r0, 8192"]
