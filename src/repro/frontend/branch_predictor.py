@@ -15,24 +15,24 @@ from __future__ import annotations
 from typing import List
 
 
+#: 2-bit saturating counter transitions, indexed by the current value.
+_UP = (1, 2, 3, 3)
+_DOWN = (0, 0, 1, 2)
+
+
 class _CounterTable:
-    """A table of 2-bit saturating counters."""
+    """A table of 2-bit saturating counters, indexed modulo its size.
+
+    :meth:`HybridPredictor.predict_and_update` reads and updates the
+    counters in its own body: a predict and an update method per table
+    cost six calls per branch.
+    """
+
+    __slots__ = ("mask", "counters")
 
     def __init__(self, index_bits: int, initial: int = 1) -> None:
         self.mask = (1 << index_bits) - 1
         self.counters: List[int] = [initial] * (1 << index_bits)
-
-    def predict(self, index: int) -> bool:
-        return self.counters[index & self.mask] >= 2
-
-    def update(self, index: int, taken: bool) -> None:
-        i = index & self.mask
-        value = self.counters[i]
-        if taken:
-            if value < 3:
-                self.counters[i] = value + 1
-        elif value > 0:
-            self.counters[i] = value - 1
 
 
 class HybridPredictor:
@@ -79,49 +79,50 @@ class HybridPredictor:
             was correct.
         """
         self.branches += 1
-        gshare_index = pc ^ self.history
-        use_gshare = self.chooser.predict(pc)
-        bimodal_pred = self.bimodal.predict(pc)
-        gshare_pred = self.gshare.predict(gshare_index)
-        prediction = gshare_pred if use_gshare else bimodal_pred
+        bimodal = self.bimodal.counters
+        gshare = self.gshare.counters
+        chooser = self.chooser.counters
+        bimodal_index = pc & self.bimodal.mask
+        gshare_index = (pc ^ self.history) & self.gshare.mask
+        chooser_index = pc & self.chooser.mask
+        bimodal_pred = bimodal[bimodal_index] >= 2
+        gshare_pred = gshare[gshare_index] >= 2
+        prediction = gshare_pred if chooser[chooser_index] >= 2 else bimodal_pred
 
         correct = prediction == taken
+        btb_index = pc & self.btb_mask
         if correct and taken:
-            correct = self._btb_lookup(pc, target)
+            if self.btb[btb_index] != pc or self.btb_targets[btb_index] != target:
+                self.btb_misses += 1
+                correct = False
         if not correct:
             self.mispredictions += 1
 
         # Update chooser toward whichever component was right (only when
         # they disagree, per the standard tournament scheme).
         if bimodal_pred != gshare_pred:
-            self.chooser.update(pc, gshare_pred == taken)
-        self.bimodal.update(pc, taken)
-        self.gshare.update(gshare_index, taken)
+            toward = _UP if gshare_pred == taken else _DOWN
+            chooser[chooser_index] = toward[chooser[chooser_index]]
+        step = _UP if taken else _DOWN
+        bimodal[bimodal_index] = step[bimodal[bimodal_index]]
+        gshare[gshare_index] = step[gshare[gshare_index]]
         self.history = ((self.history << 1) | int(taken)) & self.history_mask
         if taken:
-            self._btb_install(pc, target)
+            self.btb[btb_index] = pc
+            self.btb_targets[btb_index] = target
         return correct
 
     def predict_indirect(self, pc: int, target: int) -> bool:
         """Run an indirect jump (``jr``) through the BTB only."""
         self.branches += 1
-        correct = self._btb_lookup(pc, target)
+        i = pc & self.btb_mask
+        correct = self.btb[i] == pc and self.btb_targets[i] == target
         if not correct:
-            self.mispredictions += 1
-        self._btb_install(pc, target)
-        return correct
-
-    def _btb_lookup(self, pc: int, target: int) -> bool:
-        i = pc & self.btb_mask
-        if self.btb[i] != pc or self.btb_targets[i] != target:
             self.btb_misses += 1
-            return False
-        return True
-
-    def _btb_install(self, pc: int, target: int) -> None:
-        i = pc & self.btb_mask
+            self.mispredictions += 1
         self.btb[i] = pc
         self.btb_targets[i] = target
+        return correct
 
     def misprediction_rate(self) -> float:
         """Mispredictions per dynamic branch."""

@@ -561,9 +561,14 @@ class ExperimentRunner:
         if config.validate:
             self._check_deadline(deadline, "validation", config, timings)
             with tracer.span("validation") as validation_span:
-                validation["overhead_execute"] = simulate(OVERHEAD_EXECUTE)
-                validation["overhead_sequence"] = simulate(OVERHEAD_SEQUENCE)
-                validation["latency_only"] = simulate(LATENCY_ONLY)
+                # One child span per simulation, named by its key.
+                for key, mode in (
+                    ("overhead_execute", OVERHEAD_EXECUTE),
+                    ("overhead_sequence", OVERHEAD_SEQUENCE),
+                    ("latency_only", LATENCY_ONLY),
+                ):
+                    with tracer.span(key):
+                        validation[key] = simulate(mode)
             elapsed = validation_span.duration
             timings["validation"] = elapsed
             self.perf.miss("validation")

@@ -3,7 +3,7 @@
 Drives the dual timing models (:mod:`repro.timing.core` vs
 :mod:`repro.timing.eventsim`) through the pinned contract of
 :mod:`repro.validation.parity` for every requested workload, in the
-baseline and pre-execution simulation modes.  The p-thread selection
+baseline mode and every p-thread mode.  The p-thread selection
 uses the same fixed-IPC shortcut as the lint/verify-codegen drivers: a
 structurally representative selection is what parity needs, not the
 model's tuned one.
@@ -17,12 +17,28 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.timing.config import BASELINE, PRE_EXECUTION, SimMode
+from repro.timing.config import (
+    BASELINE,
+    LATENCY_ONLY,
+    OVERHEAD_EXECUTE,
+    OVERHEAD_SEQUENCE,
+    PRE_EXECUTION,
+    SimMode,
+)
 from repro.validation.parity import ParityReport, ParityTolerance, run_parity
 
-#: Modes every workload is compared under: the unassisted machine and
-#: the full pre-execution machine (launch + execute + steal + hint).
-PARITY_MODES: Sequence[SimMode] = (BASELINE, PRE_EXECUTION)
+#: Modes every workload is compared under: the unassisted machine, the
+#: full pre-execution machine (launch + execute + steal + hint), and
+#: the three validation modes Table 2's OH-ex, OH-seq and LT columns
+#: come from — p-threads with phantom loads, with their instructions
+#: discarded after sequencing, and without slot stealing.
+PARITY_MODES: Sequence[SimMode] = (
+    BASELINE,
+    PRE_EXECUTION,
+    OVERHEAD_EXECUTE,
+    OVERHEAD_SEQUENCE,
+    LATENCY_ONLY,
+)
 
 #: Shared per-run instruction cap (see module docstring).
 DEFAULT_MAX_INSTRUCTIONS = 120_000
@@ -95,13 +111,14 @@ def render_parity(reports: Sequence[ParityReport]) -> str:
     """Fixed-width sweep table plus detail lines for divergences."""
     lines = []
     width = max((len(r.workload) for r in reports), default=8)
+    mode_width = max((len(r.mode) for r in reports), default=10)
     for report in reports:
         status = "ok"
         first = report.first_divergence
         if first is not None:
             status = f"DIVERGED at {first.name}"
         lines.append(
-            f"{report.workload:<{width}} {report.mode:<10} "
+            f"{report.workload:<{width}} {report.mode:<{mode_width}} "
             f"engine={report.engine:<8} checks={len(report.checks):<3} "
             f"{status}"
         )

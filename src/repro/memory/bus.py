@@ -58,13 +58,19 @@ class Bus:
         occupies the first free slot at or after ``now``; requests may
         arrive in any timestamp order.
         """
-        duration = self.transfer_cycles(num_bytes)
-        slots = self._slots.setdefault(duration, set())
-        index = max(now, 0) // duration
+        # transfer_cycles, inlined: the hierarchy requests a bus on
+        # every L2 hit and every line fetched from memory.
+        duration = -(-num_bytes // self.width_bytes) * self.cycles_per_beat
+        slots = self._slots.get(duration)
+        if slots is None:
+            slots = self._slots[duration] = set()
+        index = (now if now > 0 else 0) // duration
         while index in slots:
             index += 1
         slots.add(index)
-        start = max(now, index * duration)
+        start = index * duration
+        if start < now:
+            start = now
         self.transfers += 1
         self.busy_cycles += duration
         self.wait_cycles += start - now

@@ -92,20 +92,26 @@ class Cache:
         return line % self.config.num_sets, line
 
     def probe(self, addr: int) -> bool:
-        """Check residency without updating LRU state or statistics."""
-        set_index, tag = self._index(addr)
-        base = set_index * self._assoc
-        return tag in self._tags[base : base + self._assoc]
+        """Check residency without updating LRU state or statistics.
+
+        The set index is computed inline, as in :meth:`access`: the
+        timed hierarchy probes once or twice per p-thread load.
+        """
+        line = addr >> self._line_shift
+        if self._sets_pow2:
+            base = (line & self._set_mask) * self._assoc
+        else:
+            base = (line % self.config.num_sets) * self._assoc
+        return line in self._tags[base : base + self._assoc]
 
     def access(self, addr: int, is_write: bool = False) -> bool:
         """Access ``addr``; allocate on miss.  Returns hit status.
 
         On a miss the LRU victim is evicted (counted as a writeback if
-        dirty) and the new line allocated MRU.  The touch and fill
-        logic is inlined here (rather than calling :meth:`_touch` /
-        :meth:`_fill`) because this method runs once or twice per
-        simulated instruction; the slow-path entry points share the
-        helpers.
+        dirty) and the new line allocated MRU.  The fill logic is
+        inlined here (rather than calling :meth:`_fill`) because this
+        method runs once or twice per simulated instruction; the
+        slow-path :meth:`fill` shares the helper.
         """
         line = addr >> self._line_shift
         if self._sets_pow2:
@@ -164,25 +170,6 @@ class Cache:
             if tags[pos] == tag:
                 tags[pos:end] = tags[pos + 1 : end] + [None]
                 dirty[pos:end] = dirty[pos + 1 : end] + [0]
-                return True
-        return False
-
-    def _touch(self, addr: int, is_write: bool) -> bool:
-        set_index, tag = self._index(addr)
-        base = set_index * self._assoc
-        tags = self._tags
-        for pos in range(base, base + self._assoc):
-            if tags[pos] == tag:
-                if pos != base:
-                    # Move the hit way to MRU, shifting the rest down.
-                    dirty = self._dirty
-                    d = dirty[pos]
-                    tags[base + 1 : pos + 1] = tags[base:pos]
-                    dirty[base + 1 : pos + 1] = dirty[base:pos]
-                    tags[base] = tag
-                    dirty[base] = d
-                if is_write:
-                    self._dirty[base] = 1
                 return True
         return False
 

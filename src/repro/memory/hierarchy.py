@@ -142,14 +142,6 @@ class FunctionalHierarchy:
         self.l2.fill(addr)
 
 
-@dataclass
-class _PrefetchStamp:
-    """Timestamps for a line fetched into L2 by a p-thread."""
-
-    request_time: int
-    ready_time: int
-
-
 class CoverageKind(enum.Enum):
     """Classification of a main-thread touch of a p-thread-fetched line."""
 
@@ -181,6 +173,11 @@ class TimedHierarchy:
 
     All methods take the current cycle explicitly; the class holds no
     clock of its own.
+
+    The ``*_access_fast`` paths run once per simulated memory access,
+    so each calls every component it touches at most once (``access``
+    or ``probe`` per cache level, one ``Bus.request``) and computes
+    line addresses and latencies inline from constants taken here.
     """
 
     def __init__(self, config: HierarchyConfig, perfect_l2: bool = False) -> None:
@@ -197,9 +194,15 @@ class TimedHierarchy:
         self.memory_bus = Bus(
             "memory", config.memory_bus_bytes, config.memory_bus_divisor
         )
+        self._l2_line_mask = -config.l2.line_bytes
+        self._l1_hit = config.l1.hit_latency
+        self._l2_hit = config.l2.hit_latency
+        self._mem_latency = config.mem_latency
+        self._l1_line_bytes = config.l1.line_bytes
+        self._l2_line_bytes = config.l2.line_bytes
         # L2 lines fetched by p-threads and not yet touched by the main
-        # thread, keyed by L2 line address.
-        self._pt_lines: Dict[int, _PrefetchStamp] = {}
+        # thread, keyed by L2 line address: (request time, ready time).
+        self._pt_lines: Dict[int, Tuple[int, int]] = {}
         # Fill completion time of lines still in transit from memory.
         # Tag state is updated at request time (so residency checks
         # work), but an access to an in-flight line cannot complete
@@ -241,34 +244,38 @@ class TimedHierarchy:
         """
         self.mt_accesses += 1
         self.last_coverage = None
-        line2 = self.l2.line_addr(addr)
+        line2 = addr & self._l2_line_mask
         stamp = self._pt_lines.pop(line2, None)
 
         if self.l1.access(addr, is_write):
-            complete = now + self.config.l1.hit_latency
+            complete = now + self._l1_hit
             pending = self._line_ready.get(line2)
             if pending is not None and pending > complete:
                 complete = pending
             return 1, complete
 
         if self.l2.access(addr, is_write):
-            # L2 hit.  If a p-thread fetched this line, the unassisted
-            # program would have missed: classify the coverage.
-            complete = now + self._l2_hit_latency(now)
+            # L2 hit, timed with the backside bus.  If a p-thread
+            # fetched this line, the unassisted program would have
+            # missed: classify the coverage.
+            complete = self.backside_bus.request(
+                now + self._l2_hit, self._l1_line_bytes
+            )
             pending = self._line_ready.get(line2)
             if pending is not None and pending > complete:
                 complete = pending
             if stamp is not None:
-                if stamp.ready_time <= now:
+                request_time, ready_time = stamp
+                if ready_time <= now:
                     self.last_coverage = CoverageKind.FULL
                     self.full_covered += 1
                 else:
                     self.last_coverage = CoverageKind.PARTIAL
                     self.partial_covered += 1
-                    saved = max(0, now - stamp.request_time)
-                    self.partial_covered_cycles += saved
-                    if stamp.ready_time > complete:
-                        complete = stamp.ready_time
+                    if now > request_time:
+                        self.partial_covered_cycles += now - request_time
+                    if ready_time > complete:
+                        complete = ready_time
             return 2, complete
 
         # L2 miss.
@@ -296,22 +303,24 @@ class TimedHierarchy:
     def pt_access_fast(self, addr: int, now: int) -> Tuple[int, int]:
         """:meth:`pt_access` returning a plain ``(level, complete)``."""
         self.pt_accesses += 1
-        line2 = self.l2.line_addr(addr)
+        line2 = addr & self._l2_line_mask
         pending = self._line_ready.get(line2)
         if self.l1.probe(addr):
-            complete = now + self.config.l1.hit_latency
+            complete = now + self._l1_hit
             if pending is not None and pending > complete:
                 complete = pending
             return 1, complete
-        if self.l2.access(addr, is_write=False):
-            complete = now + self._l2_hit_latency(now)
+        if self.l2.access(addr, False):
+            complete = self.backside_bus.request(
+                now + self._l2_hit, self._l1_line_bytes
+            )
             if pending is not None and pending > complete:
                 complete = pending
             return 2, complete
         self.pt_l2_misses += 1
         complete = self._fetch_line(line2, now)
         # Stamp the line so the main thread's first touch classifies it.
-        self._pt_lines[line2] = _PrefetchStamp(request_time=now, ready_time=complete)
+        self._pt_lines[line2] = (now, complete)
         return 3, complete
 
     def phantom_access(self, addr: int, now: int) -> AccessOutcome:
@@ -336,13 +345,13 @@ class TimedHierarchy:
         """
         if self.l1.probe(addr):
             level = 1
-            complete = now + self.config.l1.hit_latency
+            complete = now + self._l1_hit
         elif self.l2.probe(addr):
             level = 2
-            complete = now + self.config.l2.hit_latency
+            complete = now + self._l2_hit
         else:
-            return 3, now + self.config.mem_latency
-        pending = self._line_ready.get(self.l2.line_addr(addr))
+            return 3, now + self._mem_latency
+        pending = self._line_ready.get(addr & self._l2_line_mask)
         if pending is not None and pending > complete:
             complete = pending
         return level, complete
@@ -351,26 +360,22 @@ class TimedHierarchy:
     # internals
     # ------------------------------------------------------------------
 
-    def _l2_hit_latency(self, now: int) -> int:
-        """L2 hit latency including backside bus occupancy."""
-        done = self.backside_bus.request(
-            now + self.config.l2.hit_latency, self.config.l1.line_bytes
-        )
-        return done - now
-
     def _fetch_line(self, line2: int, now: int) -> int:
-        """Fetch ``line2`` from memory into the L2; returns ready time."""
+        """Fetch ``line2`` from memory into the L2; returns ready time.
+
+        Called only right after an L2 ``access`` of this line missed,
+        and that access already allocated the line at MRU — so there
+        is no tag fill left to do here, only the timing.
+        """
         if self.perfect_l2:
-            self.l2.fill(line2)
-            return now + self.config.l2.hit_latency
+            return now + self._l2_hit
         merged = self.mshrs.lookup(line2, now)
         if merged is not None:
             return merged
         bus_done = self.memory_bus.request(
-            now + self.config.mem_latency, self.config.l2.line_bytes
+            now + self._mem_latency, self._l2_line_bytes
         )
         ready = self.mshrs.allocate(line2, now, bus_done)
-        self.l2.fill(line2)
         self._line_ready[line2] = ready
         if len(self._line_ready) > 8192:
             self._line_ready = {

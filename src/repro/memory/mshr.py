@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+_IDLE = float("inf")  # ``_earliest`` with nothing in flight
+
 
 class MshrFile:
     """A finite set of outstanding line misses.
@@ -26,6 +28,10 @@ class MshrFile:
             raise ValueError("MSHR capacity must be >= 1")
         self.capacity = capacity
         self._outstanding: Dict[int, int] = {}  # line addr -> ready time
+        # A lower bound on every ready time in flight, exact after each
+        # expiry scan: while ``now`` is below it nothing can expire, so
+        # lookups and allocations skip the scan over every entry.
+        self._earliest: float = _IDLE
         # statistics
         self.allocations = 0
         self.merges = 0
@@ -37,10 +43,12 @@ class MshrFile:
         self.occupancy_samples: Dict[int, int] = {}
 
     def _expire(self, now: int) -> None:
-        if self._outstanding:
-            done = [line for line, t in self._outstanding.items() if t <= now]
-            for line in done:
-                del self._outstanding[line]
+        if now < self._earliest:
+            return
+        outstanding = self._outstanding
+        for line in [line for line, t in outstanding.items() if t <= now]:
+            del outstanding[line]
+        self._earliest = min(outstanding.values()) if outstanding else _IDLE
 
     def lookup(self, line: int, now: int) -> Optional[int]:
         """If ``line`` is already in flight at ``now``, return its ready
@@ -75,8 +83,11 @@ class MshrFile:
         self.occupancy_samples[occupancy] = (
             self.occupancy_samples.get(occupancy, 0) + 1
         )
-        self._outstanding[line] = ready + delay
-        return ready + delay
+        ready += delay
+        self._outstanding[line] = ready
+        if ready < self._earliest:
+            self._earliest = ready
+        return ready
 
     def outstanding(self, now: int) -> int:
         """Number of misses in flight at ``now``."""
@@ -85,6 +96,7 @@ class MshrFile:
 
     def reset(self) -> None:
         self._outstanding.clear()
+        self._earliest = _IDLE
         self.allocations = 0
         self.merges = 0
         self.full_stalls = 0

@@ -5,8 +5,8 @@ Two measurements per workload:
 1. **Cold CLI reference** — a fresh subprocess runs
    ``python -m repro run <workload> --no-cache`` with every persistent
    cache disabled, exactly what a one-shot user pays.  The span tree it
-   exports yields the simulation-stage seconds (trace + baseline +
-   timing).
+   exports yields the simulation-stage seconds, counted as
+   :data:`repro.harness.simspeed.SIM_STAGES` counts them.
 2. **Served load phase** — an in-process daemon is primed with one
    request per workload (the cold in-server run), then ``--requests``
    submissions fan out over ``--concurrency`` keep-alive connections.
@@ -36,26 +36,15 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Dict, List, Sequence
 
+from repro.harness.simspeed import SIM_STAGES, stage_seconds
+
 SERVE_BENCH_SCHEMA = 1
 
 #: Warm-request p50 latency must beat the cold CLI sim-stage time by
 #: at least this factor.
 MIN_WARM_SPEEDUP = 5.0
 
-#: Pipeline stages whose span durations count as "simulation time",
-#: matching repro.harness.simspeed's cold Table 2 accounting.
-_SIM_STAGES = frozenset({"trace", "baseline", "timing"})
-
 DEFAULT_RESULTS_PATH = "results/BENCH_serve.json"
-
-
-def _stage_seconds(span: Dict[str, Any], names: frozenset) -> float:
-    total = 0.0
-    if span.get("name") in names:
-        total += span.get("duration", 0.0)
-    for child in span.get("children", ()):
-        total += _stage_seconds(child, names)
-    return total
 
 
 def _percentile(samples: Sequence[float], fraction: float) -> float:
@@ -96,7 +85,7 @@ def _cold_reference(workload: str) -> Dict[str, float]:
                 f"cold reference run of {workload!r} failed:\n{proc.stderr}"
             )
         doc = json.loads(trace_path.read_text())
-    sim = sum(_stage_seconds(span, _SIM_STAGES) for span in doc["spans"])
+    sim = sum(stage_seconds(span, SIM_STAGES) for span in doc["spans"])
     return {"cold_wall_seconds": wall, "cold_sim_seconds": sim}
 
 

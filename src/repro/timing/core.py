@@ -103,7 +103,14 @@ def _store_queue_put(
 
 
 class _DecodedBody:
-    """Pre-decoded p-thread body for fast repeated execution."""
+    """Pre-decoded p-thread body for fast repeated execution.
+
+    Registers are renamed to dense slots (slot 0 is the zero register),
+    so a launch keeps values and ready times in two short lists seeded
+    from ``seeds``.  ``ready_floor[j]`` is op ``j``'s injection cycle
+    offset plus one: no operand is ready before the cycle after its
+    burst is injected.
+    """
 
     __slots__ = (
         "size",
@@ -116,15 +123,30 @@ class _DecodedBody:
         "branch",
         "pcs",
         "latency",
-        "live_ins",
+        "slots",
+        "seeds",
+        "ready_floor",
         "bursts",
-        "last_burst_offset",
+        "busy_cycles",
     )
 
     def __init__(self, pthread: StaticPThread, machine: MachineConfig) -> None:
         body = pthread.body
         n = body.size
         self.size = n
+        slot_of: Dict[int, int] = {0: 0}
+
+        def slot(reg: Optional[int]) -> int:
+            if reg is None:
+                return 0
+            return slot_of.setdefault(reg, len(slot_of))
+
+        #: (slot, architectural register) per seeded live-in.
+        self.seeds: List[Tuple[int, int]] = []
+        for reg in body.live_ins:
+            index = slot(reg)
+            if reg < NUM_REGS:  # a virtual register has no seed: reads zero
+                self.seeds.append((index, reg))
         self.kind: List[int] = []
         self.rd: List[int] = []
         self.rs1: List[int] = []
@@ -148,26 +170,25 @@ class _DecodedBody:
                 self.kind.append(K_BRANCH)
             else:  # store
                 self.kind.append(K_STORE)
-            self.rd.append(inst.rd if inst.rd is not None else 0)
-            self.rs1.append(inst.rs1 if inst.rs1 is not None else 0)
-            self.rs2.append(inst.rs2 if inst.rs2 is not None else 0)
+            self.rd.append(slot(inst.rd))
+            self.rs1.append(slot(inst.rs1))
+            self.rs2.append(slot(inst.rs2))
             self.imm.append(inst.imm)
             self.alu.append(inst.info.alu)
             self.branch.append(inst.info.branch)
             self.pcs.append(inst.pc)
             self.latency.append(inst.info.latency)
-        self.live_ins = body.live_ins
-        # Injection bursts: (cycle offset, first insn, count).
+        self.slots = len(slot_of)
+        # Injection: ``burst`` instructions every ``period`` cycles.
         burst, period = machine.pthread_burst, machine.pthread_burst_period
-        self.bursts: List[Tuple[int, int, int]] = []
-        start = 0
-        offset = 0
-        while start < n:
-            count = min(burst, n - start)
-            self.bursts.append((offset, start, count))
-            start += count
-            offset += period
-        self.last_burst_offset = self.bursts[-1][0] if self.bursts else 0
+        self.ready_floor = [(j // burst) * period + 1 for j in range(n)]
+        #: (cycle offset, instructions) per injection burst.
+        self.bursts: List[Tuple[int, int]] = [
+            (first // burst * period, min(burst, n - first))
+            for first in range(0, n, burst)
+        ]
+        # A context stays busy through its last burst's cycle.
+        self.busy_cycles = (self.bursts[-1][0] if self.bursts else 0) + 1
 
 
 class _TimingState:
@@ -647,7 +668,6 @@ class TimingSimulator:
         branch_arr = decoded.branch
         lat_arr = decoded.latency
 
-        mode = st.mode
         stats = st.stats
         hierarchy = st.hierarchy
         predictor = st.predictor
@@ -666,7 +686,6 @@ class TimingSimulator:
         stolen = st.stolen
         stolen_get = stolen.get
         store_queue = st.store_queue
-        contexts = st.contexts
         branch_hints = st.branch_hints
         branch_counts = st.branch_counts
         hinted_pcs = st.hinted_pcs
@@ -899,20 +918,7 @@ class TimingSimulator:
                 waiting = triggers.get(pc)
                 if waiting is not None:
                     for pthread in waiting:
-                        self._launch(
-                            pthread,
-                            disp,
-                            mode,
-                            contexts,
-                            stolen,
-                            regs,
-                            reg_ready,
-                            mem_load,
-                            hierarchy,
-                            stats,
-                            branch_hints,
-                            branch_counts,
-                        )
+                        self._launch(pthread, disp, st)
             # Periodically drop stale stolen-slot entries (in place:
             # the dict is closed over by compiled blocks and p-thread
             # launches, so it must never be rebound).
@@ -947,8 +953,6 @@ class TimingSimulator:
         counts fold in from block execution counts at the end.
         """
         hierarchy = st.hierarchy
-        mode = st.mode
-        contexts = st.contexts
         stolen = st.stolen
         regs = st.regs
         rdy = st.reg_ready
@@ -956,20 +960,7 @@ class TimingSimulator:
 
         def launch(waiting: List[StaticPThread], disp: int) -> None:
             for pthread in waiting:
-                launch_one(
-                    pthread,
-                    disp,
-                    mode,
-                    contexts,
-                    stolen,
-                    regs,
-                    rdy,
-                    st.mem_load,
-                    hierarchy,
-                    st.stats,
-                    st.branch_hints,
-                    st.branch_counts,
-                )
+                launch_one(pthread, disp, st)
 
         ctx = {
             "ring": st.retire_ring,
@@ -1093,8 +1084,6 @@ class TimingSimulator:
         tier_ups = 0
 
         hierarchy = st.hierarchy
-        mode = st.mode
-        contexts = st.contexts
         stolen = st.stolen
         regs = st.regs
         rdy = st.reg_ready
@@ -1102,20 +1091,7 @@ class TimingSimulator:
 
         def launch(waiting: List[StaticPThread], disp: int) -> None:
             for pthread in waiting:
-                launch_one(
-                    pthread,
-                    disp,
-                    mode,
-                    contexts,
-                    stolen,
-                    regs,
-                    rdy,
-                    st.mem_load,
-                    hierarchy,
-                    st.stats,
-                    st.branch_hints,
-                    st.branch_counts,
-                )
+                launch_one(pthread, disp, st)
 
         ctx = {
             "ring": st.retire_ring,
@@ -1282,23 +1258,14 @@ class TimingSimulator:
     # ------------------------------------------------------------------
 
     def _launch(
-        self,
-        pthread: StaticPThread,
-        launch_time: int,
-        mode: SimMode,
-        contexts: List[int],
-        stolen: Dict[int, int],
-        main_regs: List[int],
-        main_ready: List[int],
-        mem_load: Callable[[int], int],
-        hierarchy: TimedHierarchy,
-        stats: SimStats,
-        branch_hints: Optional[Dict[int, Dict[int, Tuple[int, int]]]] = None,
-        branch_counts: Optional[Dict[int, int]] = None,
+        self, pthread: StaticPThread, launch_time: int, st: _TimingState
     ) -> None:
         """Launch one dynamic p-thread at ``launch_time``."""
         body = self._decoded_bodies[id(pthread)]
         trigger = pthread.trigger_pc
+        mode = st.mode
+        contexts = st.contexts
+        stats = st.stats
 
         # Context allocation: drop the launch if none is free.
         slot = -1
@@ -1312,7 +1279,7 @@ class TimingSimulator:
                 stats.drops_by_trigger.get(trigger, 0) + 1
             )
             return
-        contexts[slot] = launch_time + body.last_burst_offset + 1
+        contexts[slot] = launch_time + body.busy_cycles
         stats.pthread_launches += 1
         stats.launches_by_trigger[trigger] = (
             stats.launches_by_trigger.get(trigger, 0) + 1
@@ -1320,7 +1287,8 @@ class TimingSimulator:
         stats.pthread_instructions += body.size
 
         if mode.steal:
-            for offset, _, count in body.bursts:
+            stolen = st.stolen
+            for offset, count in body.bursts:
                 cycle = launch_time + offset
                 stolen[cycle] = stolen.get(cycle, 0) + count
         if not mode.execute:
@@ -1328,15 +1296,13 @@ class TimingSimulator:
 
         # Seed the body's live-ins from the architectural state at the
         # trigger; availability follows the producer's completion.
-        values: Dict[int, int] = {0: 0}
-        ready: Dict[int, int] = {0: 0}
-        for reg in body.live_ins:
-            if reg < NUM_REGS:
-                values[reg] = main_regs[reg]
-                ready[reg] = main_ready[reg]
-            else:  # virtual register with no seed: reads as zero
-                values[reg] = 0
-                ready[reg] = 0
+        main_regs = st.regs
+        main_ready = st.reg_ready
+        values = [0] * body.slots
+        ready = [0] * body.slots
+        for index, reg in body.seeds:
+            values[index] = main_regs[reg]
+            ready[index] = main_ready[reg]
 
         store_buffer: Dict[int, Tuple[int, int]] = {}
         kind = body.kind
@@ -1346,49 +1312,44 @@ class TimingSimulator:
         imm_arr = body.imm
         alu_arr = body.alu
         lat_arr = body.latency
-        pt_access = hierarchy.pt_access_fast
-        phantom_access = hierarchy.phantom_access_fast
-        burst_index = 0
-        bursts = body.bursts
+        floor_arr = body.ready_floor
+        forward_latency = self.machine.store_forward_latency
+        mem_load = st.mem_load
+        # Prefetching loads fill the L2; the overhead-only modes time
+        # them against the phantom lookup, which leaves no state.
+        hierarchy = st.hierarchy
+        if mode.prefetch:
+            access = hierarchy.pt_access_fast
+        else:
+            access = hierarchy.phantom_access_fast
 
         for j in range(body.size):
-            while (
-                burst_index + 1 < len(bursts)
-                and j >= bursts[burst_index + 1][1]
-            ):
-                burst_index += 1
-            inject = launch_time + bursts[burst_index][0]
             k = kind[j]
             rs1 = rs1_arr[j]
-            in_ready = ready.get(rs1, 0)
-            if inject + 1 > in_ready:
-                in_ready = inject + 1
+            in_ready = ready[rs1]
+            floor = launch_time + floor_arr[j]
+            if floor > in_ready:
+                in_ready = floor
             if k == K_ALU_I:
-                value = alu_arr[j](values.get(rs1, 0), imm_arr[j])
+                value = alu_arr[j](values[rs1], imm_arr[j])
                 complete = in_ready + lat_arr[j]
             elif k == K_ALU_R:
                 rs2 = rs2_arr[j]
-                r2 = ready.get(rs2, 0)
+                r2 = ready[rs2]
                 if r2 > in_ready:
                     in_ready = r2
-                value = alu_arr[j](values.get(rs1, 0), values.get(rs2, 0))
+                value = alu_arr[j](values[rs1], values[rs2])
                 complete = in_ready + lat_arr[j]
             elif k == K_LOAD:
-                addr = values.get(rs1, 0) + imm_arr[j]
+                addr = values[rs1] + imm_arr[j]
                 issue = in_ready + 1
                 buffered = store_buffer.get(addr)
                 if buffered is not None:
                     data_ready, value = buffered
-                    complete = (
-                        max(issue, data_ready)
-                        + self.machine.store_forward_latency
-                    )
+                    complete = max(issue, data_ready) + forward_latency
                 else:
                     value = mem_load(addr)
-                    if mode.prefetch:
-                        complete = pt_access(addr, issue)[1]
-                    else:
-                        complete = phantom_access(addr, issue)[1]
+                    complete = access(addr, issue)[1]
             elif k == K_BRANCH:
                 # Terminal branch: compute the outcome and post it as a
                 # fetch hint tagged with the dynamic instance it
@@ -1396,23 +1357,17 @@ class TimingSimulator:
                 # now (minus one when the trigger sits after the branch
                 # in loop order, because that instance already ran).
                 rs2 = rs2_arr[j]
-                r2 = ready.get(rs2, 0)
+                r2 = ready[rs2]
                 if r2 > in_ready:
                     in_ready = r2
-                taken = body.branch[j](
-                    values.get(rs1, 0), values.get(rs2, 0)
-                )
-                if mode.prefetch and branch_hints is not None:
+                taken = body.branch[j](values[rs1], values[rs2])
+                if mode.prefetch:
                     branch_pc = body.pcs[j]
-                    seen = (
-                        branch_counts.get(branch_pc, 0)
-                        if branch_counts is not None
-                        else 0
-                    )
+                    seen = st.branch_counts.get(branch_pc, 0)
                     offset = pthread.instances_ahead
                     if pthread.trigger_pc > branch_pc:
                         offset -= 1
-                    per_pc = branch_hints.setdefault(branch_pc, {})
+                    per_pc = st.branch_hints.setdefault(branch_pc, {})
                     per_pc[seen + max(0, offset)] = (
                         in_ready + 1,
                         int(taken),
@@ -1425,11 +1380,11 @@ class TimingSimulator:
                 continue
             else:  # K_STORE: private buffer only; never commits
                 rs2 = rs2_arr[j]
-                r2 = ready.get(rs2, 0)
+                r2 = ready[rs2]
                 if r2 > in_ready:
                     in_ready = r2
-                addr = values.get(rs1, 0) + imm_arr[j]
-                store_buffer[addr] = (in_ready + 1, values.get(rs2, 0))
+                addr = values[rs1] + imm_arr[j]
+                store_buffer[addr] = (in_ready + 1, values[rs2])
                 continue
             rd = rd_arr[j]
             if rd:

@@ -1,9 +1,12 @@
 """Tests for the hybrid branch predictor and BTB."""
 
-from repro.frontend.branch_predictor import HybridPredictor, _CounterTable
+from repro.frontend.branch_predictor import HybridPredictor
+from tests.frontend.reference_predictor import _CounterTable
 
 
 class TestCounterTable:
+    """The reference counter table; the library predictor inlines it."""
+
     def test_saturates_high(self):
         table = _CounterTable(4)
         for _ in range(10):

@@ -69,6 +69,61 @@ class TestSteadyMips:
         assert simspeed._steady_mips(run, repeats=1) == pytest.approx(1.0)
 
 
+def _span(name, duration, *children, **meta):
+    span = {"name": name, "duration": duration}
+    if meta:
+        span["meta"] = meta
+    if children:
+        span["children"] = list(children)
+    return span
+
+
+#: One validated Table 2 cell as the harness traces it: three timing
+#: simulations under ``validation``, perfect-L2 in a second
+#: ``validation`` span, and analysis spans that are not simulation.
+VALIDATED_CELL = _span(
+    "experiment",
+    20.0,
+    _span("trace", 1.0),
+    _span("baseline", 0.5),
+    _span(
+        "selection",
+        9.0,
+        _span("slice+select", 8.5, _span("slice_trees", 5.0)),
+    ),
+    _span("timing", 2.0, _span("tier_up", 0.25)),
+    _span(
+        "validation",
+        6.0,
+        _span("overhead_execute", 2.0),
+        _span("overhead_sequence", 1.5),
+        _span("latency_only", 2.5),
+    ),
+    _span("validation", 0.75, kind="perfect_l2"),
+    workload="bzip2",
+)
+
+
+class TestSimStageAccounting:
+    def test_validated_cell_counts_every_timing_simulation(self):
+        # trace + baseline + timing + both validation spans; nothing
+        # under selection, and no child counted twice.
+        sim = simspeed.stage_seconds(VALIDATED_CELL, simspeed.SIM_STAGES)
+        assert sim == pytest.approx(1.0 + 0.5 + 2.0 + 6.0 + 0.75)
+
+    def test_sweep_sums_cells(self):
+        sweep = _span("sweep", 45.0, VALIDATED_CELL, VALIDATED_CELL)
+        assert simspeed.stage_seconds(
+            sweep, simspeed.SIM_STAGES
+        ) == pytest.approx(2 * 10.25)
+
+    def test_serve_bench_uses_the_same_definition(self):
+        from repro.serve import bench
+
+        assert bench.SIM_STAGES is simspeed.SIM_STAGES
+        assert bench.stage_seconds is simspeed.stage_seconds
+
+
 def _payload(
     exec_ratio=3.0,
     cached_ratio=1.5,

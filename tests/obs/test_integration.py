@@ -29,6 +29,10 @@ PIPELINE_STAGES = ("trace", "baseline", "selection", "timing")
 #: Child spans of ``slice+select``, one per ``select_pthreads`` call.
 SELECTION_STAGES = ("slice_trees", "select_trees", "merge")
 
+#: Child spans of ``validation``, one per re-simulation, named by its
+#: ``ExperimentResult.validation`` key.
+VALIDATION_STAGES = ("overhead_execute", "overhead_sequence", "latency_only")
+
 
 @pytest.fixture
 def small_inputs(monkeypatch):
@@ -103,6 +107,29 @@ def test_region_selection_emits_one_span_per_stage_per_region(fresh_obs):
     for child in slice_select.children:
         assert child.children == []
     assert set(result.timings) == set(PIPELINE_STAGES)
+
+
+def test_validation_resolves_into_one_span_per_simulation(fresh_obs):
+    tracer, _ = fresh_obs
+    result = seeded_runner().run(
+        ExperimentConfig(workload="pharmacy", validate=True)
+    )
+    (experiment,) = tracer.root.children
+    validation, perfect = [
+        child for child in experiment.children if child.name == "validation"
+    ]
+    # Exactly three spans per cell; below them only the tiered engine's
+    # compile spans, never one per launch or access.
+    assert [child.name for child in validation.children] == list(
+        VALIDATION_STAGES
+    )
+    for child in validation.children:
+        assert {span.name for span in child.walk()} <= {child.name, "tier_up"}
+    assert sum(c.duration for c in validation.children) <= validation.duration
+    assert perfect.meta == {"kind": "perfect_l2"}
+    assert set(result.validation) == set(VALIDATION_STAGES) | {"perfect_l2"}
+    # The stage timings reported per result keep their keys.
+    assert set(result.timings) == set(PIPELINE_STAGES) | {"validation"}
 
 
 def test_experiment_run_registers_split_pthread_counters(fresh_obs):
