@@ -53,10 +53,10 @@ CG101    advisory: the program fell back to the interpreter, with the
          reason (no generated code to validate)
 =======  ==============================================================
 
-Intentional compiled/interpreter divergences (the compiled engine's
+Intentional compiled/interpreter divergences (the generated code's
 documented contract) are encoded in the reference generator rather
-than suppressed in the comparator: with tracing off the compiled
-functional engine skips last-writer bookkeeping entirely; launch
+than suppressed in the comparator: with tracing off compiled
+functional blocks skip last-writer bookkeeping entirely; launch
 checks happen only at schedule trigger PCs; aligned memory traffic
 bypasses the access methods and touches the backing word dict
 directly.
@@ -411,7 +411,7 @@ class _Extractor:
     ) -> int:
         """``if a & 3: mem_load(a)`` [+ ``v = words_get(a, 0)``].
 
-        The compiled engine skips the memory access method for aligned
+        Generated code skips the memory access method for aligned
         addresses and reads the backing word dict directly; the pair is
         one architectural load.
         """

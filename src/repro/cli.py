@@ -23,8 +23,8 @@ Commands mirror the paper's artifacts::
 Sweeps accept ``--workloads`` to restrict the suite, ``--jobs/-j`` to
 fan cells out over worker processes (default ``REPRO_JOBS``, then the
 CPU count), ``--no-cache`` to skip the persistent artifact cache,
-``--engine tiered|compiled|interp`` to pick the simulation engine
-(default tiered; also via ``REPRO_ENGINE``), and ``--perf`` to append a
+``--engine tiered|interp`` to pick the simulation engine (default
+tiered; also via ``REPRO_ENGINE``), and ``--perf`` to append a
 stage-timing / cache-effectiveness report.
 Every pipeline command also takes ``--trace PATH`` (write the
 invocation's nested span tree as JSON) and ``--metrics PATH`` (write a
@@ -653,12 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="append a stage-timing / cache hit-miss report",
         )
         p.add_argument(
-            "--engine", choices=["tiered", "compiled", "interp"],
+            "--engine", choices=["tiered", "interp"],
             default=None,
             help=(
                 "simulation engine: tiered (default; interpret, then "
-                "compile hot blocks), compiled basic blocks, or the "
-                "reference interpreter (sets REPRO_ENGINE)"
+                "compile hot blocks) or the reference interpreter "
+                "(sets REPRO_ENGINE)"
             ),
         )
         p.add_argument(
@@ -935,8 +935,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", default="train", help="input set to build (default train)"
     )
     parity_parser.add_argument(
-        "--engine", choices=["interp", "compiled", "tiered"], default=None,
-        help="engine seam both models run under (default: REPRO_ENGINE)",
+        "--engine", choices=["interp", "tiered"], default=None,
+        help=(
+            "engine of the trace-driven model; the event model has one "
+            "dispatch (default: REPRO_ENGINE)"
+        ),
     )
     parity_parser.add_argument(
         "--max-instructions", type=int, default=120_000,
@@ -955,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     transval_parser = sub.add_parser(
         "verify-codegen",
         help=(
-            "translation-validate the compiled engine: prove every "
+            "translation-validate code generation: prove every "
             "generated basic block equivalent to the interpreter "
             "semantics (CG diagnostics)"
         ),

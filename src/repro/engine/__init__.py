@@ -1,7 +1,6 @@
 """Functional execution engine: decoding, compiling, tracing, sampling."""
 
 from repro.engine.compiler import (
-    ENGINE_COMPILED,
     ENGINE_INTERP,
     CompiledBlocks,
     compile_functional,
@@ -24,7 +23,6 @@ __all__ = [
     "CompiledBlocks",
     "CyclicSampler",
     "DecodedProgram",
-    "ENGINE_COMPILED",
     "ENGINE_INTERP",
     "ExecutionLimitExceeded",
     "FunctionalResult",

@@ -8,7 +8,7 @@ in the harness :class:`~repro.harness.artifacts.ArtifactCache` under a
 dedicated ``codegen`` kind.  On a warm cache the compilers skip block
 discovery and source emission entirely and go straight to
 ``compile()`` + ``exec()`` of the stored source — the dominant cold
-cost of the compiled engine.
+cost of a tier-up.
 
 Translation-validation results ride alongside: when ``REPRO_VERIFY=1``
 proves a compilation clean, the entry is re-stored with

@@ -27,7 +27,7 @@ maximal straight-line runs that end at a terminator (branch, jump,
 dynamic instruction counts, not PCs, so they cannot be block leaders;
 the timing dispatcher instead caps compiled execution at the next
 boundary and single-steps across it with the interpreter (see
-``TimingSimulator._run_compiled``).
+``TimingSimulator._run_tiered``).
 
 Two-stage binding
 -----------------
@@ -78,13 +78,13 @@ from repro.obs import get_registry as obs_registry
 
 #: Environment variable selecting the execution engine.
 ENGINE_ENV = "REPRO_ENGINE"
-ENGINE_COMPILED = "compiled"
 ENGINE_INTERP = "interp"
 ENGINE_TIERED = "tiered"
 _INTERP_NAMES = {"interp", "interpreter", "interpreted"}
 
 #: Environment variable for the tier-up threshold (block entry count at
-#: which the tiered engine compiles a block).
+#: which the tiered engine compiles a block; ``0`` compiles the whole
+#: program before the first instruction).
 TIER_ENV = "REPRO_TIER_THRESHOLD"
 DEFAULT_TIER_THRESHOLD = 50
 
@@ -109,10 +109,10 @@ _ALIGN_MASK = (
 def resolve_engine(explicit: Optional[str] = None) -> str:
     """Resolve the engine selection: explicit arg > ``REPRO_ENGINE`` > tiered.
 
-    Any spelling of "interp" selects the interpreter; "compiled"
-    selects the always-compile engine; "tiered" (or unset/empty)
-    selects the tiered engine, which starts in the interpreter and
-    compiles only blocks that get hot.  Anything else raises, so a
+    Any spelling of "interp" selects the interpreter; "tiered" (or
+    unset/empty) selects the tiered engine, which starts in the
+    interpreter and compiles only blocks that get hot (all of them up
+    front at ``REPRO_TIER_THRESHOLD=0``).  Anything else raises, so a
     typo cannot silently change which engine ran.
     """
     value = explicit if explicit is not None else os.environ.get(ENGINE_ENV)
@@ -121,13 +121,11 @@ def resolve_engine(explicit: Optional[str] = None) -> str:
     name = value.strip().lower()
     if name in _INTERP_NAMES:
         return ENGINE_INTERP
-    if name == ENGINE_COMPILED:
-        return ENGINE_COMPILED
     if name in ("", ENGINE_TIERED):
         return ENGINE_TIERED
     raise ValueError(
         f"unknown engine {value!r}: expected "
-        f"'{ENGINE_TIERED}', '{ENGINE_COMPILED}' or '{ENGINE_INTERP}'"
+        f"'{ENGINE_TIERED}' or '{ENGINE_INTERP}'"
     )
 
 
@@ -140,9 +138,10 @@ TIER_SLICE = 4096
 def tier_threshold() -> int:
     """Block-entry count at which the tiered engine compiles a block.
 
-    ``REPRO_TIER_THRESHOLD`` overrides the default; values below 1 are
-    clamped to 1 (compile on first re-entry), and a non-integer raises
-    so a typo cannot silently disable tiering.
+    ``REPRO_TIER_THRESHOLD`` overrides the default.  ``0`` makes every
+    block leader hot before the first instruction, so one tier-up
+    compiles the whole program (eager compilation).  A negative or
+    non-integer value raises so a typo cannot silently change tiering.
     """
     raw = os.environ.get(TIER_ENV)
     if raw is None or not raw.strip():
@@ -153,7 +152,9 @@ def tier_threshold() -> int:
         raise ValueError(
             f"{TIER_ENV} must be an integer, got {raw!r}"
         ) from None
-    return max(1, value)
+    if value < 0:
+        raise ValueError(f"{TIER_ENV} must be >= 0, got {raw!r}")
+    return value
 
 
 def register_engine_metrics() -> None:
@@ -353,6 +354,20 @@ class CompiledBlocks:
     @property
     def num_blocks(self) -> int:
         return len(self.starts)
+
+    def fold_counts(self, counts: List[int], totals) -> None:
+        """Fold per-block execution ``counts`` into ``totals``.
+
+        ``totals`` carries ``loads``/``stores``/``branches`` counters;
+        one multiply per block at fold time replaces per-instruction
+        counter bumps at run time.
+        """
+        loads, stores, branches = self.loads, self.stores, self.branches
+        for index, count in enumerate(counts):
+            if count:
+                totals.loads += count * loads[index]
+                totals.stores += count * stores[index]
+                totals.branches += count * branches[index]
 
 
 def _exec_module(source: str, filename: str):

@@ -10,16 +10,16 @@ backward slices without re-executing anything.
 Two engines produce bit-identical results (see DESIGN.md):
 
 * the **interpreter** — the per-instruction dispatch loop in
-  :func:`_interp`, which is also resumable so the compiled engine can
-  borrow it for block tails and mid-block entries; and
-* the **compiled** engine — basic-block functions generated by
-  :mod:`repro.engine.compiler` with all decode work baked in, driven by
-  the dispatcher in :meth:`FunctionalSimulator._run_compiled`; and
+  :func:`_interp`, which is also resumable so the tiered dispatcher
+  can borrow it for cold blocks, block tails and mid-block entries; and
 * the **tiered** engine (the default) — starts in the interpreter,
-  counts block entries, and compiles only the blocks that cross
+  counts block entries, and runs basic-block functions generated by
+  :mod:`repro.engine.compiler` for the blocks that cross
   ``REPRO_TIER_THRESHOLD`` entries
   (:meth:`FunctionalSimulator._run_tiered`), so short runs skip
   compilation entirely while long runs converge to compiled speed.
+  Threshold ``0`` compiles the whole program before the first
+  instruction (eager compilation).
 
 Selection: ``FunctionalSimulator(engine=...)`` > ``REPRO_ENGINE`` >
 tiered.  Sampled runs (:class:`~repro.engine.sampler.CyclicSampler`)
@@ -34,7 +34,6 @@ from typing import Dict, List, Optional
 
 from repro.analysis.report import assert_clean, verification_enabled
 from repro.engine.compiler import (
-    ENGINE_COMPILED,
     ENGINE_INTERP,
     ENGINE_TIERED,
     CompiledBlocks,
@@ -151,28 +150,11 @@ class FunctionalResult:
         )
 
 
-def _fold_block_counts(compiled: "CompiledBlocks", counts, st) -> None:
-    """Fold static per-block event counts into run totals.
-
-    The compiled blocks track loads/stores/branches statically; one
-    multiply per block at fold time replaces per-instruction counter
-    bumps at run time.
-    """
-    block_loads = compiled.loads
-    block_stores = compiled.stores
-    block_branches = compiled.branches
-    for index, count in enumerate(counts):
-        if count:
-            st.loads += count * block_loads[index]
-            st.stores += count * block_stores[index]
-            st.branches += count * block_branches[index]
-
-
 class _FuncState:
     """Mutable run state shared between the interpreter and dispatcher.
 
-    The compiled dispatcher hands off to :func:`_interp` (and back) at
-    block-cache misses, computed-jump entries, and the final
+    The tiered dispatcher hands off to :func:`_interp` (and back) at
+    block-table misses, computed-jump entries, and the final
     instructions before the limit; packaging the architectural and
     bookkeeping state in one object makes those hand-offs exact.
     """
@@ -395,13 +377,12 @@ class FunctionalSimulator:
         program: the linked program to run.
         hierarchy_config: cache geometry; if ``None`` no cache model is
             attached and all loads are recorded at level 0.
-        engine: ``"tiered"`` / ``"compiled"`` / ``"interp"``; ``None``
-            defers to the ``REPRO_ENGINE`` environment variable (default
-            tiered).
+        engine: ``"tiered"`` / ``"interp"``; ``None`` defers to the
+            ``REPRO_ENGINE`` environment variable (default tiered).
 
     Attributes:
         last_engine: the engine the most recent :meth:`run` actually
-            used (``"interp"`` also when the compiled engine fell back).
+            used (``"interp"`` also for sampled runs).
     """
 
     def __init__(
@@ -418,52 +399,18 @@ class FunctionalSimulator:
         self.last_tier: Optional[dict] = None
         self._compiled: Dict[tuple, Optional[CompiledBlocks]] = {}
 
-    def _compiled_variant(
-        self, tracing: bool, caching: bool
-    ) -> Optional[CompiledBlocks]:
-        """The compiled (tracing, caching) variant, memoized per instance."""
-        key = (tracing, caching)
-        if key not in self._compiled:
-            compiled = compile_functional(self.decoded, tracing, caching)
-            if verification_enabled() and not (
-                compiled is not None and compiled.validated
-            ):
-                # Debug-mode translation validation: statically prove
-                # the generated block functions equivalent to the
-                # interpreter semantics before trusting them with a run.
-                # Cache-loaded modules whose bytes already validated
-                # clean carry ``validated`` and skip the re-proof.
-                from repro.analysis.transval import validate_functional
-
-                result = validate_functional(
-                    self.decoded, compiled, tracing=tracing, caching=caching
-                )
-                assert_clean(
-                    result.diagnostics,
-                    f"codegen validation (functional, tracing={tracing}, "
-                    f"caching={caching})",
-                )
-                if compiled is not None:
-                    compiled.validated = True
-                    from repro.engine.codecache import get_code_cache
-
-                    cache = get_code_cache()
-                    if cache is not None:
-                        cache.mark_validated(compiled)
-            self._compiled[key] = compiled
-        return self._compiled[key]
-
     def _tiered_variant(
-        self, tracing: bool, caching: bool, hot: tuple
+        self, tracing: bool, caching: bool, hot: Optional[tuple]
     ) -> Optional[CompiledBlocks]:
-        """The compiled hot-subset variant for tiered runs, memoized.
+        """The compiled module for tiered runs, memoized per instance.
 
-        ``hot`` is the sorted tuple of hot block-leader PCs; the module
-        covers exactly those blocks.  Under ``REPRO_VERIFY`` the subset
-        is translation-validated like a full compilation (the
-        structural partition check runs in subset mode).
+        ``hot`` is the sorted tuple of hot block-leader PCs the module
+        covers, or ``None`` for the whole program (eager tiering).
+        Under ``REPRO_VERIFY`` the module is translation-validated
+        before it runs (the structural partition check runs in subset
+        mode for a hot subset).
         """
-        key = ("tiered", tracing, caching, hot)
+        key = (tracing, caching, hot)
         if key not in self._compiled:
             compiled = compile_functional(
                 self.decoded, tracing, caching, only_blocks=hot
@@ -486,7 +433,7 @@ class FunctionalSimulator:
                     result.diagnostics,
                     f"codegen validation (functional tiered, "
                     f"tracing={tracing}, caching={caching}, "
-                    f"blocks={len(hot)})",
+                    f"blocks={compiled.num_blocks})",
                 )
                 # The memoized compilation remembers it proved
                 # clean even when no persistent cache is enabled.
@@ -556,15 +503,7 @@ class FunctionalSimulator:
         st.sampler = sampler
 
         register_engine_metrics()
-        compiled = None
-        if self.engine == ENGINE_COMPILED and sampler is None:
-            compiled = self._compiled_variant(
-                tracing=trace is not None, caching=hierarchy is not None
-            )
-        if compiled is not None:
-            self.last_engine = ENGINE_COMPILED
-            self._run_compiled(compiled, st, max_instructions, memory, trace)
-        elif self.engine == ENGINE_TIERED and sampler is None:
+        if self.engine == ENGINE_TIERED and sampler is None:
             self.last_engine = ENGINE_TIERED
             self._run_tiered(st, max_instructions, memory, trace)
         else:
@@ -605,70 +544,6 @@ class FunctionalSimulator:
             hierarchy.l2.publish_metrics(registry, "functional.cache.l2")
         return result
 
-    def _run_compiled(
-        self,
-        compiled: CompiledBlocks,
-        st: _FuncState,
-        limit: int,
-        memory: MainMemory,
-        trace: Optional[Trace],
-    ) -> None:
-        """Drive the compiled block table; interpret the gaps.
-
-        The dispatcher runs whole blocks while at least ``max_len``
-        instructions of budget remain (a block never executes partially,
-        so this guarantees the limit is respected), hands computed-jump
-        entries that land mid-block to the interpreter until it reaches
-        a block leader again, and interprets the final instructions
-        before the limit.  Static per-block load/store/branch counts are
-        folded in from block execution counts afterwards.
-        """
-        decoded = self.decoded
-        ctx = {
-            "mem_load": st.mem_load,
-            "mem_store": st.mem_store,
-            "words": memory.raw_words(),
-            "hier_access": st.hier_access,
-            "llc": st.load_level_counts,
-            "trace_buf": trace.raw_buffer() if trace is not None else None,
-            "last_store": st.last_store,
-        }
-        table = compiled.bind(ctx)
-        table_get = table.get
-        counts = [0] * compiled.num_blocks
-        safe = limit - compiled.max_len
-        regs = st.regs
-        lw = st.last_writer
-        pc = st.pc
-        executed = st.executed
-
-        while executed <= safe:
-            entry = table_get(pc)
-            if entry is None:
-                # Mid-block entry (computed jump): interpret until the
-                # next block leader.
-                st.pc = pc
-                st.executed = executed
-                _interp(decoded, st, limit, stop_pcs=table)
-                pc = st.pc
-                executed = st.executed
-                if st.halted:
-                    break
-                continue
-            fn, length, index = entry
-            pc = fn(regs, lw)
-            executed += length
-            counts[index] += 1
-            if pc == -1:
-                st.halted = True
-                break
-
-        st.pc = pc
-        st.executed = executed
-        _fold_block_counts(compiled, counts, st)
-        if not st.halted and st.executed < limit:
-            _interp(decoded, st, limit)
-
     def _run_tiered(
         self,
         st: _FuncState,
@@ -683,21 +558,31 @@ class FunctionalSimulator:
         and all block leaders past :func:`tier_threshold` entries are
         compiled in one batch (the module always covers the whole hot
         set, so earlier hot blocks recompile together with the new
-        ones and keep dispatching through a single table).  Compiled
-        blocks then run under the same dispatch discipline as
-        :meth:`_run_compiled`; dispatch misses on cold leaders keep
-        counting so late-blooming blocks still tier up.
+        ones and keep dispatching through a single table).  The
+        dispatcher runs whole blocks while at least ``max_len``
+        instructions of budget remain (a block never executes
+        partially, so the limit is respected) and hands cold leaders
+        and computed-jump entries that land mid-block to the
+        interpreter; dispatch misses on cold leaders keep counting so
+        late-blooming blocks still tier up.  Static per-block
+        load/store/branch counts fold in from block execution counts.
 
-        Short runs never pay for codegen; long runs converge to
-        compiled speed.  Results are bit-identical to both other
-        engines.
+        Threshold ``0`` makes every leader hot before the first
+        instruction, so the first scan compiles the whole-program
+        module.  At the default threshold short runs never pay for
+        codegen; long runs converge to compiled speed.  Results are
+        bit-identical to the interpreter.
         """
         decoded = self.decoded
         tracing = trace is not None
         caching = st.hier_access is not None
         threshold = tier_threshold()
+        eager = threshold == 0
         leaders = frozenset(start for start, _end in discover_blocks(decoded))
-        entry_counts: Dict[int, int] = {}
+        # Eager tiering: every leader starts hot at zero entries.
+        entry_counts: Dict[int, int] = (
+            dict.fromkeys(leaders, 0) if eager else {}
+        )
         attempted: set = set()
         rejected: set = set()
         tier_ups = 0
@@ -716,7 +601,7 @@ class FunctionalSimulator:
         table_get = table.get
         counts: List[int] = []
         safe = -1
-        next_scan = _TIER_SLICE
+        next_scan = 0 if eager else _TIER_SLICE
 
         while not st.halted and st.executed < limit:
             if compiled is not None:
@@ -766,13 +651,15 @@ class FunctionalSimulator:
                         program=self.program.name,
                         blocks=len(hot),
                     ):
-                        new = self._tiered_variant(tracing, caching, hot)
+                        new = self._tiered_variant(
+                            tracing, caching, None if eager else hot
+                        )
                     if new is None:
                         # Subset failed to compile; never retry it.
                         rejected.update(fresh)
                     else:
                         if compiled is not None:
-                            _fold_block_counts(compiled, counts, st)
+                            compiled.fold_counts(counts, st)
                         attempted.update(fresh)
                         tier_ups += 1
                         compiled = new
@@ -792,7 +679,7 @@ class FunctionalSimulator:
             )
 
         if compiled is not None:
-            _fold_block_counts(compiled, counts, st)
+            compiled.fold_counts(counts, st)
         interp_blocks = sum(
             1 for p in entry_counts if p in leaders and p not in attempted
         )

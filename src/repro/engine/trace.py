@@ -106,7 +106,7 @@ class Trace:
         memdep, taken)`` record tuples.
 
         One list ``extend`` replaces per-record :meth:`append` calls;
-        the compiled engine flushes each basic block's records through
+        compiled blocks flush their records through
         this path (or directly on :meth:`raw_buffer`).
         """
         buffer = self._records
@@ -119,7 +119,7 @@ class Trace:
     def raw_buffer(self) -> List[Tuple]:
         """The live record-tuple buffer.
 
-        The compiled engine appends ``(pc, addr, level, dep1, dep2,
+        Compiled blocks append ``(pc, addr, level, dep1, dep2,
         memdep, taken)`` tuples to it directly (skipping the
         :meth:`append` call per instruction); any previously
         materialized arrays are invalidated here.

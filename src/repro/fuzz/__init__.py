@@ -1,7 +1,7 @@
 """Differential fuzzing subsystem.
 
 The fuzzer is the correctness backstop behind every equivalence claim
-the repo makes: the compiled engine mirroring the interpreter, the
+the repo makes: generated code mirroring the interpreter, the
 timing simulator committing the same architectural state the
 functional simulator computes, selected p-threads satisfying the
 PT001–PT006 invariants, and the analytical model's arithmetic staying

@@ -5,10 +5,14 @@ and applies seven check families, each named by a stable identifier so
 shrinking can match "the same failure" across candidate reductions:
 
 ``engine_equivalence``
-    The compiled basic-block engine and the reference interpreter must
-    be bit-identical: the packed functional trace and every statistic,
-    and the timing simulator's stats in baseline and pre-execution
-    modes.
+    The tiered engine must be bit-identical to the reference
+    interpreter in two columns: ``tiered`` (the default threshold) and
+    ``eager`` (``REPRO_TIER_THRESHOLD=0``, the whole program compiled
+    before the first instruction, so generated code runs even on
+    programs too short to tier up).  Compared are the packed
+    functional trace and every statistic, and the timing simulator's
+    stats in baseline and pre-execution modes.  Every eager run must
+    have compiled every block: no silent compile fallback.
 
 ``functional_vs_timing``
     The two independent execution models must commit the same
@@ -64,16 +68,19 @@ shrinking can match "the same failure" across candidate reductions:
 from __future__ import annotations
 
 import math
+import os
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.report import Severity
 from repro.analysis.verifier import verify_selection
 from repro.engine.compiler import (
-    ENGINE_COMPILED,
     ENGINE_INTERP,
     ENGINE_TIERED,
+    TIER_ENV,
+    discover_blocks,
 )
 from repro.engine.functional import FunctionalResult, FunctionalSimulator
 from repro.fuzz.generator import FuzzWorkload
@@ -94,7 +101,43 @@ CHECK_FAMILIES: Tuple[str, ...] = (
     "timing_parity",
 )
 
-_ENGINES = (ENGINE_INTERP, ENGINE_COMPILED, ENGINE_TIERED)
+#: ``engine_equivalence`` columns: the reference interpreter first,
+#: then the tiered engine at the default threshold and eager.
+_COLUMNS = (ENGINE_INTERP, ENGINE_TIERED, "eager")
+
+
+@contextmanager
+def _eager_tiering() -> Iterator[None]:
+    """Scope ``REPRO_TIER_THRESHOLD=0``, restoring the caller's value."""
+    previous = os.environ.get(TIER_ENV)
+    os.environ[TIER_ENV] = "0"
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(TIER_ENV, None)
+        else:
+            os.environ[TIER_ENV] = previous
+
+
+def _in_column(column: str):
+    """The engine one column runs and the environment scope it runs in."""
+    if column == "eager":
+        return ENGINE_TIERED, _eager_tiering()
+    return column, nullcontext()
+
+
+def _expect_all_compiled(
+    check: "_Checker", sim, label: str, extra_leaders=()
+) -> None:
+    """An eager run compiled every block (no silent compile fallback)."""
+    blocks = len(discover_blocks(sim.decoded, extra_leaders))
+    compiled = sim.last_tier["compiled_blocks"]
+    check.expect(
+        compiled == blocks,
+        "engine_availability",
+        f"{label}: eager run compiled {compiled} of {blocks} blocks",
+    )
 
 
 @dataclass(frozen=True)
@@ -241,13 +284,14 @@ class _TimingRun:
 def _run_timing(
     workload: FuzzWorkload,
     mode,
-    engine: str,
+    column: str,
     pthreads,
     machine: MachineConfig,
     max_instructions: int,
     checker: _Checker,
     label: str,
 ) -> _TimingRun:
+    engine, scope = _in_column(column)
     sim = TimingSimulator(
         workload.program,
         workload.hierarchy,
@@ -255,12 +299,15 @@ def _run_timing(
         pthreads=pthreads,
         engine=engine,
     )
-    stats = sim.run(mode, max_instructions=max_instructions)
-    if sim.last_engine != engine:
-        checker.fail(
-            "engine_availability",
-            f"{label}: requested {engine}, ran {sim.last_engine}",
+    with scope:
+        stats = sim.run(mode, max_instructions=max_instructions)
+    if column == "eager":
+        triggers = (
+            sorted({pt.trigger_pc for pt in pthreads or ()})
+            if mode.launch
+            else ()
         )
+        _expect_all_compiled(checker, sim, label, triggers)
     return _TimingRun(
         stats=stats,
         registers=list(sim.last_registers),
@@ -303,21 +350,20 @@ def run_oracle(
     # ---- family 1: engine equivalence --------------------------------
     check.start("engine_equivalence")
     functional: Dict[str, FunctionalResult] = {}
-    for engine in _ENGINES:
+    for column in _COLUMNS:
+        engine, scope = _in_column(column)
         sim = FunctionalSimulator(program, hierarchy, engine=engine)
-        functional[engine] = sim.run(max_instructions=max_instructions)
-        check.expect(
-            sim.last_engine == engine,
-            "engine_availability",
-            f"functional: requested {engine}, ran {sim.last_engine}",
-        )
+        with scope:
+            functional[column] = sim.run(max_instructions=max_instructions)
+        if column == "eager":
+            _expect_all_compiled(check, sim, "functional")
     func = functional[ENGINE_INTERP]
-    func_dicts = {e: functional[e].to_dict() for e in _ENGINES}
-    for engine in _ENGINES[1:]:
+    func_dicts = {c: functional[c].to_dict() for c in _COLUMNS}
+    for column in _COLUMNS[1:]:
         check.expect(
-            func_dicts[ENGINE_INTERP] == func_dicts[engine],
-            f"functional_{engine}",
-            _dict_diff(func_dicts[ENGINE_INTERP], func_dicts[engine]),
+            func_dicts[ENGINE_INTERP] == func_dicts[column],
+            f"functional_{column}",
+            _dict_diff(func_dicts[ENGINE_INTERP], func_dicts[column]),
         )
     report.stats = {
         "instructions": func.instructions,
@@ -331,19 +377,19 @@ def run_oracle(
         return report
 
     base: Dict[str, _TimingRun] = {}
-    for engine in _ENGINES:
-        base[engine] = _run_timing(
-            workload, BASELINE, engine, None, machine, max_instructions,
+    for column in _COLUMNS:
+        base[column] = _run_timing(
+            workload, BASELINE, column, None, machine, max_instructions,
             check, "timing baseline",
         )
-    for engine in _ENGINES[1:]:
+    for column in _COLUMNS[1:]:
         check.expect(
             base[ENGINE_INTERP].stats.to_dict()
-            == base[engine].stats.to_dict(),
-            f"timing_baseline_{engine}",
+            == base[column].stats.to_dict(),
+            f"timing_baseline_{column}",
             _dict_diff(
                 base[ENGINE_INTERP].stats.to_dict(),
-                base[engine].stats.to_dict(),
+                base[column].stats.to_dict(),
             ),
         )
     if expired():
@@ -363,19 +409,19 @@ def run_oracle(
         return report
 
     pre: Dict[str, _TimingRun] = {}
-    for engine in _ENGINES:
-        pre[engine] = _run_timing(
-            workload, PRE_EXECUTION, engine, selection.pthreads, machine,
+    for column in _COLUMNS:
+        pre[column] = _run_timing(
+            workload, PRE_EXECUTION, column, selection.pthreads, machine,
             max_instructions, check, "timing pre-execution",
         )
-    for engine in _ENGINES[1:]:
+    for column in _COLUMNS[1:]:
         check.expect(
             pre[ENGINE_INTERP].stats.to_dict()
-            == pre[engine].stats.to_dict(),
-            f"timing_preexec_{engine}",
+            == pre[column].stats.to_dict(),
+            f"timing_preexec_{column}",
             _dict_diff(
                 pre[ENGINE_INTERP].stats.to_dict(),
-                pre[engine].stats.to_dict(),
+                pre[column].stats.to_dict(),
             ),
         )
     report.stats["pthread_launches"] = (
@@ -532,7 +578,6 @@ def _check_timing_parity(
             workload.hierarchy,
             machine=machine,
             pthreads=pthreads,
-            engine=ENGINE_INTERP,
         )
         event_stats = event_sim.run(mode, max_instructions=max_instructions)
         report = compare_runs(
@@ -546,7 +591,7 @@ def _check_timing_parity(
             ),
             workload=workload.name,
             mode=mode.name,
-            engine=str(event_sim.last_engine),
+            engine=ENGINE_INTERP,
         )
         for pcheck in report.checks:
             if not pcheck.ok:

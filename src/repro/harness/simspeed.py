@@ -1,10 +1,9 @@
 """Simulation-speed benchmark: engine throughput and wall-clock.
 
 Measures how fast the simulators simulate — million simulated
-instructions per second (MIPS) — for all three execution engines (the
-compiled basic-block engine, the tiered engine, and the reference
-interpreter), plus the end-to-end wall-clock of a cold Table 2
-regeneration.  Written to ``results/BENCH_simspeed.json`` by
+instructions per second (MIPS) — for both execution engines (the
+tiered engine and the reference interpreter), plus the end-to-end
+wall-clock of a cold Table 2 regeneration.  Written to ``results/BENCH_simspeed.json`` by
 ``python -m repro bench speed`` so engine regressions show up in
 review.
 
@@ -12,8 +11,8 @@ Throughput is steady-state: each (simulator, engine, config) cell runs
 once to warm the per-program compile cache, then takes the best of
 ``repeats`` timed runs.  The functional simulator is measured in three
 configurations because its costs are layered — ``exec`` (no cache
-model, no trace — pure architectural execution, where the compiled
-engine's advantage is largest), ``cached`` (with the functional cache
+model, no trace — pure architectural execution, where compiled
+blocks' advantage is largest), ``cached`` (with the functional cache
 hierarchy), and ``traced`` (hierarchy plus dependence-trace
 collection, the configuration the selection pipeline uses).  The
 timing simulator is measured in its BASELINE mode.
@@ -28,18 +27,13 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.compiler import (
-    ENGINE_COMPILED,
-    ENGINE_ENV,
-    ENGINE_INTERP,
-    ENGINE_TIERED,
-)
+from repro.engine.compiler import ENGINE_ENV, ENGINE_INTERP, ENGINE_TIERED
 from repro.engine.functional import FunctionalSimulator
 from repro.timing.config import BASELINE
 from repro.timing.core import TimingSimulator
 from repro.workloads.suite import SUITE, build
 
-ENGINES = (ENGINE_INTERP, ENGINE_COMPILED, ENGINE_TIERED)
+ENGINES = (ENGINE_INTERP, ENGINE_TIERED)
 
 #: Functional-simulator configurations: name -> (caching, tracing).
 FUNCTIONAL_CONFIGS = {
@@ -98,10 +92,7 @@ def measure_functional(
         )
         return result.instructions
 
-    mips = _steady_mips(run, repeats)
-    if sim.last_engine != engine:  # compile fallback: label honestly
-        return 0.0
-    return mips
+    return _steady_mips(run, repeats)
 
 
 def measure_timing(
@@ -117,10 +108,7 @@ def measure_timing(
     def run() -> int:
         return sim.run(BASELINE, max_instructions=max_instructions).instructions
 
-    mips = _steady_mips(run, repeats)
-    if sim.last_engine != engine:
-        return 0.0
-    return mips
+    return _steady_mips(run, repeats)
 
 
 #: Span names of the pipeline stages an execution engine can affect:
@@ -194,7 +182,7 @@ def _table2_seconds(
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
     """Best-of-``rounds`` cold Table 2 per engine: totals + sim stages.
 
-    Rounds are interleaved (interp, compiled, tiered, interp, ...) so
+    Rounds are interleaved (interp, tiered, interp, ...) so
     a load spike on a shared machine hurts every engine instead of
     whichever one happened to run during it.  The sim-stage seconds
     are taken from the same round as each engine's best total, so the
@@ -235,9 +223,6 @@ def bench_speed(
             for engine in ENGINES
         }
         interp = summary[ENGINE_INTERP]
-        summary["ratio"] = (
-            summary[ENGINE_COMPILED] / interp if interp else 0.0
-        )
         summary["tiered_ratio"] = (
             summary[ENGINE_TIERED] / interp if interp else 0.0
         )
@@ -253,9 +238,6 @@ def bench_speed(
         engine: geomean(list(timing[engine].values())) for engine in ENGINES
     }
     interp = timing_geomean[ENGINE_INTERP]
-    timing_geomean["ratio"] = (
-        timing_geomean[ENGINE_COMPILED] / interp if interp else 0.0
-    )
     timing_geomean["tiered_ratio"] = (
         timing_geomean[ENGINE_TIERED] / interp if interp else 0.0
     )
@@ -272,24 +254,14 @@ def bench_speed(
     }
     if table2:
         seconds, sim_seconds = _table2_seconds(names)
-        compiled = seconds[ENGINE_COMPILED]
         tiered = seconds[ENGINE_TIERED]
-        sim_compiled = sim_seconds[ENGINE_COMPILED]
         sim_tiered = sim_seconds[ENGINE_TIERED]
         payload["table2_cold"] = {
             "workloads": names,
             "seconds": seconds,
             "sim_seconds": sim_seconds,
-            "speedup": (
-                seconds[ENGINE_INTERP] / compiled if compiled else 0.0
-            ),
             "tiered_speedup": (
                 seconds[ENGINE_INTERP] / tiered if tiered else 0.0
-            ),
-            "sim_speedup": (
-                sim_seconds[ENGINE_INTERP] / sim_compiled
-                if sim_compiled
-                else 0.0
             ),
             "tiered_sim_speedup": (
                 sim_seconds[ENGINE_INTERP] / sim_tiered
@@ -303,18 +275,19 @@ def bench_speed(
 def check_payload(payload: Dict) -> List[str]:
     """Regression gates over a benchmark payload; returns violations.
 
-    * compiled functional throughput must be at least 2x the
-      interpreter on the pure-execution configuration (geomean);
+    All floors apply to the tiered engine over the interpreter:
+
+    * functional throughput must be at least 2x on the pure-execution
+      configuration (geomean);
     * the vectorized traced path must hold at least 1.5x on the
       traced configuration (geomean);
-    * neither the compiled nor the tiered engine may be slower than
-      the interpreter on any configuration's geomean (functional or
-      timing);
+    * the tiered engine may not be slower than the interpreter on any
+      configuration's geomean (functional or timing);
     * when the cold Table 2 measurement is present, the tiered engine
       must never lose the end-to-end wall-clock to the interpreter —
-      the cold-start gate: tiering plus the compile memo must erase
-      the compile-everything-first regression (the PR 3 compiled
-      engine lost this comparison at 0.90x).  No larger multiple is
+      the cold-start gate: tiering plus the compile memo must not pay
+      compile cost a cold run cannot earn back (compiling every block
+      first lost this comparison at 0.90x).  No larger multiple is
       enforced, deliberately: a Table 2 run is dominated by
       engine-independent analysis (slice trees, selection, p-thread
       optimization) and by timing code every engine shares (the
@@ -323,36 +296,26 @@ def check_payload(payload: Dict) -> List[str]:
       whole job is to not pay compile cost — measured
       sim-stage ratios hover near 1.0x with high variance, so a floor
       above parity would gate on noise.  ``sim_seconds`` /
-      ``sim_speedup`` stay in the payload as diagnostics.
+      ``tiered_sim_speedup`` stay in the payload as diagnostics.
     """
     problems: List[str] = []
-    exec_ratio = payload["functional_geomean"]["exec"]["ratio"]
+    exec_ratio = payload["functional_geomean"]["exec"]["tiered_ratio"]
     if exec_ratio < 2.0:
         problems.append(
             f"functional exec speedup {exec_ratio:.2f}x < 2.0x"
         )
-    traced_ratio = payload["functional_geomean"]["traced"]["ratio"]
+    traced_ratio = payload["functional_geomean"]["traced"]["tiered_ratio"]
     if traced_ratio < 1.5:
         problems.append(
             f"functional traced speedup {traced_ratio:.2f}x < 1.5x"
         )
     for config, summary in payload["functional_geomean"].items():
-        if summary["ratio"] < 1.0:
-            problems.append(
-                f"functional {config}: compiled slower than interpreter "
-                f"({summary['ratio']:.2f}x)"
-            )
         if summary["tiered_ratio"] < 1.0:
             problems.append(
                 f"functional {config}: tiered slower than interpreter "
                 f"({summary['tiered_ratio']:.2f}x)"
             )
     timing_summary = payload["timing_baseline_geomean"]
-    if timing_summary["ratio"] < 1.0:
-        problems.append(
-            f"timing baseline: compiled slower than interpreter "
-            f"({timing_summary['ratio']:.2f}x)"
-        )
     if timing_summary["tiered_ratio"] < 1.0:
         problems.append(
             f"timing baseline: tiered slower than interpreter "
@@ -374,16 +337,12 @@ def render(payload: Dict) -> str:
     for config, summary in payload["functional_geomean"].items():
         lines.append(
             f"functional/{config:<7} interp {summary[ENGINE_INTERP]:6.2f}  "
-            f"compiled {summary[ENGINE_COMPILED]:6.2f} "
-            f"({summary['ratio']:.2f}x)  "
             f"tiered {summary[ENGINE_TIERED]:6.2f} "
             f"({summary['tiered_ratio']:.2f}x)"
         )
     summary = payload["timing_baseline_geomean"]
     lines.append(
         f"timing/baseline    interp {summary[ENGINE_INTERP]:6.2f}  "
-        f"compiled {summary[ENGINE_COMPILED]:6.2f} "
-        f"({summary['ratio']:.2f}x)  "
         f"tiered {summary[ENGINE_TIERED]:6.2f} "
         f"({summary['tiered_ratio']:.2f}x)"
     )
@@ -391,17 +350,13 @@ def render(payload: Dict) -> str:
     if table:
         lines.append(
             f"table2 cold        interp "
-            f"{table['seconds'][ENGINE_INTERP]:6.1f}s  compiled "
-            f"{table['seconds'][ENGINE_COMPILED]:6.1f}s "
-            f"({table['speedup']:.2f}x)  tiered "
+            f"{table['seconds'][ENGINE_INTERP]:6.1f}s  tiered "
             f"{table['seconds'][ENGINE_TIERED]:6.1f}s "
             f"({table['tiered_speedup']:.2f}x)"
         )
         lines.append(
             f"table2 cold (sim)  interp "
-            f"{table['sim_seconds'][ENGINE_INTERP]:6.1f}s  compiled "
-            f"{table['sim_seconds'][ENGINE_COMPILED]:6.1f}s "
-            f"({table['sim_speedup']:.2f}x)  tiered "
+            f"{table['sim_seconds'][ENGINE_INTERP]:6.1f}s  tiered "
             f"{table['sim_seconds'][ENGINE_TIERED]:6.1f}s "
             f"({table['tiered_sim_speedup']:.2f}x)"
         )

@@ -42,7 +42,7 @@ class MainMemory:
         self._words[addr] = value
 
     def raw_words(self) -> Dict[int, int]:
-        """The live backing dict, for the compiled engine's inlined
+        """The live backing dict, for compiled blocks' inlined
         aligned-access fast path (misaligned addresses still go through
         :meth:`load`/:meth:`store` for the alignment error)."""
         return self._words

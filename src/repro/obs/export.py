@@ -34,7 +34,7 @@ METRIC_CATALOG: Dict[str, str] = {
     "functional.branches": "counter",
     "functional.l1.misses": "counter",
     "functional.l2.misses": "counter",
-    # Compiled basic-block engine.
+    # Basic-block code generation.
     "engine.compile.programs": "counter",
     "engine.compile.blocks": "counter",
     # Tiered engine and the persistent codegen cache.

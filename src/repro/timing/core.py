@@ -28,11 +28,12 @@ order) while computing a cycle-level timing model alongside:
 
 Like the functional simulator, two engines produce bit-identical
 :class:`~repro.timing.stats.SimStats` (see DESIGN.md): the resumable
-interpreter in :meth:`TimingSimulator._interp`, and compiled
-basic-block functions from :mod:`repro.engine.compiler` driven by
-:meth:`TimingSimulator._run_compiled`.  The dispatcher leans on the
-interpreter for block tails, computed-jump entries, and the
-instructions around schedule region boundaries (which are dynamic
+interpreter in :meth:`TimingSimulator._interp`, and the tiered engine,
+which runs compiled basic-block functions from
+:mod:`repro.engine.compiler` for hot blocks through
+:meth:`TimingSimulator._run_tiered`.  The dispatcher leans on the
+interpreter for cold blocks, block tails, computed-jump entries, and
+the instructions around schedule region boundaries (which are dynamic
 instruction counts, not PCs, so compiled blocks cannot observe them).
 """
 
@@ -42,7 +43,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import assert_clean, verification_enabled
 from repro.engine.compiler import (
-    ENGINE_COMPILED,
     ENGINE_INTERP,
     ENGINE_TIERED,
     TIER_SLICE,
@@ -91,8 +91,8 @@ def _store_queue_put(
     Python dicts preserve insertion order, so eviction pops the oldest
     key; re-storing an existing address must delete-and-reinsert to
     refresh its recency, otherwise a hot address keeps its stale
-    insertion slot and is evicted while colder entries survive.  The
-    compiled engine inlines these exact operations per store; the
+    insertion slot and is evicted while colder entries survive.
+    Compiled blocks inline these exact operations per store; the
     differential equivalence suite pins the two together.
     """
     if addr in queue:
@@ -194,7 +194,7 @@ class _DecodedBody:
 class _TimingState:
     """Mutable run state shared between interpreter and dispatcher.
 
-    The compiled dispatcher and the resumable interpreter hand
+    The tiered dispatcher and the resumable interpreter hand
     execution back and forth (tails, computed-jump entries, region
     boundaries); everything either side reads or writes lives here so
     the hand-off is exact.
@@ -245,9 +245,8 @@ class TimingSimulator:
             exclusive with ``schedule``).
         schedule: region-based p-thread activation for granularity
             experiments.
-        engine: ``"tiered"`` / ``"compiled"`` / ``"interp"``; ``None``
-            defers to the ``REPRO_ENGINE`` environment variable (default
-            tiered).
+        engine: ``"tiered"`` / ``"interp"``; ``None`` defers to the
+            ``REPRO_ENGINE`` environment variable (default tiered).
 
     Attributes:
         last_registers: committed register file after the most recent
@@ -257,8 +256,7 @@ class TimingSimulator:
             P-thread stores stay in the speculative store buffer and
             never commit, so in every mode this state must equal the
             functional simulator's — the differential oracle checks it.
-        last_engine: the engine the most recent :meth:`run` actually
-            used (``"interp"`` also when the compiled engine fell back).
+        last_engine: the engine the most recent :meth:`run` used.
     """
 
     def __init__(
@@ -306,6 +304,18 @@ class TimingSimulator:
             for pt in pts
             if pt.body.targets_branch
         )
+        # Machine parameters every timing compilation of this
+        # simulator shares (codegen and translation validation).
+        machine = self.machine
+        self._codegen_args = dict(
+            window=machine.window,
+            bw_seq=machine.bw_seq,
+            dispatch_latency=machine.dispatch_latency,
+            mispredict_penalty=machine.mispredict_penalty,
+            forward_latency=machine.store_forward_latency,
+            trigger_pcs=self._trigger_union,
+            hinted_pcs=self._hinted_pcs,
+        )
 
     # ------------------------------------------------------------------
 
@@ -317,97 +327,28 @@ class TimingSimulator:
             triggers.setdefault(pthread.trigger_pc, []).append(pthread)
         return triggers
 
-    def _compiled_variant(
-        self, launching: bool, stealing: bool, prefetching: bool
-    ) -> Optional[CompiledBlocks]:
-        """The compiled variant for a mode shape, memoized per instance."""
-        key = (launching, stealing, prefetching)
-        if key not in self._compiled:
-            machine = self.machine
-            compiled = compile_timing(
-                self.decoded,
-                window=machine.window,
-                bw_seq=machine.bw_seq,
-                dispatch_latency=machine.dispatch_latency,
-                mispredict_penalty=machine.mispredict_penalty,
-                forward_latency=machine.store_forward_latency,
-                launching=launching,
-                stealing=stealing,
-                prefetching=prefetching,
-                trigger_pcs=self._trigger_union,
-                hinted_pcs=self._hinted_pcs,
-            )
-            if verification_enabled() and not (
-                compiled is not None and compiled.validated
-            ):
-                # Debug-mode translation validation: statically prove
-                # the generated block functions equivalent to the
-                # timing-loop semantics before trusting them with a run.
-                # Cache-loaded modules whose bytes already validated
-                # clean carry ``validated`` and skip the re-proof.
-                from repro.analysis.transval import (
-                    TimingParams,
-                    validate_timing,
-                )
-
-                params = TimingParams(
-                    window=machine.window,
-                    bw_seq=machine.bw_seq,
-                    dispatch_latency=machine.dispatch_latency,
-                    mispredict_penalty=machine.mispredict_penalty,
-                    forward_latency=machine.store_forward_latency,
-                    launching=launching,
-                    stealing=stealing,
-                    prefetching=prefetching,
-                    trigger_pcs=self._trigger_union,
-                    hinted_pcs=self._hinted_pcs,
-                )
-                result = validate_timing(self.decoded, compiled, params)
-                assert_clean(
-                    result.diagnostics,
-                    f"codegen validation (timing, launching={launching}, "
-                    f"stealing={stealing}, prefetching={prefetching})",
-                )
-                if compiled is not None:
-                    compiled.validated = True
-                    from repro.engine.codecache import get_code_cache
-
-                    cache = get_code_cache()
-                    if cache is not None:
-                        cache.mark_validated(compiled)
-            self._compiled[key] = compiled
-        return self._compiled[key]
-
     def _tiered_variant(
         self,
         launching: bool,
         stealing: bool,
         prefetching: bool,
-        hot: tuple,
+        hot: Optional[tuple],
     ) -> Optional[CompiledBlocks]:
-        """The compiled hot-subset variant for tiered runs, memoized.
+        """The compiled module for tiered runs, memoized per instance.
 
-        ``hot`` is the sorted tuple of hot block-leader PCs; the module
-        covers exactly those blocks.  Under ``REPRO_VERIFY`` the subset
-        is translation-validated like a full compilation (the
-        structural partition check runs in subset mode).
+        ``hot`` is the sorted tuple of hot block-leader PCs the module
+        covers, or ``None`` for the whole program (eager tiering).
+        Under ``REPRO_VERIFY`` the module is translation-validated
+        before it runs (the structural partition check runs in subset
+        mode for a hot subset).
         """
-        key = ("tiered", launching, stealing, prefetching, hot)
+        key = (launching, stealing, prefetching, hot)
         if key not in self._compiled:
-            machine = self.machine
+            shape = dict(
+                launching=launching, stealing=stealing, prefetching=prefetching
+            )
             compiled = compile_timing(
-                self.decoded,
-                window=machine.window,
-                bw_seq=machine.bw_seq,
-                dispatch_latency=machine.dispatch_latency,
-                mispredict_penalty=machine.mispredict_penalty,
-                forward_latency=machine.store_forward_latency,
-                launching=launching,
-                stealing=stealing,
-                prefetching=prefetching,
-                trigger_pcs=self._trigger_union,
-                hinted_pcs=self._hinted_pcs,
-                only_blocks=hot,
+                self.decoded, **self._codegen_args, **shape, only_blocks=hot
             )
             if (
                 compiled is not None
@@ -419,26 +360,18 @@ class TimingSimulator:
                     validate_timing,
                 )
 
-                params = TimingParams(
-                    window=machine.window,
-                    bw_seq=machine.bw_seq,
-                    dispatch_latency=machine.dispatch_latency,
-                    mispredict_penalty=machine.mispredict_penalty,
-                    forward_latency=machine.store_forward_latency,
-                    launching=launching,
-                    stealing=stealing,
-                    prefetching=prefetching,
-                    trigger_pcs=self._trigger_union,
-                    hinted_pcs=self._hinted_pcs,
-                )
                 result = validate_timing(
-                    self.decoded, compiled, params, only_blocks=hot
+                    self.decoded,
+                    compiled,
+                    TimingParams(**self._codegen_args, **shape),
+                    only_blocks=hot,
                 )
                 assert_clean(
                     result.diagnostics,
                     f"codegen validation (timing tiered, "
                     f"launching={launching}, stealing={stealing}, "
-                    f"prefetching={prefetching}, blocks={len(hot)})",
+                    f"prefetching={prefetching}, "
+                    f"blocks={compiled.num_blocks})",
                 )
                 # The memoized compilation remembers it proved
                 # clean even when no persistent cache is enabled.
@@ -465,33 +398,13 @@ class TimingSimulator:
         """
         from repro.analysis.transval import TimingParams, validate_timing
 
-        machine = self.machine
-        compiled = compile_timing(
-            self.decoded,
-            window=machine.window,
-            bw_seq=machine.bw_seq,
-            dispatch_latency=machine.dispatch_latency,
-            mispredict_penalty=machine.mispredict_penalty,
-            forward_latency=machine.store_forward_latency,
-            launching=launching,
-            stealing=stealing,
-            prefetching=prefetching,
-            trigger_pcs=self._trigger_union,
-            hinted_pcs=self._hinted_pcs,
+        shape = dict(
+            launching=launching, stealing=stealing, prefetching=prefetching
         )
-        params = TimingParams(
-            window=machine.window,
-            bw_seq=machine.bw_seq,
-            dispatch_latency=machine.dispatch_latency,
-            mispredict_penalty=machine.mispredict_penalty,
-            forward_latency=machine.store_forward_latency,
-            launching=launching,
-            stealing=stealing,
-            prefetching=prefetching,
-            trigger_pcs=frozenset(self._trigger_union),
-            hinted_pcs=frozenset(self._hinted_pcs),
+        compiled = compile_timing(self.decoded, **self._codegen_args, **shape)
+        return validate_timing(
+            self.decoded, compiled, TimingParams(**self._codegen_args, **shape)
         )
-        return validate_timing(self.decoded, compiled, params)
 
     def run(
         self,
@@ -546,23 +459,13 @@ class TimingSimulator:
         st.triggers = self._triggers_for(region) if st.launching else {}
         st.region_end = region[1]
         st.trig = [st.triggers]
-        # Rare-event tallies for the compiled engine (the interpreter
+        # Rare-event tallies for compiled blocks (the interpreter
         # writes `stats` directly): [l1 misses, mispredictions,
         # mispredicts covered by hints].
         st.tallies = [0, 0, 0]
 
         register_engine_metrics()
-        compiled = None
-        if self.engine == ENGINE_COMPILED:
-            compiled = self._compiled_variant(
-                launching=st.launching,
-                stealing=st.launching and mode.steal,
-                prefetching=prefetcher is not None,
-            )
-        if compiled is not None:
-            self.last_engine = ENGINE_COMPILED
-            self._run_compiled(compiled, st, max_instructions)
-        elif self.engine == ENGINE_TIERED:
+        if self.engine == ENGINE_TIERED:
             self.last_engine = ENGINE_TIERED
             self._run_tiered(st, max_instructions, prefetcher is not None)
         else:
@@ -939,118 +842,6 @@ class TimingSimulator:
         if halted:
             st.halted = True
 
-    def _run_compiled(
-        self, compiled: CompiledBlocks, st: _TimingState, limit: int
-    ) -> None:
-        """Drive the compiled block table; interpret the gaps.
-
-        Compiled blocks cannot observe dynamic-instruction milestones
-        mid-block, so the dispatcher only runs a block when at least
-        ``max_len`` instructions remain before the next schedule region
-        boundary and before the run limit; the interpreter carries
-        execution across those edges (and across computed-jump entries
-        that land mid-block).  Static per-block load/store/branch
-        counts fold in from block execution counts at the end.
-        """
-        hierarchy = st.hierarchy
-        stolen = st.stolen
-        regs = st.regs
-        rdy = st.reg_ready
-        launch_one = self._launch
-
-        def launch(waiting: List[StaticPThread], disp: int) -> None:
-            for pthread in waiting:
-                launch_one(pthread, disp, st)
-
-        ctx = {
-            "ring": st.retire_ring,
-            "store_queue": st.store_queue,
-            "predict": st.predictor.predict_and_update,
-            "predict_ind": st.predictor.predict_indirect,
-            "mt_access": hierarchy.mt_access_fast,
-            "pt_access": hierarchy.pt_access_fast,
-            "mem_load": st.mem_load,
-            "mem_store": st.mem_store,
-            "words": st.memory.raw_words(),
-            "miss_exposure": st.miss_exposure,
-            "tallies": st.tallies,
-            "stolen": stolen,
-            "trig": st.trig,
-            "launch": launch,
-            "branch_hints": st.branch_hints,
-            "branch_counts": st.branch_counts,
-            "observe": (
-                st.prefetcher.observe if st.prefetcher is not None else None
-            ),
-        }
-        table = compiled.bind(ctx)
-        table_get = table.get
-        counts = [0] * compiled.num_blocks
-        max_len = compiled.max_len
-        launching = st.launching
-        last_region = len(self.schedule) - 1
-        cleanup_mark = 0
-
-        while not st.halted and st.executed < limit:
-            executed = st.executed
-            if (
-                launching
-                and executed >= st.region_end
-                and st.region_index < last_region
-            ):
-                self._advance_region(st, executed)
-            cap = limit
-            if (
-                launching
-                and st.region_index < last_region
-                and st.region_end < cap
-            ):
-                cap = st.region_end
-            if executed > cap - max_len:
-                # Approaching the region boundary or the run limit:
-                # single-step across it with the interpreter.
-                self._interp(st, cap)
-                continue
-            entry = table_get(st.pc)
-            if entry is None:
-                # Mid-block entry (computed jump): interpret until the
-                # next block leader.
-                self._interp(st, cap, stop_pcs=table)
-                continue
-            fn, length, index = entry
-            (
-                st.pc,
-                st.executed,
-                st.fetch_cycle,
-                st.cap_used,
-                st.last_retire,
-            ) = fn(
-                executed, st.fetch_cycle, st.cap_used, st.last_retire, regs, rdy
-            )
-            counts[index] += 1
-            if st.pc == -1:
-                st.halted = True
-                break
-            # Periodic stale stolen-slot cleanup, mirroring the
-            # interpreter's (cleanup timing is unobservable: fetch
-            # cycles are monotonic).
-            if st.executed - cleanup_mark >= 0x10000:
-                cleanup_mark = st.executed
-                if stolen:
-                    fc = st.fetch_cycle
-                    for cycle in [c for c in stolen if c < fc]:
-                        del stolen[cycle]
-
-        stats = st.stats
-        block_loads = compiled.loads
-        block_stores = compiled.stores
-        block_branches = compiled.branches
-        for index, count in enumerate(counts):
-            if count:
-                stats.loads += count * block_loads[index]
-                stats.stores += count * block_stores[index]
-                stats.branches += count * block_branches[index]
-
     def _run_tiered(
         self, st: _TimingState, limit: int, prefetching: bool
     ) -> None:
@@ -1061,14 +852,22 @@ class TimingSimulator:
         starts in the resumable interpreter with block-entry counting
         on, scans the counts every ``TIER_SLICE`` instructions, and
         batch-compiles all block leaders past :func:`tier_threshold`
-        entries.  Compiled blocks run under the same region-boundary
-        and limit discipline as :meth:`_run_compiled`; dispatch misses
-        on cold leaders keep counting so late-blooming blocks still
-        tier up.  Cycle counts are bit-identical to both other engines.
+        entries (threshold ``0``: the whole program before the first
+        instruction).  Compiled blocks cannot observe
+        dynamic-instruction milestones mid-block, so the dispatcher
+        only runs a block when at least ``max_len`` instructions remain
+        before the next schedule region boundary and before the run
+        limit; the interpreter carries execution across those edges,
+        cold leaders and computed-jump entries that land mid-block.
+        Dispatch misses on cold leaders keep counting so late-blooming
+        blocks still tier up.  Static per-block load/store/branch
+        counts fold in from block execution counts.  Cycle counts are
+        bit-identical to the interpreter.
         """
         launching = st.launching
         stealing = launching and st.mode.steal
         threshold = tier_threshold()
+        eager = threshold == 0
         leaders = frozenset(
             start
             for start, _end in discover_blocks(
@@ -1078,7 +877,10 @@ class TimingSimulator:
                 ),
             )
         )
-        entry_counts: Dict[int, int] = {}
+        # Eager tiering: every leader starts hot at zero entries.
+        entry_counts: Dict[int, int] = (
+            dict.fromkeys(leaders, 0) if eager else {}
+        )
         attempted: set = set()
         rejected: set = set()
         tier_ups = 0
@@ -1121,7 +923,7 @@ class TimingSimulator:
         max_len = 0
         last_region = len(self.schedule) - 1
         cleanup_mark = 0
-        next_scan = TIER_SLICE
+        next_scan = 0 if eager else TIER_SLICE
 
         while not st.halted and st.executed < limit:
             if compiled is not None:
@@ -1199,14 +1001,17 @@ class TimingSimulator:
                         blocks=len(hot),
                     ):
                         new = self._tiered_variant(
-                            launching, stealing, prefetching, hot
+                            launching,
+                            stealing,
+                            prefetching,
+                            None if eager else hot,
                         )
                     if new is None:
                         # Subset failed to compile; never retry it.
                         rejected.update(fresh)
                     else:
                         if compiled is not None:
-                            self._fold_tiered_counts(compiled, counts, st)
+                            compiled.fold_counts(counts, st.stats)
                         attempted.update(fresh)
                         tier_ups += 1
                         compiled = new
@@ -1225,7 +1030,7 @@ class TimingSimulator:
             )
 
         if compiled is not None:
-            self._fold_tiered_counts(compiled, counts, st)
+            compiled.fold_counts(counts, st.stats)
         interp_blocks = sum(
             1 for p in entry_counts if p in leaders and p not in attempted
         )
@@ -1239,21 +1044,6 @@ class TimingSimulator:
             "interp_blocks": interp_blocks,
             "hot": tuple(sorted(attempted)),
         }
-
-    @staticmethod
-    def _fold_tiered_counts(
-        compiled: CompiledBlocks, counts: List[int], st: _TimingState
-    ) -> None:
-        """Fold static per-block event counts into the run stats."""
-        stats = st.stats
-        block_loads = compiled.loads
-        block_stores = compiled.stores
-        block_branches = compiled.branches
-        for index, count in enumerate(counts):
-            if count:
-                stats.loads += count * block_loads[index]
-                stats.stores += count * block_stores[index]
-                stats.branches += count * block_branches[index]
 
     # ------------------------------------------------------------------
 

@@ -45,15 +45,10 @@ The heap orders events by ``(time, insertion sequence)`` — ties break
 on insertion order, which the front end relies on (same-cycle fetches
 stay in program order; bursts precede the fetches they displace).
 
-The *engine seam* mirrors the repo-wide ``REPRO_ENGINE`` switch in a
-form that fits an event loop: instruction execution is performed by
-per-kind kernel functions, and the engine decides how the kind
-dispatch is resolved.  ``interp`` looks the kernel up by opcode kind on
-every fetch; ``compiled`` pre-resolves the dispatch into a per-PC
-kernel table at startup (threaded code); ``tiered`` starts on the
-interpreted lookup and promotes a PC into the table once it proves
-hot.  All three produce bit-identical results by construction — the
-parity suite pins that.
+Instruction execution is performed by per-kind kernel functions,
+resolved once per PC into a kernel table when the simulator is built.
+The model has one dispatch: it is the independent reference, so it
+carries no engine switch.
 """
 
 from __future__ import annotations
@@ -61,12 +56,6 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.compiler import (
-    ENGINE_COMPILED,
-    ENGINE_INTERP,
-    ENGINE_TIERED,
-    resolve_engine,
-)
 from repro.engine.decode import (
     DecodedProgram,
     K_ALU_I,
@@ -112,10 +101,6 @@ EVENT_NAMES: Dict[int, str] = {
 
 #: How many leading events the journal keeps (diagnostics only).
 JOURNAL_LIMIT = 512
-
-#: Tiered-seam promotion threshold: a PC's kind dispatch is pre-resolved
-#: into the step table after this many interpreted executions.
-TIER_PROMOTE_AFTER = 8
 
 
 class EventHeap:
@@ -266,15 +251,14 @@ class EventSimulator:
     """Event-driven timing model of the SMT pre-execution machine.
 
     Drop-in parity twin of :class:`repro.timing.core.TimingSimulator`:
-    same constructor shape, same :meth:`run` contract, same
-    :class:`SimStats` output, same ``last_registers`` / ``last_memory``
-    committed-state capture.  See the module docstring for the event
-    formulation and the engine seam.
+    same constructor shape (less the engine choice), same :meth:`run`
+    contract, same :class:`SimStats` output, same ``last_registers`` /
+    ``last_memory`` committed-state capture.  See the module docstring
+    for the event formulation.
 
     Attributes:
         last_registers: committed register file after the latest run.
         last_memory: committed :class:`MainMemory` after the latest run.
-        last_engine: the dispatch seam the latest run used.
         last_event_count: events processed by the latest run.
         last_heap_max_depth: peak event-queue depth of the latest run.
         last_journal: the first :data:`JOURNAL_LIMIT` events of the
@@ -288,7 +272,6 @@ class EventSimulator:
         machine: Optional[MachineConfig] = None,
         pthreads: Optional[Sequence[StaticPThread]] = None,
         schedule: Optional[Schedule] = None,
-        engine: Optional[str] = None,
     ) -> None:
         if pthreads is not None and schedule is not None:
             raise ValueError("pass either pthreads or schedule, not both")
@@ -314,18 +297,13 @@ class EventSimulator:
             for pt in pts
             if pt.body.targets_branch
         )
-        self.engine = resolve_engine(engine)
-        self.last_engine: Optional[str] = None
         self.last_registers: List[int] = []
         self.last_memory: Optional[MainMemory] = None
         self.last_event_count = 0
         self.last_heap_max_depth = 0
         self.last_journal: List[Tuple[int, str, object]] = []
-        # Engine seam state: per-kind kernels, plus the per-PC resolved
-        # step table ("compiled": filled eagerly; "tiered": on heat).
-        self._kernels: Dict[
-            int, Callable[[_EvState, int, int, int], Tuple[int, int]]
-        ] = {
+        # The execution kernel of every PC, resolved from its kind.
+        by_kind = {
             K_ALU_R: self._k_alu_r,
             K_ALU_I: self._k_alu_i,
             K_LOAD: self._k_load,
@@ -336,41 +314,9 @@ class EventSimulator:
             K_JR: self._k_jr,
             K_HALT: self._k_halt,
         }
-        self._steps: Dict[
-            int, Callable[[_EvState, int, int, int], Tuple[int, int]]
-        ] = {}
-        self._heat: Dict[int, int] = {}
-
-    # -- engine seam ---------------------------------------------------
-
-    def _resolve_steps(self) -> None:
-        """Pre-resolve the kind dispatch for the compiled seam."""
-        if self._steps:
-            return
-        kernels = self._kernels
-        nop = self._k_nop
-        for pc, k in enumerate(self.decoded.kind):
-            self._steps[pc] = kernels.get(k, nop)
-
-    def _step_for(
-        self, pc: int
-    ) -> Callable[[_EvState, int, int, int], Tuple[int, int]]:
-        """The execution kernel for ``pc`` under the active seam."""
-        engine = self.engine
-        if engine == ENGINE_INTERP:
-            return self._kernels.get(self.decoded.kind[pc], self._k_nop)
-        step = self._steps.get(pc)
-        if step is not None:
-            return step
-        # Tiered: count interpreted visits, promote hot PCs.
-        step = self._kernels.get(self.decoded.kind[pc], self._k_nop)
-        heat = self._heat.get(pc, 0) + 1
-        if heat >= TIER_PROMOTE_AFTER:
-            self._steps[pc] = step
-            self._heat.pop(pc, None)
-        else:
-            self._heat[pc] = heat
-        return step
+        self._kernels: List[
+            Callable[[_EvState, int, int, int], Tuple[int, int]]
+        ] = [by_kind.get(k, self._k_nop) for k in self.decoded.kind]
 
     # -- run -----------------------------------------------------------
 
@@ -423,13 +369,6 @@ class EventSimulator:
         st.inflight_mshrs = 0
         st.max_inflight_fills = 0
         st.issued = 0
-
-        self.last_engine = self.engine
-        self._heat.clear()
-        if self.engine == ENGINE_COMPILED:
-            self._resolve_steps()
-        elif self.engine == ENGINE_INTERP:
-            self._steps.clear()
 
         handlers: Dict[int, Callable[[_EvState, int, object], None]] = {
             EV_FETCH: self._on_fetch,
@@ -564,7 +503,7 @@ class EventSimulator:
         disp = f + machine.dispatch_latency
         heap.push(disp, EV_ISSUE, nxt)
 
-        complete, next_pc = self._step_for(pc)(st, pc, f, disp)
+        complete, next_pc = self._kernels[pc](st, pc, f, disp)
         if st.halted:
             st.stop = True
             return
@@ -641,7 +580,7 @@ class EventSimulator:
             st.inflight_mshrs += 1
             st.heap.push(ready, EV_MSHR_RELEASE, addr)
 
-    # -- instruction kernels (the engine seam's unit of dispatch) ------
+    # -- instruction kernels (the unit of dispatch) --------------------
 
     def _k_alu_r(
         self, st: _EvState, pc: int, f: int, disp: int

@@ -297,11 +297,13 @@ def run_parity(
 ) -> ParityReport:
     """Run both timing models on one configuration and compare.
 
-    Both models run under the same instruction cap so the committed
-    state they are compared on is well-defined even for workloads that
-    do not halt within the cap.  Emits a ``parity`` span and folds
-    verdict counters into the metrics registry (auxiliary names, not
-    in the stable catalog).
+    ``engine`` selects the trace-driven model's engine (``None``
+    defers to ``REPRO_ENGINE``); the report is labelled with the
+    engine that model ran.  Both models run under the same instruction
+    cap so the committed state they are compared on is well-defined
+    even for workloads that do not halt within the cap.  Emits a
+    ``parity`` span and folds verdict counters into the metrics
+    registry (auxiliary names, not in the stable catalog).
     """
     from repro.timing.core import TimingSimulator
     from repro.timing.eventsim import EventSimulator
@@ -316,7 +318,7 @@ def run_parity(
         )
         event_sim = EventSimulator(
             program, hierarchy_config, machine=machine,
-            pthreads=list(pthreads) if pthreads else None, engine=engine,
+            pthreads=list(pthreads) if pthreads else None,
         )
         trace_run = _capture(trace_sim, mode, max_instructions)
         event_run = _capture(event_sim, mode, max_instructions)
@@ -325,7 +327,7 @@ def run_parity(
             event_run,
             workload=workload,
             mode=mode_name,
-            engine=str(event_sim.last_engine),
+            engine=str(trace_sim.last_engine),
             tolerance=tolerance,
         )
     registry = obs_registry()

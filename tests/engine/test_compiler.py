@@ -3,11 +3,11 @@
 import pytest
 
 from repro.engine.compiler import (
-    ENGINE_COMPILED,
     ENGINE_ENV,
     ENGINE_INTERP,
     ENGINE_TIERED,
     MAX_PROGRAM,
+    TIER_ENV,
     compile_functional,
     discover_blocks,
     resolve_engine,
@@ -46,7 +46,7 @@ class TestResolveEngine:
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "interp")
-        assert resolve_engine("compiled") == ENGINE_COMPILED
+        assert resolve_engine("tiered") == ENGINE_TIERED
 
     def test_tiered_spelling(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, " Tiered ")
@@ -62,6 +62,14 @@ class TestResolveEngine:
     def test_unknown_value_rejected(self):
         with pytest.raises(ValueError):
             resolve_engine("turbo")
+
+    def test_compiled_is_not_an_engine(self, monkeypatch):
+        # Eager tiering (REPRO_TIER_THRESHOLD=0) replaced it.
+        with pytest.raises(ValueError, match="'tiered' or 'interp'"):
+            resolve_engine("compiled")
+        monkeypatch.setenv(ENGINE_ENV, "compiled")
+        with pytest.raises(ValueError):
+            FunctionalSimulator(assemble(LOOP_SOURCE))
 
 
 class TestDiscoverBlocks:
@@ -117,12 +125,18 @@ class TestCompileFunctional:
             del program.kind[real_length:]
 
 
+@pytest.fixture
+def eager(monkeypatch):
+    """Eager tiering: every block compiled before the first instruction."""
+    monkeypatch.setenv(TIER_ENV, "0")
+
+
 class TestEngineSeam:
     def test_last_engine_reflects_run(self):
         program = assemble(LOOP_SOURCE)
-        sim = FunctionalSimulator(program, engine="compiled")
+        sim = FunctionalSimulator(program, engine="tiered")
         sim.run()
-        assert sim.last_engine == ENGINE_COMPILED
+        assert sim.last_engine == ENGINE_TIERED
         sim = FunctionalSimulator(program, engine="interp")
         sim.run()
         assert sim.last_engine == ENGINE_INTERP
@@ -133,16 +147,17 @@ class TestEngineSeam:
         sim.run()
         assert sim.last_engine == ENGINE_INTERP
 
-    def test_engines_agree_on_call_return(self):
+    def test_engines_agree_on_call_return(self, eager):
         program = assemble(CALL_SOURCE)
         results = {}
-        for engine in (ENGINE_INTERP, ENGINE_COMPILED):
+        for engine in (ENGINE_INTERP, ENGINE_TIERED):
             sim = FunctionalSimulator(program, engine=engine)
             results[engine] = sim.run().to_dict()
             assert sim.last_engine == engine
-        assert results[ENGINE_INTERP] == results[ENGINE_COMPILED]
+        assert sim.last_tier["interp_blocks"] == 0
+        assert results[ENGINE_INTERP] == results[ENGINE_TIERED]
 
-    def test_computed_jump_into_block_interior(self):
+    def test_computed_jump_into_block_interior(self, eager):
         # jr lands on pc 6, which is mid-block (5..7 is one straight
         # line): the dispatcher must fall back to the interpreter for
         # the partial block, then resume compiled execution.
@@ -159,10 +174,13 @@ class TestEngineSeam:
         """
         program = assemble(source)
         results = {}
-        for engine in (ENGINE_INTERP, ENGINE_COMPILED):
+        for engine in (ENGINE_INTERP, ENGINE_TIERED):
             sim = FunctionalSimulator(program, engine=engine)
             result = sim.run()
             assert sim.last_engine == engine
             results[engine] = result.to_dict()
             assert result.registers[2] == 6
-        assert results[ENGINE_INTERP] == results[ENGINE_COMPILED]
+        assert sim.last_tier["compiled_blocks"] == len(
+            discover_blocks(sim.decoded)
+        )
+        assert results[ENGINE_INTERP] == results[ENGINE_TIERED]

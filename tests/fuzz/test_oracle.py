@@ -2,8 +2,9 @@
 
 import pytest
 
+import repro.engine.functional as functional_module
 import repro.fuzz.oracle as oracle_module
-from repro.engine.compiler import ENGINE_COMPILED
+from repro.engine.compiler import tier_threshold
 from repro.fuzz.generator import generate
 from repro.fuzz.oracle import CHECK_FAMILIES, CheckFailure, run_oracle
 
@@ -41,14 +42,15 @@ class TestCleanRun:
 
 class TestFailureDetection:
     def test_timing_divergence_is_caught(self, monkeypatch):
-        # Inject a one-cycle accounting bug into the compiled timing
-        # engine only; the oracle must flag the engine mismatch while
-        # still running every family.
+        # Inject a one-cycle accounting bug into the eager column only
+        # (the oracle scopes REPRO_TIER_THRESHOLD=0 around its runs);
+        # the oracle must flag the engine mismatch while still running
+        # every family.
         real_run = oracle_module.TimingSimulator.run
 
         def skewed_run(self, *args, **kwargs):
             stats = real_run(self, *args, **kwargs)
-            if self.last_engine == ENGINE_COMPILED:
+            if tier_threshold() == 0:
                 stats.cycles += 1
             return stats
 
@@ -60,11 +62,37 @@ class TestFailureDetection:
         families = {f.family for f in report.failures}
         assert families == {"engine_equivalence"}
         checks = {f.check for f in report.failures}
-        assert "timing_baseline_compiled" in checks
-        # The bug was injected into the compiled engine only; the
-        # tiered engine must stay clean.
+        assert "timing_baseline_eager" in checks
+        # The bug was injected into the eager column only; the
+        # default-threshold tiered column must stay clean.
         assert not any(c.endswith("_tiered") for c in checks)
         assert report.families_run == list(CHECK_FAMILIES)
+
+    def test_eager_compile_fallback_is_caught(self, monkeypatch):
+        # A whole-program compile that silently fails leaves the eager
+        # run interpreted: results still agree, so only the
+        # every-block-compiled check can see it.
+        real_compile = functional_module.compile_functional
+
+        def no_whole_program(decoded, tracing, caching, only_blocks=None):
+            if only_blocks is None:
+                return None
+            return real_compile(decoded, tracing, caching, only_blocks)
+
+        monkeypatch.setattr(
+            functional_module, "compile_functional", no_whole_program
+        )
+        report = run_oracle(generate(3))
+        failures = [
+            f for f in report.failures
+            if (f.family, f.check) == ("engine_equivalence",
+                                       "engine_availability")
+        ]
+        assert len(failures) == 1, report.render()
+        assert "functional: eager run compiled 0 of" in failures[0].message
+        assert report.failed_checks() == {
+            ("engine_equivalence", "engine_availability")
+        }
 
     def test_committed_state_divergence_is_caught(self, monkeypatch):
         # Corrupt the timing simulator's committed register capture:

@@ -10,11 +10,7 @@ import json
 
 import pytest
 
-from repro.engine.compiler import (
-    ENGINE_COMPILED,
-    ENGINE_INTERP,
-    ENGINE_TIERED,
-)
+from repro.engine.compiler import ENGINE_INTERP, ENGINE_TIERED
 from repro.harness import simspeed
 
 
@@ -128,16 +124,15 @@ def _payload(
     exec_ratio=3.0,
     cached_ratio=1.5,
     timing_ratio=1.2,
-    tiered_ratio=1.4,
     table2_tiered=1.6,
 ):
-    def summary(ratio, tiered=tiered_ratio):
+    """A payload whose tiered engine runs ``*_ratio`` x the interpreter."""
+
+    def summary(ratio):
         return {
             ENGINE_INTERP: 1.0,
-            ENGINE_COMPILED: ratio,
-            ENGINE_TIERED: tiered,
-            "ratio": ratio,
-            "tiered_ratio": tiered,
+            ENGINE_TIERED: ratio,
+            "tiered_ratio": ratio,
         }
 
     return {
@@ -150,17 +145,13 @@ def _payload(
         "table2_cold": {
             "seconds": {
                 ENGINE_INTERP: 10.0,
-                ENGINE_COMPILED: 10.0 / cached_ratio,
                 ENGINE_TIERED: 10.0 / table2_tiered,
             },
             "sim_seconds": {
                 ENGINE_INTERP: 3.0,
-                ENGINE_COMPILED: 3.0 / cached_ratio,
                 ENGINE_TIERED: 3.0 / table2_tiered,
             },
-            "speedup": cached_ratio,
             "tiered_speedup": table2_tiered,
-            "sim_speedup": cached_ratio,
             "tiered_sim_speedup": table2_tiered,
         },
     }
@@ -175,20 +166,16 @@ class TestCheckPayload:
         assert len(problems) == 1
         assert "exec speedup 1.90x < 2.0x" in problems[0]
 
-    def test_fails_when_compiled_slower_anywhere(self):
-        problems = simspeed.check_payload(
-            _payload(cached_ratio=0.8, timing_ratio=0.9)
-        )
-        # cached + traced configs share the ratio, the traced 1.5x floor
-        # fires too, and timing adds one more.
-        assert len(problems) == 4
-        assert any("timing baseline" in p for p in problems)
-
     def test_fails_when_tiered_slower_anywhere(self):
-        problems = simspeed.check_payload(_payload(tiered_ratio=0.9))
-        # exec + cached + traced + timing, tiered lane only.
-        assert len(problems) == 4
-        assert all("tiered slower" in p for p in problems)
+        problems = simspeed.check_payload(
+            _payload(exec_ratio=0.9, cached_ratio=0.9, timing_ratio=0.9)
+        )
+        # exec + cached + traced + timing are slower, and the exec 2x
+        # and traced 1.5x floors fire too.
+        assert len(problems) == 6
+        slower = [p for p in problems if "tiered slower" in p]
+        assert len(slower) == 4
+        assert any("timing baseline" in p for p in slower)
 
     def test_fails_when_tiered_loses_cold_table2(self):
         problems = simspeed.check_payload(_payload(table2_tiered=0.9))
@@ -208,7 +195,7 @@ class TestCheckPayload:
             _payload(exec_ratio=0.5, cached_ratio=2.0)
         )
         assert any("< 2.0x" in p for p in problems)
-        assert any("exec: compiled slower" in p for p in problems)
+        assert any("exec: tiered slower" in p for p in problems)
 
 
 class TestPayloadSchema:
@@ -247,13 +234,7 @@ class TestPayloadSchema:
                 assert cells[engine]["pharmacy"] >= 0.0
 
     def test_geomean_summaries(self, payload):
-        expected = {
-            ENGINE_INTERP,
-            ENGINE_COMPILED,
-            ENGINE_TIERED,
-            "ratio",
-            "tiered_ratio",
-        }
+        expected = {ENGINE_INTERP, ENGINE_TIERED, "tiered_ratio"}
         for config, summary in payload["functional_geomean"].items():
             assert set(summary) == expected
         assert set(payload["timing_baseline_geomean"]) == expected

@@ -1,19 +1,21 @@
-"""Differential equivalence: compiled/tiered engines vs. interpreter.
+"""Differential equivalence: the tiered engine vs. the interpreter.
 
-The compiled basic-block engine and the tiered engine layered on top
-of it are optimizations, not second models: for every bundled workload
-they must reproduce the interpreter's results bit for bit — the packed
-functional trace, every statistic, every timing-simulator counter, in
-every simulation mode.  These tests are the contract that keeps the
-three engines pinned together.
+The tiered engine is an optimization, not a second model: for every
+bundled workload it must reproduce the interpreter's results bit for
+bit — the packed functional trace, every statistic, every
+timing-simulator counter, in every simulation mode.  It is checked in
+two columns: ``tiered`` at the default threshold, and ``eager``
+(``REPRO_TIER_THRESHOLD=0``), which compiles the whole program before
+the first instruction so every generated block runs.  These tests are
+the contract that keeps the engines pinned together.
 """
 
 import pytest
 
 from repro.engine.compiler import (
-    ENGINE_COMPILED,
     ENGINE_INTERP,
     ENGINE_TIERED,
+    TIER_ENV,
 )
 from repro.engine.functional import FunctionalSimulator
 from repro.model.params import ModelParams
@@ -66,55 +68,84 @@ def _diff(a, b):
     return {k: (a[k], b[k]) for k in a if a[k] != b[k]}
 
 
+#: (column, engine, REPRO_TIER_THRESHOLD or None for the default).
+COLUMNS = (
+    ("interp", ENGINE_INTERP, None),
+    ("tiered", ENGINE_TIERED, None),
+    ("eager", ENGINE_TIERED, "0"),
+)
+
+
+def _in_column(monkeypatch, engine, threshold):
+    if threshold is None:
+        monkeypatch.delenv(TIER_ENV, raising=False)
+    else:
+        monkeypatch.setenv(TIER_ENV, threshold)
+    return engine
+
+
+def _assert_eager_compiled_everything(sim, column):
+    if column == "eager":
+        assert sim.last_tier["interp_blocks"] == 0
+        assert sim.last_tier["compiled_blocks"] > 0
+
+
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
-def test_functional_results_bit_identical(name):
+def test_functional_results_bit_identical(name, monkeypatch):
     workload = _workload(name)
     results = {}
-    for engine in (ENGINE_INTERP, ENGINE_COMPILED, ENGINE_TIERED):
+    for column, engine, threshold in COLUMNS:
         sim = FunctionalSimulator(
-            workload.program, workload.hierarchy, engine=engine
+            workload.program,
+            workload.hierarchy,
+            engine=_in_column(monkeypatch, engine, threshold),
         )
-        results[engine] = sim.run().to_dict()
+        results[column] = sim.run().to_dict()
         assert sim.last_engine == engine
-    for engine in (ENGINE_COMPILED, ENGINE_TIERED):
-        assert results[ENGINE_INTERP] == results[engine], (
-            engine,
-            _diff(results[ENGINE_INTERP], results[engine]),
+        _assert_eager_compiled_everything(sim, column)
+    for column in ("tiered", "eager"):
+        assert results["interp"] == results[column], (
+            column,
+            _diff(results["interp"], results[column]),
         )
 
 
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
-def test_functional_no_trace_bit_identical(name):
+def test_functional_no_trace_bit_identical(name, monkeypatch):
     workload = _workload(name)
     results = {}
-    for engine in (ENGINE_INTERP, ENGINE_COMPILED, ENGINE_TIERED):
+    for column, engine, threshold in COLUMNS:
         sim = FunctionalSimulator(
-            workload.program, workload.hierarchy, engine=engine
+            workload.program,
+            workload.hierarchy,
+            engine=_in_column(monkeypatch, engine, threshold),
         )
-        results[engine] = sim.run(collect_trace=False).to_dict()
+        results[column] = sim.run(collect_trace=False).to_dict()
         assert sim.last_engine == engine
-    for engine in (ENGINE_COMPILED, ENGINE_TIERED):
-        assert results[ENGINE_INTERP] == results[engine], engine
+        _assert_eager_compiled_everything(sim, column)
+    for column in ("tiered", "eager"):
+        assert results["interp"] == results[column], column
 
 
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
-def test_timing_stats_bit_identical_across_modes(name):
+def test_timing_stats_bit_identical_across_modes(name, monkeypatch):
     workload = _workload(name)
     pthreads = _selected_pthreads(name)
     for mode in MODES:
         stats = {}
-        for engine in (ENGINE_INTERP, ENGINE_COMPILED, ENGINE_TIERED):
+        for column, engine, threshold in COLUMNS:
             sim = TimingSimulator(
                 workload.program,
                 workload.hierarchy,
                 pthreads=pthreads,
-                engine=engine,
+                engine=_in_column(monkeypatch, engine, threshold),
             )
-            stats[engine] = sim.run(mode).to_dict()
+            stats[column] = sim.run(mode).to_dict()
             assert sim.last_engine == engine
-        for engine in (ENGINE_COMPILED, ENGINE_TIERED):
-            assert stats[ENGINE_INTERP] == stats[engine], (
+            _assert_eager_compiled_everything(sim, column)
+        for column in ("tiered", "eager"):
+            assert stats["interp"] == stats[column], (
                 mode.name,
-                engine,
-                _diff(stats[ENGINE_INTERP], stats[engine]),
+                column,
+                _diff(stats["interp"], stats[column]),
             )

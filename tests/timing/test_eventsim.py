@@ -2,7 +2,8 @@
 
 Heap ordering (including the stable insertion-order tie-break the
 front end depends on), typed-handler scheduling as observed through
-the event journal, the engine seam, and the auxiliary metrics.
+the event journal, the constructor contract, and the auxiliary
+metrics.
 Cross-model agreement itself is pinned by the parity suite
 (``tests/validation/test_parity.py`` and the ``timing_parity`` oracle
 family); these tests cover the event machinery.
@@ -162,45 +163,6 @@ class TestHandlerScheduling:
 
 
 class TestEngineSeam:
-    def test_engines_are_bit_identical(self, tiny_hierarchy):
-        workload = generate(3)
-        runs = {}
-        for engine in ("interp", "compiled", "tiered"):
-            sim = EventSimulator(
-                workload.program, workload.hierarchy, engine=engine
-            )
-            stats = sim.run(BASELINE, max_instructions=100_000)
-            assert sim.last_engine == engine
-            runs[engine] = (stats.to_dict(), list(sim.last_registers))
-        assert runs["compiled"] == runs["interp"]
-        assert runs["tiered"] == runs["interp"]
-
-    def test_compiled_seam_preresolves_every_pc(self, tiny_hierarchy):
-        source = "\n".join(["addi r1, r1, 1"] * 5) + "\nhalt"
-        program = assemble(source)
-        sim = EventSimulator(program, tiny_hierarchy, engine="compiled")
-        sim.run(BASELINE)
-        assert len(sim._steps) == len(program)
-
-    def test_tiered_seam_promotes_hot_pcs_only(self, tiny_hierarchy):
-        source = """
-            addi a0, zero, 0
-            addi a1, zero, 100
-        loop:
-            bge  a0, a1, done
-            addi a0, a0, 1
-            j    loop
-        done:
-            halt
-        """
-        program = assemble(source)
-        sim = EventSimulator(program, tiny_hierarchy, engine="tiered")
-        sim.run(BASELINE)
-        # The loop body runs 100x and is promoted; the one-shot
-        # prologue/epilogue PCs never reach the threshold.
-        assert sim._steps  # something promoted
-        assert len(sim._steps) < len(program)
-
     def test_rejects_pthreads_and_schedule_together(self, tiny_hierarchy):
         program = assemble("halt")
         with pytest.raises(ValueError, match="not both"):
