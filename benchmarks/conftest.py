@@ -7,7 +7,8 @@ every bench module so traces and baselines are computed once per
 over worker processes.  The persistent artifact cache (default
 ``~/.cache/repro``) makes stage outputs survive across sessions and
 lets parallel workers share work; after the session a stage-timing /
-cache-effectiveness report is written to ``results/perf_harness.txt``.
+cache-effectiveness report is written to ``results/perf_harness.txt``
+from the session's spans and metrics.
 
 Environment knobs:
     REPRO_BENCH_WORKLOADS  comma-separated subset of the suite (default
@@ -27,6 +28,8 @@ import pytest
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.parallel import SweepExecutor
+from repro.harness.report import render_perf
+from repro.obs import get_registry, get_tracer
 from repro.workloads.suite import SUITE
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -49,12 +52,18 @@ def executor(runner) -> SweepExecutor:
 
 @pytest.fixture(scope="session", autouse=True)
 def _perf_report(runner):
-    """Write the session's harness-performance report on teardown."""
+    """Write the session's harness-performance report on teardown.
+
+    Read from the process-wide span tree and metrics registry, which
+    the session's runner and its sweep workers feed.
+    """
     yield
     RESULTS_DIR.mkdir(exist_ok=True)
-    report = runner.perf.render(
-        title="Harness performance (bench session: stage compute seconds "
-        "and cache hits)"
+    report = render_perf(
+        get_tracer().root,
+        get_registry().snapshot(),
+        title="Harness performance (bench session: stage span seconds "
+        "and cache hits)",
     )
     (RESULTS_DIR / "perf_harness.txt").write_text(report + "\n")
 

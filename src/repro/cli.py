@@ -14,7 +14,6 @@ Commands mirror the paper's artifacts::
     python -m repro verify-codegen all --strict   # translation-validate codegen
     python -m repro bench speed           # engine throughput benchmark
     python -m repro serve --port 8421     # HTTP/JSON selection daemon
-    python -m repro bench serve --check   # daemon load harness + floors
     python -m repro fuzz --seeds 25       # differential fuzzing campaign
     python -m repro fuzz --replay corpus/fuzz-000042-stride.json
     python -m repro obs report            # metrics registry report
@@ -25,7 +24,8 @@ fan cells out over worker processes (default ``REPRO_JOBS``, then the
 CPU count), ``--no-cache`` to skip the persistent artifact cache,
 ``--engine tiered|interp`` to pick the simulation engine (default
 tiered; also via ``REPRO_ENGINE``), and ``--perf`` to append a
-stage-timing / cache-effectiveness report.
+stage-timing / cache-effectiveness report (span seconds and the
+registry's stage counters).
 Every pipeline command also takes ``--trace PATH`` (write the
 invocation's nested span tree as JSON) and ``--metrics PATH`` (write a
 metrics snapshot as JSON) — see DESIGN.md's Observability section.
@@ -42,7 +42,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.harness.artifacts import ArtifactCache
+from repro.harness.artifacts import ArtifactCache, publish_cache_gauges
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
 from repro.harness.figures import (
     figure4_scope_length,
@@ -53,7 +53,7 @@ from repro.harness.figures import (
     figure8b_processor_width,
 )
 from repro.harness.parallel import SweepExecutor
-from repro.harness.report import publish_harness_metrics
+from repro.harness.report import render_perf
 from repro.harness.tables import render_table1, render_table2, table1, table2
 from repro.obs import (
     check_snapshot,
@@ -102,15 +102,11 @@ def _executor(args: argparse.Namespace) -> SweepExecutor:
         raise SystemExit(f"error: {error}")
 
 
-def _print_perf(args: argparse.Namespace, executor: SweepExecutor) -> None:
+def _print_perf(args: argparse.Namespace) -> None:
+    """The ``--perf`` report, from this invocation's spans and metrics."""
     if getattr(args, "perf", False):
         print()
-        print(executor.perf.render())
-
-
-def _publish_harness(perf, artifacts) -> None:
-    """Fold harness counters into the global registry (export surface)."""
-    publish_harness_metrics(perf, artifacts)
+        print(render_perf(get_tracer().root, get_registry().snapshot()))
 
 
 def _export_observability(args: argparse.Namespace) -> None:
@@ -121,6 +117,7 @@ def _export_observability(args: argparse.Namespace) -> None:
         print(f"wrote {trace_path}")
     metrics_path = getattr(args, "metrics", None)
     if metrics_path:
+        publish_cache_gauges(_artifacts(args))
         write_snapshot(metrics_path, get_registry())
         print(f"wrote {metrics_path}")
 
@@ -176,10 +173,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         f"\nspeedup {result.speedup:+.1%}  coverage {result.coverage:.1%} "
         f"(full {result.full_coverage:.1%})"
     )
-    if getattr(args, "perf", False):
-        print()
-        print(runner.perf.render())
-    _publish_harness(runner.perf, runner.artifacts)
+    _print_perf(args)
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
@@ -191,8 +185,7 @@ def _cmd_table(args: argparse.Namespace) -> None:
         print(render_table1(table1(workloads=workloads, executor=executor)))
     else:
         print(render_table2(table2(workloads=workloads, executor=executor)))
-    _print_perf(args, executor)
-    _publish_harness(executor.perf, executor.artifacts)
+    _print_perf(args)
 
 
 def _cmd_figure(args: argparse.Namespace) -> None:
@@ -206,8 +199,7 @@ def _cmd_figure(args: argparse.Namespace) -> None:
             f"unknown figure {args.which!r}; known: {sorted(_FIGURES)}"
         )
     print(figure_fn(workloads=workloads, executor=executor).render())
-    _print_perf(args, executor)
-    _publish_harness(executor.perf, executor.artifacts)
+    _print_perf(args)
 
 
 def _cmd_cache(args: argparse.Namespace) -> None:
@@ -448,12 +440,8 @@ def _cmd_verify_codegen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.what == "serve":
-        return _cmd_bench_serve(args)
     from repro.harness import simspeed
 
-    if args.what != "speed":  # pragma: no cover - argparse enforces
-        raise SystemExit(f"unknown bench {args.what!r}")
     workloads = _parse_workloads(args.workloads)
     payload = simspeed.bench_speed(
         workloads=workloads,
@@ -471,30 +459,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 print(f"CHECK FAILED: {problem}", file=sys.stderr)
             return 1
         print("all speed checks passed")
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.serve import bench as serve_bench
-
-    workloads = _parse_workloads(args.workloads or "mcf,vpr.r")
-    payload = serve_bench.bench_serve(
-        workloads=workloads,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        workers=args.workers,
-    )
-    print(serve_bench.render(payload))
-    output = args.output or serve_bench.DEFAULT_RESULTS_PATH
-    serve_bench.write_results(payload, output)
-    print(f"\nwrote {output}")
-    if args.check:
-        problems = serve_bench.check_payload(payload)
-        if problems:
-            for problem in problems:
-                print(f"CHECK FAILED: {problem}", file=sys.stderr)
-            return 1
-        print("all serve checks passed")
     return 0
 
 
@@ -590,7 +554,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         # live numbers from every registered subsystem.
         runner = ExperimentRunner(artifacts=_artifacts(args))
         runner.run(ExperimentConfig(workload=args.workload))
-        _publish_harness(runner.perf, runner.artifacts)
+        publish_cache_gauges(runner.artifacts)
         doc = snapshot_document(get_registry())
         metrics = doc["metrics"]
     if args.format == "json":
@@ -730,17 +694,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser = sub.add_parser(
         "bench", help="performance benchmarks of the simulators themselves"
     )
-    bench_parser.add_argument("what", choices=["speed", "serve"])
+    bench_parser.add_argument("what", choices=["speed"])
     bench_parser.add_argument(
         "--workloads", default=None,
-        help=(
-            "comma-separated workload subset (default: the full suite "
-            "for speed, mcf,vpr.r for serve)"
-        ),
+        help="comma-separated workload subset (default: the full suite)",
     )
     bench_parser.add_argument(
         "--repeats", type=int, default=3,
-        help="timed repetitions per cell, best-of (default 3; speed only)",
+        help="timed repetitions per cell, best-of (default 3)",
     )
     bench_parser.add_argument(
         "--no-table2", action="store_true",
@@ -748,29 +709,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--output", default=None,
-        help=(
-            "also write the JSON payload to this path (serve writes "
-            "results/BENCH_serve.json by default)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--requests", type=int, default=24,
-        help="serve: measured requests in the load phase (default 24)",
-    )
-    bench_parser.add_argument(
-        "--concurrency", type=int, default=4,
-        help="serve: concurrent client connections (default 4)",
-    )
-    bench_parser.add_argument(
-        "--workers", type=int, default=2,
-        help="serve: daemon worker threads (default 2)",
+        help="also write the JSON payload to this path",
     )
     bench_parser.add_argument(
         "--check", action="store_true",
         help=(
-            "exit non-zero unless the floors hold (speed: engine "
-            "throughput/cold-start floors; serve: warm p50 >=5x faster "
-            "than the cold CLI sim stages and zero request failures)"
+            "exit non-zero unless the engine throughput/cold-start "
+            "floors hold"
         ),
     )
     bench_parser.set_defaults(func=_cmd_bench)

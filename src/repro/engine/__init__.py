@@ -1,4 +1,4 @@
-"""Functional execution engine: decoding, compiling, tracing, sampling."""
+"""Functional execution engine: decoding, compiling, tracing."""
 
 from repro.engine.compiler import (
     ENGINE_INTERP,
@@ -15,19 +15,15 @@ from repro.engine.functional import (
     FunctionalSimulator,
     run_program,
 )
-from repro.engine.sampler import ALWAYS_ON, CyclicSampler, Phase
 from repro.engine.trace import Trace, TraceRecord
 
 __all__ = [
-    "ALWAYS_ON",
     "CompiledBlocks",
-    "CyclicSampler",
     "DecodedProgram",
     "ENGINE_INTERP",
     "ExecutionLimitExceeded",
     "FunctionalResult",
     "FunctionalSimulator",
-    "Phase",
     "Trace",
     "TraceRecord",
     "compile_functional",

@@ -49,17 +49,12 @@ _REQUIRED_FIELDS = (
 class CodeCache:
     """Load/store generated module source through the artifact cache.
 
-    Owns its own :class:`~repro.harness.artifacts.PerfCounters` (the
-    harness counters account harness stages; engine compilations happen
-    inside them) and publishes hit/miss counters to the metrics
-    registry under ``engine.codegen.*``.
+    Counts its hits and misses in the metrics registry under
+    ``engine.codegen.*``.
     """
 
     def __init__(self, artifacts: Any) -> None:
-        from repro.harness.artifacts import PerfCounters
-
         self.artifacts = artifacts
-        self.perf = PerfCounters()
 
     def key(
         self,
@@ -85,10 +80,9 @@ class CodeCache:
     def load(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the cached codegen payload for ``key`` or ``None``.
 
-        Counts a ``codegen`` disk hit or miss on the perf counters and
-        on the ``engine.codegen.cache_hits`` / ``cache_misses`` registry
-        counters (both registered on every consult so snapshots always
-        carry the pair).  Structurally incomplete payloads — corrupt or
+        Counts a hit or miss on the ``engine.codegen.cache_hits`` /
+        ``cache_misses`` registry counters (both registered on every
+        consult so snapshots always carry the pair).  Structurally incomplete payloads — corrupt or
         written by other tooling — count as misses.
         """
         from repro.obs import get_registry
@@ -100,10 +94,8 @@ class CodeCache:
         if isinstance(payload, dict) and all(
             field in payload for field in _REQUIRED_FIELDS
         ):
-            self.perf.disk_hit("codegen")
             hits.inc()
             return payload
-        self.perf.miss("codegen")
         misses.inc()
         return None
 

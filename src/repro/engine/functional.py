@@ -22,9 +22,7 @@ Two engines produce bit-identical results (see DESIGN.md):
   instruction (eager compilation).
 
 Selection: ``FunctionalSimulator(engine=...)`` > ``REPRO_ENGINE`` >
-tiered.  Sampled runs (:class:`~repro.engine.sampler.CyclicSampler`)
-always interpret: the sampler flips tracing/caching per instruction,
-which defeats per-variant specialization.
+tiered.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from repro.engine.decode import (
     K_LOAD,
     K_STORE,
 )
-from repro.engine.sampler import CyclicSampler, Phase
 from repro.engine.trace import Trace
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGS
@@ -75,13 +72,12 @@ class FunctionalResult:
 
     Attributes:
         trace: the dynamic trace (``None`` if tracing was disabled).
-        instructions: dynamic instructions executed (all phases).
+        instructions: dynamic instructions executed.
         traced_instructions: instructions recorded in the trace.
         halted: True if the program executed ``halt``; False if it was
             stopped by ``max_instructions``.
-        loads / stores / branches: dynamic counts (all phases).
-        l1_misses / l2_misses: load+store misses seen by the hierarchy
-            (warm and on phases only).
+        loads / stores / branches: dynamic counts.
+        l1_misses / l2_misses: load+store misses seen by the hierarchy.
         registers: final architectural register values.
         memory: final memory state.
     """
@@ -174,7 +170,6 @@ class _FuncState:
         "mem_store",
         "hier_access",
         "trace_append",
-        "sampler",
     )
 
     def __init__(self) -> None:
@@ -218,8 +213,8 @@ def _interp(
     mem_store = st.mem_store
     hier_access = st.hier_access
     trace_append = st.trace_append
-    sampler = st.sampler
-    sample_phase = sampler.phase if sampler is not None else None
+    tracing = trace_append is not None
+    caching = hier_access is not None
 
     counting = entry_counts is not None
 
@@ -234,13 +229,6 @@ def _interp(
         if stop_pcs is not None and pc in stop_pcs:
             break
         k = kind[pc]
-        if sample_phase is not None:
-            phase = sample_phase(executed)
-            tracing = phase is Phase.ON and trace_append is not None
-            caching = phase is not Phase.OFF and hier_access is not None
-        else:
-            tracing = trace_append is not None
-            caching = hier_access is not None
         executed += 1
         next_pc = pc + 1
 
@@ -381,8 +369,7 @@ class FunctionalSimulator:
             ``REPRO_ENGINE`` environment variable (default tiered).
 
     Attributes:
-        last_engine: the engine the most recent :meth:`run` actually
-            used (``"interp"`` also for sampled runs).
+        last_engine: the engine the most recent :meth:`run` used.
     """
 
     def __init__(
@@ -466,16 +453,13 @@ class FunctionalSimulator:
         self,
         max_instructions: int = 50_000_000,
         collect_trace: bool = True,
-        sampler: Optional[CyclicSampler] = None,
         strict_limit: bool = False,
     ) -> FunctionalResult:
         """Run the program to ``halt`` or ``max_instructions``.
 
         Args:
             max_instructions: stop after this many dynamic instructions.
-            collect_trace: record a :class:`Trace` of ON-phase records.
-            sampler: optional cyclic off/warm/on schedule (forces the
-                interpreter engine).
+            collect_trace: record a :class:`Trace` of the run.
             strict_limit: if True, hitting ``max_instructions`` raises
                 :class:`ExecutionLimitExceeded` instead of returning.
         """
@@ -500,10 +484,9 @@ class FunctionalSimulator:
         st.mem_store = memory.store
         st.hier_access = hierarchy.access_fast if hierarchy is not None else None
         st.trace_append = trace.append if trace is not None else None
-        st.sampler = sampler
 
         register_engine_metrics()
-        if self.engine == ENGINE_TIERED and sampler is None:
+        if self.engine == ENGINE_TIERED:
             self.last_engine = ENGINE_TIERED
             self._run_tiered(st, max_instructions, memory, trace)
         else:
@@ -700,13 +683,10 @@ def run_program(
     hierarchy_config: Optional[HierarchyConfig] = None,
     max_instructions: int = 50_000_000,
     collect_trace: bool = True,
-    sampler: Optional[CyclicSampler] = None,
     engine: Optional[str] = None,
 ) -> FunctionalResult:
     """One-shot convenience wrapper around :class:`FunctionalSimulator`."""
     sim = FunctionalSimulator(program, hierarchy_config, engine=engine)
     return sim.run(
-        max_instructions=max_instructions,
-        collect_trace=collect_trace,
-        sampler=sampler,
+        max_instructions=max_instructions, collect_trace=collect_trace
     )

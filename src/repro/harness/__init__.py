@@ -1,6 +1,6 @@
 """Experiment harness: pipeline, parallel sweeps, caching, reporting."""
 
-from repro.harness.artifacts import ArtifactCache, PerfCounters, stable_key
+from repro.harness.artifacts import ArtifactCache, stable_key
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -47,7 +47,6 @@ __all__ = [
     "FIGURE_METRICS",
     "FigureData",
     "PARITY_MODES",
-    "PerfCounters",
     "SweepError",
     "SweepExecutor",
     "Table1Row",

@@ -22,10 +22,10 @@ The root is ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``;
 setting ``REPRO_CACHE_DIR`` to ``off`` / ``0`` / the empty string
 disables persistence (see :meth:`ArtifactCache.from_env`).
 
-:class:`PerfCounters` rides along here: per-stage wall-clock seconds
-plus hit/miss counters for both the in-memory and on-disk caches.  The
-runner and the sweep executor share one instance, so a report rendered
-after a sweep accounts for every process that contributed.
+How often each stage was served from memory, served from this store or
+computed is counted by the runner in the metrics registry
+(``harness.cache.*``); the store's own size is published by
+:func:`publish_cache_gauges` when a snapshot is taken.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ import hashlib
 import json
 import os
 import pickle
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.isa.program import Program
+from repro.obs import get_registry
 
 #: Bumped whenever an on-disk codec changes shape; part of every key.
 SCHEMA_VERSION = 1
@@ -112,108 +112,6 @@ def program_digest(program: Program) -> str:
     digest = hasher.hexdigest()
     program._repro_digest = digest
     return digest
-
-
-@dataclass
-class PerfCounters:
-    """Per-stage wall-clock seconds and cache hit/miss counters.
-
-    ``hits`` counts in-memory (same-process) cache hits, ``disk_hits``
-    loads from the persistent artifact cache, and ``misses`` actual
-    computations.  ``stage_seconds`` accumulates compute time only, so
-    the report directly shows what caching saved.  ``instructions``
-    counts simulated instructions per stage, so the report can show
-    simulation throughput (MIPS) for the simulator-bound stages.
-    """
-
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-    hits: Dict[str, int] = field(default_factory=dict)
-    disk_hits: Dict[str, int] = field(default_factory=dict)
-    misses: Dict[str, int] = field(default_factory=dict)
-    instructions: Dict[str, int] = field(default_factory=dict)
-
-    def add_time(self, stage: str, seconds: float) -> None:
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-
-    def add_instructions(self, stage: str, count: int) -> None:
-        self.instructions[stage] = self.instructions.get(stage, 0) + count
-
-    def hit(self, kind: str) -> None:
-        self.hits[kind] = self.hits.get(kind, 0) + 1
-
-    def disk_hit(self, kind: str) -> None:
-        self.disk_hits[kind] = self.disk_hits.get(kind, 0) + 1
-
-    def miss(self, kind: str) -> None:
-        self.misses[kind] = self.misses.get(kind, 0) + 1
-
-    def snapshot(self) -> "PerfCounters":
-        """An independent copy (for before/after deltas)."""
-        return PerfCounters(
-            stage_seconds=dict(self.stage_seconds),
-            hits=dict(self.hits),
-            disk_hits=dict(self.disk_hits),
-            misses=dict(self.misses),
-            instructions=dict(self.instructions),
-        )
-
-    def since(self, before: "PerfCounters") -> "PerfCounters":
-        """The delta accumulated since ``before`` was snapshotted."""
-        delta = PerfCounters()
-        for name in (
-            "stage_seconds",
-            "hits",
-            "disk_hits",
-            "misses",
-            "instructions",
-        ):
-            mine, theirs, out = (
-                getattr(self, name),
-                getattr(before, name),
-                getattr(delta, name),
-            )
-            for key, value in mine.items():
-                diff = value - theirs.get(key, 0)
-                if diff:
-                    out[key] = diff
-        return delta
-
-    def merge(self, other: "PerfCounters") -> None:
-        """Accumulate another counter set (e.g. a worker's delta)."""
-        for stage, seconds in other.stage_seconds.items():
-            self.add_time(stage, seconds)
-        for name in ("hits", "disk_hits", "misses", "instructions"):
-            mine = getattr(self, name)
-            for key, value in getattr(other, name).items():
-                mine[key] = mine.get(key, 0) + value
-
-    def computations(self) -> int:
-        """Total cache misses (actual stage computations) across kinds."""
-        return sum(self.misses.values())
-
-    def render(self, title: str = "Harness performance") -> str:
-        """Fixed-width report of stage times and cache effectiveness."""
-        from repro.harness.report import render_perf
-
-        return render_perf(self, title=title)
-
-    def publish_metrics(self, registry) -> None:
-        """Fold these counters into a metrics registry.
-
-        PerfCounters stays the picklable accumulation vehicle (workers
-        ship deltas; the executor merges); the registry is the single
-        export surface.  Totals land under ``harness.cache.*``, the
-        per-stage breakdown under ``harness.stage.<stage>.*``.
-        """
-        registry.counter("harness.cache.hits").inc(sum(self.hits.values()))
-        registry.counter("harness.cache.disk_hits").inc(
-            sum(self.disk_hits.values())
-        )
-        registry.counter("harness.cache.misses").inc(sum(self.misses.values()))
-        for stage, seconds in self.stage_seconds.items():
-            registry.gauge(f"harness.stage.{stage}.seconds").set(seconds)
-        for stage, count in self.instructions.items():
-            registry.counter(f"harness.stage.{stage}.instructions").inc(count)
 
 
 class ArtifactCache:
@@ -334,13 +232,6 @@ class ArtifactCache:
             if path.is_file()
         )
 
-    def publish_metrics(self, registry) -> None:
-        """Set the cache-size gauges (``harness.cache.entries/bytes``)."""
-        registry.gauge("harness.cache.entries").set(
-            sum(self.entry_count().values())
-        )
-        registry.gauge("harness.cache.bytes").set(self.size_bytes())
-
     def clear(self, kind: Optional[str] = None) -> int:
         """Delete stored artifacts; returns the number removed.
 
@@ -362,3 +253,19 @@ class ArtifactCache:
                 if bucket.is_dir() and not any(bucket.iterdir()):
                     bucket.rmdir()
         return removed
+
+
+def publish_cache_gauges(artifacts: Optional[ArtifactCache]) -> None:
+    """Set ``harness.cache.entries`` / ``harness.cache.bytes``.
+
+    Both walk the whole store, so they are set when a snapshot is
+    taken, not after every stage.  With no persistent cache they read
+    zero, so the names export either way.
+    """
+    registry = get_registry()
+    entries = size = 0
+    if artifacts is not None:
+        entries = sum(artifacts.entry_count().values())
+        size = artifacts.size_bytes()
+    registry.gauge("harness.cache.entries").set(entries)
+    registry.gauge("harness.cache.bytes").set(size)

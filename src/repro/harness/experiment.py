@@ -23,15 +23,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import assert_clean, verification_enabled
 from repro.engine.functional import FunctionalResult, run_program
-from repro.harness.artifacts import (
-    ArtifactCache,
-    PerfCounters,
-    program_digest,
-    stable_key,
-)
+from repro.harness.artifacts import ArtifactCache, program_digest, stable_key
 from repro.memory.hierarchy import HierarchyConfig
 from repro.model.params import ModelParams, SelectionConstraints
-from repro.obs import get_tracer
+from repro.obs import Span, get_registry, get_tracer
 from repro.selection.granularity import select_by_region
 from repro.selection.program_selector import ProgramSelection, select_pthreads
 from repro.timing.config import (
@@ -111,8 +106,9 @@ class ExperimentResult:
     num_regions: int = 1
     #: Wall-clock seconds this cell spent in each pipeline stage
     #: (``trace`` / ``baseline`` / ``selection`` / ``timing`` /
-    #: ``validation``).  Stages satisfied from a cache report (near)
-    #: zero, so a sweep's timings expose exactly what caching saved.
+    #: ``validation``), read from the cell's ``experiment`` span.
+    #: Stages satisfied from a cache report (near) zero, so a sweep's
+    #: timings expose exactly what caching saved.
     timings: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -145,6 +141,32 @@ class ExperimentResult:
 
 #: Pipeline stages in execution order, as a deadline check sees them.
 PIPELINE_STAGES = ("trace", "baseline", "selection", "timing", "validation")
+
+#: Stage kinds the runner counts, one ``harness.stage.<kind>.*``
+#: counter set each.
+STAGE_KINDS = (
+    "trace",
+    "baseline",
+    "perfect_l2",
+    "selection",
+    "timing",
+    "validation",
+)
+
+#: How a stage request was satisfied: from the in-memory cache, from
+#: the persistent artifact cache, or by computing it.
+OUTCOMES = ("hits", "disk_hits", "misses")
+
+
+def _count(kind: str, outcome: str, instructions: int = 0) -> None:
+    """Record one stage outcome (and what it simulated) in the registry."""
+    registry = get_registry()
+    registry.counter(f"harness.cache.{outcome}").inc()
+    registry.counter(f"harness.stage.{kind}.{outcome}").inc()
+    if instructions:
+        registry.counter(f"harness.stage.{kind}.instructions").inc(
+            instructions
+        )
 
 
 @dataclass
@@ -182,8 +204,9 @@ class ExperimentRunner:
     repeats within this process, and (when ``artifacts`` is given) the
     persistent content-addressed :class:`ArtifactCache`, which survives
     across sessions and is shared by the worker processes of a parallel
-    sweep.  ``perf`` accumulates per-stage compute seconds and
-    hit/miss counters for both layers.
+    sweep.  Each stage method times itself in a span named by its kind
+    and counts how it was satisfied in the metrics registry
+    (``harness.cache.*`` and ``harness.stage.<kind>.*``).
     """
 
     def __init__(
@@ -193,7 +216,14 @@ class ExperimentRunner:
     ) -> None:
         self.max_instructions = max_instructions
         self.artifacts = artifacts
-        self.perf = PerfCounters()
+        # Registered up front so a snapshot carries every count, zeros
+        # included.
+        registry = get_registry()
+        for outcome in OUTCOMES:
+            registry.counter(f"harness.cache.{outcome}")
+        for kind in STAGE_KINDS:
+            for name in OUTCOMES + ("instructions",):
+                registry.counter(f"harness.stage.{kind}.{name}")
         self._workloads: Dict[Tuple, Workload] = {}
         self._traces: Dict[Tuple, FunctionalResult] = {}
         self._baselines: Dict[Tuple, SimStats] = {}
@@ -219,44 +249,36 @@ class ExperimentRunner:
 
     def trace(self, workload: Workload) -> FunctionalResult:
         key = (workload.name, workload.input_name, workload.hierarchy)
-        cached = self._traces.get(key)
-        if cached is not None:
-            self.perf.hit("trace")
-            return cached
-        result = self._trace_from_disk(workload)
-        if result is None:
-            self.perf.miss("trace")
-            start = time.perf_counter()
-            result = run_program(
-                workload.program,
-                workload.hierarchy,
-                max_instructions=self.max_instructions,
-            )
-            self.perf.add_time("trace", time.perf_counter() - start)
-            self.perf.add_instructions("trace", result.instructions)
-            self._trace_to_disk(workload, result)
-        self._traces[key] = result
-        return result
+        with get_tracer().span(
+            "trace", workload=workload.name, input=workload.input_name
+        ):
+            result = self._traces.get(key)
+            if result is not None:
+                _count("trace", "hits")
+                return result
+            result = self._trace_from_disk(workload)
+            if result is not None:
+                _count("trace", "disk_hits")
+            else:
+                result = run_program(
+                    workload.program,
+                    workload.hierarchy,
+                    max_instructions=self.max_instructions,
+                )
+                _count("trace", "misses", result.instructions)
+                self._trace_to_disk(workload, result)
+            self._traces[key] = result
+            return result
 
     def baseline(self, workload: Workload, machine: MachineConfig) -> SimStats:
-        key = (workload.name, workload.input_name, workload.hierarchy, machine)
-        if key not in self._baselines:
-            self._baselines[key] = self._timed_stats(
-                "baseline", BASELINE, workload, machine
-            )
-        else:
-            self.perf.hit("baseline")
-        return self._baselines[key]
+        return self._timed_stats(
+            "baseline", BASELINE, self._baselines, workload, machine
+        )
 
     def perfect_l2(self, workload: Workload, machine: MachineConfig) -> SimStats:
-        key = (workload.name, workload.input_name, workload.hierarchy, machine)
-        if key not in self._perfect:
-            self._perfect[key] = self._timed_stats(
-                "perfect_l2", PERFECT_L2, workload, machine
-            )
-        else:
-            self.perf.hit("perfect_l2")
-        return self._perfect[key]
+        return self._timed_stats(
+            "perfect_l2", PERFECT_L2, self._perfect, workload, machine
+        )
 
     # -- persistent-cache plumbing --------------------------------------
 
@@ -276,7 +298,6 @@ class ExperimentRunner:
         payload = self.artifacts.load("trace", self._trace_key(workload))
         if payload is None:
             return None
-        self.perf.disk_hit("trace")
         return FunctionalResult.from_dict(payload)
 
     def _trace_to_disk(self, workload: Workload, result: FunctionalResult) -> None:
@@ -299,24 +320,39 @@ class ExperimentRunner:
         )
 
     def _timed_stats(
-        self, kind: str, mode, workload: Workload, machine: MachineConfig
+        self,
+        kind: str,
+        mode,
+        memo: Dict[Tuple, SimStats],
+        workload: Workload,
+        machine: MachineConfig,
     ) -> SimStats:
         """One baseline-family timing simulation, through both caches."""
-        if self.artifacts is not None:
-            key = self._stats_key(kind, workload, machine)
-            payload = self.artifacts.load(kind, key)
+        key = (workload.name, workload.input_name, workload.hierarchy, machine)
+        with get_tracer().span(
+            kind, workload=workload.name, input=workload.input_name
+        ):
+            stats = memo.get(key)
+            if stats is not None:
+                _count(kind, "hits")
+                return stats
+            payload = None
+            if self.artifacts is not None:
+                disk_key = self._stats_key(kind, workload, machine)
+                payload = self.artifacts.load(kind, disk_key)
             if payload is not None:
-                self.perf.disk_hit(kind)
-                return SimStats.from_dict(payload)
-        self.perf.miss(kind)
-        start = time.perf_counter()
-        sim = TimingSimulator(workload.program, workload.hierarchy, machine)
-        stats = sim.run(mode, max_instructions=self.max_instructions)
-        self.perf.add_time(kind, time.perf_counter() - start)
-        self.perf.add_instructions(kind, stats.instructions)
-        if self.artifacts is not None:
-            self.artifacts.store(kind, key, stats.to_dict())
-        return stats
+                _count(kind, "disk_hits")
+                stats = SimStats.from_dict(payload)
+            else:
+                sim = TimingSimulator(
+                    workload.program, workload.hierarchy, machine
+                )
+                stats = sim.run(mode, max_instructions=self.max_instructions)
+                _count(kind, "misses", stats.instructions)
+                if self.artifacts is not None:
+                    self.artifacts.store(kind, disk_key, stats.to_dict())
+            memo[key] = stats
+            return stats
 
     def _cached_selection(
         self,
@@ -342,16 +378,15 @@ class ExperimentRunner:
         )
         cached = self._selections.get(key)
         if cached is not None:
-            self.perf.hit("selection")
+            _count("selection", "hits")
             return cached
         selection = None
         if self.artifacts is not None:
             selection = self.artifacts.load("selection", key)
             if selection is not None:
-                self.perf.disk_hit("selection")
+                _count("selection", "disk_hits")
         if selection is None:
-            self.perf.miss("selection")
-            start = time.perf_counter()
+            _count("selection", "misses")
             with get_tracer().span(
                 "slice+select", workload=profile_workload.name
             ):
@@ -363,7 +398,6 @@ class ExperimentRunner:
                     region=region,
                     lmem_overrides=lmem_overrides,
                 )
-            self.perf.add_time("selection", time.perf_counter() - start)
             if self.artifacts is not None:
                 self.artifacts.store("selection", key, selection)
         self._selections[key] = selection
@@ -403,83 +437,70 @@ class ExperimentRunner:
         budget raises :class:`ExperimentDeadlineError` carrying a
         :class:`PartialExperimentResult` of everything completed so far.
         """
-        timings: Dict[str, float] = {}
         tracer = get_tracer()
         with tracer.span(
             "experiment", workload=config.workload, input=config.input_name
-        ):
-            return self._run_traced(config, timings, tracer, deadline)
+        ) as experiment:
+            return self._run_traced(config, experiment, tracer, deadline)
 
     @staticmethod
     def _check_deadline(
         deadline: Optional[float],
         next_stage: str,
         config: ExperimentConfig,
-        timings: Dict[str, float],
+        experiment: Span,
     ) -> None:
         if deadline is not None and time.monotonic() >= deadline:
-            done = [s for s in PIPELINE_STAGES if s in timings]
+            timings = experiment.seconds_by_name(PIPELINE_STAGES)
             raise ExperimentDeadlineError(
                 PartialExperimentResult(
                     config=config,
                     next_stage=next_stage,
-                    stages_completed=done,
-                    timings=dict(timings),
+                    stages_completed=[
+                        s for s in PIPELINE_STAGES if s in timings
+                    ],
+                    timings=timings,
                 )
             )
 
     def _run_traced(
         self,
         config: ExperimentConfig,
-        timings: Dict[str, float],
+        experiment: Span,
         tracer,
         deadline: Optional[float] = None,
     ) -> ExperimentResult:
         workload = self.workload(
             config.workload, config.input_name, config.hierarchy
         )
-        self._check_deadline(deadline, "trace", config, timings)
-        with tracer.span("trace") as trace_span:
-            functional = self.trace(workload)
-        timings["trace"] = trace_span.duration
-        self._check_deadline(deadline, "baseline", config, timings)
-        with tracer.span("baseline") as base_span:
-            base = self.baseline(workload, config.machine)
-        timings["baseline"] = base_span.duration
+        self._check_deadline(deadline, "trace", config, experiment)
+        functional = self.trace(workload)
+        self._check_deadline(deadline, "baseline", config, experiment)
+        base = self.baseline(workload, config.machine)
 
         # --- selection statistics may come from a different profile ---
         if config.selection_input is not None:
             profile_workload = self.workload(
                 config.workload, config.selection_input, config.hierarchy
             )
-            with tracer.span(
-                "trace", profile=config.selection_input
-            ) as trace_span:
-                profile_trace = self.trace(profile_workload)
-            timings["trace"] += trace_span.duration
-            with tracer.span(
-                "baseline", profile=config.selection_input
-            ) as base_span:
-                profile_base = self.baseline(profile_workload, config.machine)
-            timings["baseline"] += base_span.duration
-            profile_ipc = profile_base.ipc
+            profile_trace = self.trace(profile_workload)
+            profile_ipc = self.baseline(profile_workload, config.machine).ipc
         else:
             profile_workload = workload
             profile_trace = functional
             profile_ipc = base.ipc
         params = self.model_params(config, workload, profile_ipc)
 
-        self._check_deadline(deadline, "selection", config, timings)
+        self._check_deadline(deadline, "selection", config, experiment)
         schedule: Optional[Schedule] = None
         num_regions = 1
-        with tracer.span("selection") as selection_span:
+        with tracer.span("selection"):
             if config.granularity is not None:
                 # Region-specialized selection stays uncached: its output
                 # (a per-region activation schedule) is not content-
                 # addressable by the same small key, and Figure 6 is the
                 # only user.
-                self.perf.miss("selection")
-                start = time.perf_counter()
+                _count("selection", "misses")
                 with tracer.span("slice+select", workload=profile_workload.name):
                     granular = select_by_region(
                         profile_workload.program,
@@ -494,7 +515,6 @@ class ExperimentRunner:
                 selection = _aggregate_regions(
                     granular, params, config.constraints
                 )
-                self.perf.add_time("selection", time.perf_counter() - start)
             else:
                 region = None
                 if config.selection_prefix is not None:
@@ -513,7 +533,6 @@ class ExperimentRunner:
                     region,
                     lmem_overrides,
                 )
-        timings["selection"] = selection_span.duration
 
         if config.verify or verification_enabled():
             # Covers cache-loaded selections, which the in-pipeline
@@ -547,20 +566,18 @@ class ExperimentRunner:
                 )
             return sim.run(mode, max_instructions=self.max_instructions)
 
-        self._check_deadline(deadline, "timing", config, timings)
-        with tracer.span("timing") as timing_span:
+        self._check_deadline(deadline, "timing", config, experiment)
+        with tracer.span("timing"):
             preexec = simulate(PRE_EXECUTION)
-        elapsed = timing_span.duration
-        timings["timing"] = elapsed
-        self.perf.miss("timing")
-        self.perf.add_time("timing", elapsed)
-        self.perf.add_instructions(
-            "timing", preexec.instructions + preexec.pthread_instructions
+        _count(
+            "timing",
+            "misses",
+            preexec.instructions + preexec.pthread_instructions,
         )
         validation: Dict[str, SimStats] = {}
         if config.validate:
-            self._check_deadline(deadline, "validation", config, timings)
-            with tracer.span("validation") as validation_span:
+            self._check_deadline(deadline, "validation", config, experiment)
+            with tracer.span("validation"):
                 # One child span per simulation, named by its key.
                 for key, mode in (
                     ("overhead_execute", OVERHEAD_EXECUTE),
@@ -569,15 +586,11 @@ class ExperimentRunner:
                 ):
                     with tracer.span(key):
                         validation[key] = simulate(mode)
-            elapsed = validation_span.duration
-            timings["validation"] = elapsed
-            self.perf.miss("validation")
-            self.perf.add_time("validation", elapsed)
-            # perfect_l2 times/counts itself (it has its own cache).
-            with tracer.span("validation", kind="perfect_l2"):
-                validation["perfect_l2"] = self.perfect_l2(
-                    workload, config.machine
-                )
+            _count("validation", "misses")
+            # perfect_l2 has its own span and cache.
+            validation["perfect_l2"] = self.perfect_l2(
+                workload, config.machine
+            )
 
         return ExperimentResult(
             config=config,
@@ -588,7 +601,7 @@ class ExperimentRunner:
             preexec=preexec,
             validation=validation,
             num_regions=num_regions,
-            timings=timings,
+            timings=experiment.seconds_by_name(PIPELINE_STAGES),
         )
 
 

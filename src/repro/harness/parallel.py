@@ -18,9 +18,10 @@ parallel: they share read-only inputs and never communicate.
 Worker processes each hold their own :class:`ExperimentRunner`; the
 persistent :class:`~repro.harness.artifacts.ArtifactCache` (when
 enabled) is what lets them share traces and baselines instead of
-re-computing them per process.  Workers ship their perf-counter deltas
-back with every cell, and the executor merges them into the shared
-runner's counters so one report covers the whole sweep.
+re-computing them per process.  Workers ship each cell's span subtree
+and metrics snapshot back with its result; the executor attaches the
+spans and merges the metrics into the coordinator's tracer and
+registry, so one trace and one snapshot cover the whole sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-from repro.harness.artifacts import ArtifactCache, PerfCounters
+from repro.harness.artifacts import ArtifactCache
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentDeadlineError,
@@ -99,11 +100,11 @@ def _init_worker(max_instructions: int, cache_root: Optional[str]) -> None:
 def _run_cell(indexed_config):
     """Execute one cell in a worker; never raises.
 
-    Returns ``(index, result_or_None, traceback_or_None, perf_delta,
-    obs_payload)``.  ``obs_payload`` carries the cell's span subtree
-    (durations only, so no cross-process clock alignment is needed) and
-    the worker registry's metric delta; the executor attaches/merges
-    both so the coordinator's telemetry covers every worker.
+    Returns ``(index, result_or_None, traceback_or_None, obs_payload)``.
+    ``obs_payload`` carries the cell's span subtree (durations only, so
+    no cross-process clock alignment is needed) and the cell's metrics,
+    stage counts included; the executor attaches/merges both so the
+    coordinator's telemetry covers every worker.
     Exceptions are formatted in the worker so unpicklable exception
     types cannot poison the pool.
     """
@@ -111,7 +112,6 @@ def _run_cell(indexed_config):
     runner = _WORKER_RUNNER
     if runner is None:  # direct call outside a pool (tests)
         raise RuntimeError("worker runner not initialized")
-    before = runner.perf.snapshot()
     # Fresh per-cell telemetry: the span tree and metric snapshot this
     # cell ships back must not include earlier cells this worker ran.
     tracer = reset_tracer()
@@ -126,7 +126,7 @@ def _run_cell(indexed_config):
         "spans": tracer.to_dict()["spans"],
         "metrics": registry.snapshot(),
     }
-    return index, result, error, runner.perf.since(before), obs_payload
+    return index, result, error, obs_payload
 
 
 class SweepExecutor:
@@ -159,11 +159,6 @@ class SweepExecutor:
             max_instructions=max_instructions, artifacts=artifacts
         )
 
-    @property
-    def perf(self) -> PerfCounters:
-        """Merged counters for everything this executor drove."""
-        return self.runner.perf
-
     def map(
         self, configs: Sequence[ExperimentConfig]
     ) -> List[Union[ExperimentResult, CellError]]:
@@ -193,10 +188,9 @@ class SweepExecutor:
         ):
             # pool.map yields in input order, so attached cell spans are
             # deterministic no matter which worker finished first.
-            for index, result, error, perf_delta, obs_payload in pool.map(
+            for index, result, error, obs_payload in pool.map(
                 _run_cell, enumerate(configs)
             ):
-                self.runner.perf.merge(perf_delta)
                 for span in tracer.attach(obs_payload):
                     span.meta.setdefault("cell", index)
                 registry.merge_snapshot(obs_payload["metrics"])

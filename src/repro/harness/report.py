@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Any, List, Mapping, Optional, Sequence
 
+from repro.obs import Span
+
 
 def fmt(value: Any, precision: int = 2) -> str:
     """Human formatting: floats rounded, ints plain, None blank."""
@@ -50,82 +52,55 @@ def render_table(
     return "\n".join(out)
 
 
-def render_perf(perf, title: str = "Harness performance") -> str:
-    """Render a :class:`~repro.harness.artifacts.PerfCounters` report.
+def render_perf(
+    spans: Span,
+    metrics: Mapping[str, Mapping[str, Any]],
+    title: str = "Harness performance",
+) -> str:
+    """Per-stage report from a span tree and a registry snapshot.
 
-    One row per pipeline stage / cache kind: compute seconds, then how
-    the requests for that artifact were satisfied (computed fresh,
-    in-memory hit, persistent-cache hit), then simulation throughput
-    (million simulated instructions per compute-second) for stages
-    that record instruction counts.
+    One row per stage kind the runner counted: the seconds its spans
+    took (loading a cached stage included), how its requests were
+    satisfied (computed fresh, in-memory hit, persistent-cache hit),
+    and simulation throughput (million simulated instructions per span
+    second) for stages that simulate.  ``spans`` is the tree to read
+    (a tracer's ``root``); ``metrics`` holds the ``harness.stage.*``
+    counters.
     """
+    outcomes = ("misses", "hits", "disk_hits")
+
+    def count(stage: str, what: str) -> int:
+        return metrics.get(f"harness.stage.{stage}.{what}", {}).get("value", 0)
+
+    registered = {
+        name.split(".")[2] for name in metrics if name.startswith("harness.stage.")
+    }
     stages = sorted(
-        set(perf.stage_seconds)
-        | set(perf.hits)
-        | set(perf.disk_hits)
-        | set(perf.misses)
+        stage for stage in registered if any(count(stage, o) for o in outcomes)
     )
+    seconds = spans.seconds_by_name(stages)
 
-    def mips(instructions, seconds):
-        if not instructions or seconds <= 0:
-            return ""
-        return f"{instructions / seconds / 1e6:.2f}"
+    def row(label: str, kinds: Sequence[str]) -> List[Any]:
+        span_seconds = sum(seconds.get(kind, 0.0) for kind in kinds)
+        instructions = sum(count(kind, "instructions") for kind in kinds)
+        mips = ""
+        if instructions and span_seconds > 0:
+            mips = f"{instructions / span_seconds / 1e6:.2f}"
+        return [
+            label,
+            span_seconds,
+            *(sum(count(kind, o) for kind in kinds) for o in outcomes),
+            mips,
+        ]
 
-    rows = [
-        [
-            stage,
-            perf.stage_seconds.get(stage, 0.0),
-            perf.misses.get(stage, 0),
-            perf.hits.get(stage, 0),
-            perf.disk_hits.get(stage, 0),
-            mips(
-                perf.instructions.get(stage, 0),
-                perf.stage_seconds.get(stage, 0.0),
-            ),
-        ]
-        for stage in stages
-    ]
-    rows.append(
-        [
-            "total",
-            sum(perf.stage_seconds.values()),
-            sum(perf.misses.values()),
-            sum(perf.hits.values()),
-            sum(perf.disk_hits.values()),
-            mips(
-                sum(perf.instructions.values()),
-                sum(perf.stage_seconds.values()),
-            ),
-        ]
-    )
+    rows = [row(stage, [stage]) for stage in stages]
+    rows.append(row("total", stages))
     return render_table(
-        ["stage", "compute(s)", "computed", "mem hits", "disk hits", "MIPS"],
+        ["stage", "span secs", "computed", "mem hits", "disk hits", "MIPS"],
         rows,
         title=title,
         precision=3,
     )
-
-
-def publish_harness_metrics(perf, artifacts=None, registry=None):
-    """Bridge harness telemetry into the metrics registry.
-
-    Folds a :class:`~repro.harness.artifacts.PerfCounters` (and, when
-    present, the :class:`~repro.harness.artifacts.ArtifactCache` size
-    gauges) into ``registry`` — the step that turns the harness's
-    accumulation objects into the single exportable snapshot.  With no
-    persistent cache the size gauges are registered at zero so the
-    metric names stay stable either way.  Returns the registry.
-    """
-    from repro.obs import get_registry
-
-    registry = registry if registry is not None else get_registry()
-    perf.publish_metrics(registry)
-    if artifacts is not None:
-        artifacts.publish_metrics(registry)
-    else:
-        registry.gauge("harness.cache.entries").set(0)
-        registry.gauge("harness.cache.bytes").set(0)
-    return registry
 
 
 def render_series(

@@ -114,23 +114,13 @@ def measure_timing(
 #: Span names of the pipeline stages an execution engine can affect:
 #: the functional trace and every timing simulation.  ``validation``
 #: holds the overhead-only and latency-only re-simulations of a
-#: validated cell, and the perfect-L2 run.  Everything else in a
-#: Table 2 run — slice-tree construction, candidate selection,
-#: p-thread verification — is engine-independent analysis.  No span
-#: named here nests inside another, so durations add up without
-#: double counting.
-SIM_STAGES = frozenset({"trace", "baseline", "timing", "validation"})
-
-
-def stage_seconds(span: Dict, names: frozenset) -> float:
-    """Total duration of the spans named in ``names`` within ``span``'s
-    exported subtree (``{"name", "duration", "children"}`` dicts)."""
-    total = 0.0
-    if span.get("name") in names:
-        total += span.get("duration", 0.0)
-    for child in span.get("children", ()):
-        total += stage_seconds(child, names)
-    return total
+#: validated cell; ``perfect_l2`` is that cell's perfect-L2 run.
+#: Everything else in a Table 2 run — slice-tree construction,
+#: candidate selection, p-thread verification — is engine-independent
+#: analysis.
+SIM_STAGES = frozenset(
+    {"trace", "baseline", "perfect_l2", "timing", "validation"}
+)
 
 
 def _table2_once(workloads: Sequence[str], engine: str) -> Tuple[float, float]:
@@ -170,10 +160,7 @@ def _table2_once(workloads: Sequence[str], engine: str) -> Tuple[float, float]:
             else:
                 os.environ[name] = value
         reset_code_cache()
-    sim = sum(
-        stage_seconds(span, SIM_STAGES)
-        for span in tracer.to_dict()["spans"]
-    )
+    sim = sum(tracer.root.seconds_by_name(SIM_STAGES).values())
     return total, sim
 
 

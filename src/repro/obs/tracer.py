@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 SPAN_SCHEMA_VERSION = 1
 
@@ -74,6 +74,23 @@ class Span:
         yield self
         for child in self.children:
             yield from child.walk()
+
+    def seconds_by_name(self, names: Iterable[str]) -> Dict[str, float]:
+        """Total duration of the spans named in ``names``, per name.
+
+        A matched span's subtree is not searched further, so no time is
+        counted twice; names that never occur are absent.
+        """
+        wanted = frozenset(names)
+        totals: Dict[str, float] = {}
+        stack = [self]
+        while stack:
+            span = stack.pop()
+            if span.name in wanted:
+                totals[span.name] = totals.get(span.name, 0.0) + span.duration
+            else:
+                stack.extend(span.children)
+        return totals
 
 
 class Tracer:

@@ -10,8 +10,7 @@ Layout:
 - :mod:`repro.serve.protocol` — request/response schema;
 - :mod:`repro.serve.state` — warm caches, bounded queue, worker pool;
 - :mod:`repro.serve.http` — the asyncio HTTP/1.1 front end;
-- :mod:`repro.serve.client` — the minimal client (bench + tests);
-- :mod:`repro.serve.bench` — the ``repro bench serve`` load harness.
+- :mod:`repro.serve.client` — the minimal client (tests, scripting).
 """
 
 from .protocol import (

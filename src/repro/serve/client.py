@@ -1,7 +1,7 @@
 """Minimal asyncio HTTP/1.1 client for the serve daemon.
 
-Used by the ``repro bench serve`` load harness and the e2e tests; it
-speaks just enough HTTP for the daemon's five routes (keep-alive,
+Used by the e2e tests and for scripting against a daemon; it speaks
+just enough HTTP for the daemon's five routes (keep-alive,
 ``Content-Length`` bodies) with no external dependency.
 """
 

@@ -25,7 +25,7 @@ import asyncio
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from repro.obs import get_registry, snapshot_document, to_prometheus
+from repro.obs import to_prometheus
 from repro.serve.protocol import (
     ProtocolError,
     error_payload,
@@ -195,11 +195,11 @@ class ReproServer:
                 {},
             )
         if path == "/metrics":
-            doc = snapshot_document(get_registry())
+            doc = self.state.metrics_document()
             text = to_prometheus(doc["metrics"])
             return 200, text.encode("utf-8"), _PROM_CONTENT_TYPE, {}
         if path == "/metrics/json":
-            doc = snapshot_document(get_registry())
+            doc = self.state.metrics_document()
             return (
                 200,
                 (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(),

@@ -33,11 +33,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.harness.artifacts import ArtifactCache
+from repro.harness.artifacts import ArtifactCache, publish_cache_gauges
 from repro.harness.experiment import ExperimentResult, ExperimentRunner
 from repro.harness.parallel import SweepExecutor
-from repro.harness.report import publish_harness_metrics
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_registry, get_tracer, snapshot_document
 from repro.serve.protocol import (
     RunRequest,
     partial_payload,
@@ -135,6 +134,11 @@ class ServerState:
     def _count(self, name: str, amount: int = 1) -> None:
         get_registry().counter(name).inc(amount)
 
+    def metrics_document(self) -> Dict[str, Any]:
+        """The registry snapshot, with the cache-size gauges set now."""
+        publish_cache_gauges(self.runner.artifacts)
+        return snapshot_document(get_registry())
+
     # -- lifecycle ------------------------------------------------------
 
     def start_workers(self) -> None:
@@ -231,7 +235,6 @@ class ServerState:
         """
         tracer = get_tracer()
         for job in batch:
-            start = time.perf_counter()
             try:
                 with tracer.span(
                     "request",
@@ -247,20 +250,15 @@ class ServerState:
                     _resolve, job.future, None, error
                 )
                 continue
-            elapsed = time.perf_counter() - start
             registry = get_registry()
             registry.histogram(
                 "serve.request.seconds", buckets=LATENCY_BUCKETS
-            ).observe(elapsed)
+            ).observe(span.duration)
             if payload["status"] == "ok":
                 self._count("serve.requests.ok")
             else:
                 self._count("serve.requests.budget_exceeded")
             self._record(job.request_id, job.request, payload, spans)
-            # Publish harness/cache gauges *before* resolving the future:
-            # a client scraping /metrics right after its response must
-            # see a snapshot that passes the catalog check.
-            publish_harness_metrics(self.runner.perf, self.runner.artifacts)
             job.loop.call_soon_threadsafe(_resolve, job.future, payload, None)
 
     def _execute(self, request: RunRequest) -> Dict[str, Any]:

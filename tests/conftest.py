@@ -7,6 +7,14 @@ import pytest
 from repro.engine import run_program
 from repro.isa import DataImage, assemble
 from repro.memory import CacheConfig, HierarchyConfig
+from repro.obs import (
+    get_registry,
+    get_tracer,
+    reset_registry,
+    reset_tracer,
+    set_registry,
+    set_tracer,
+)
 from repro.workloads import pharmacy
 
 #: A small hierarchy so tiny test programs still see L2 misses.
@@ -16,6 +24,18 @@ TINY_HIERARCHY = HierarchyConfig(
     mem_latency=70,
     mshr_entries=8,
 )
+
+
+@pytest.fixture
+def fresh_obs():
+    """Fresh global tracer/registry for the test, restored afterwards."""
+    old_tracer = get_tracer()
+    old_registry = get_registry()
+    tracer = reset_tracer()
+    registry = reset_registry()
+    yield tracer, registry
+    set_tracer(old_tracer)
+    set_registry(old_registry)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ recompile instead of an error.
 import pytest
 
 from repro.engine import compiler
-from repro.engine.codecache import get_code_cache, reset_code_cache
+from repro.engine.codecache import reset_code_cache
 from repro.engine.compiler import (
     ENGINE_INTERP,
     ENGINE_TIERED,
@@ -24,6 +24,7 @@ from repro.isa import assemble
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.memory import HierarchyConfig
+from repro.obs import reset_registry
 from repro.pthreads.body import PThreadBody
 from repro.pthreads.pthread import PThreadPrediction, StaticPThread
 from repro.timing.config import PRE_EXECUTION
@@ -188,16 +189,24 @@ class TestTierThreshold:
             _run(_program(), ENGINE_TIERED)
 
 
+def codegen_count(registry, outcome: str) -> int:
+    return registry.counter(f"engine.codegen.cache_{outcome}").value
+
+
 class TestCodeCache:
-    def test_warm_disk_hit_skips_emission(self, cache_dir, monkeypatch):
+    def test_warm_disk_hit_skips_emission(
+        self, cache_dir, monkeypatch, fresh_obs
+    ):
+        _, registry = fresh_obs
         monkeypatch.setenv(TIER_ENV, "0")
         program = _program()
         _sim, cold = _run(program, ENGINE_TIERED)
-        assert get_code_cache().perf.misses.get("codegen", 0) >= 1
+        assert codegen_count(registry, "misses") >= 1
 
         # Fresh process-state: new singleton, new simulator, and source
         # emission booby-trapped — the warm run must never reach it.
         reset_code_cache()
+        registry = reset_registry()
 
         def boom(*args, **kwargs):
             raise AssertionError("emission not skipped on warm cache")
@@ -206,22 +215,24 @@ class TestCodeCache:
         sim, warm = _run(program, ENGINE_TIERED)
         assert sim.last_tier["interp_blocks"] == 0
         assert warm.to_dict() == cold.to_dict()
-        cache = get_code_cache()
-        assert cache.perf.disk_hits.get("codegen", 0) >= 1
-        assert cache.perf.misses.get("codegen", 0) == 0
+        assert codegen_count(registry, "hits") >= 1
+        assert codegen_count(registry, "misses") == 0
 
-    def test_tiered_engine_hits_the_same_cache(self, cache_dir, monkeypatch):
+    def test_tiered_engine_hits_the_same_cache(
+        self, cache_dir, monkeypatch, fresh_obs
+    ):
         monkeypatch.setenv(TIER_ENV, "10")
         program = _program()
         _sim, cold = _run(program, ENGINE_TIERED)
         reset_code_cache()
+        registry = reset_registry()
         sim, warm = _run(program, ENGINE_TIERED)
         assert sim.last_tier["tier_ups"] >= 1
         assert warm.to_dict() == cold.to_dict()
-        assert get_code_cache().perf.disk_hits.get("codegen", 0) >= 1
+        assert codegen_count(registry, "hits") >= 1
 
     def test_corrupt_entry_falls_back_to_recompile(
-        self, cache_dir, monkeypatch
+        self, cache_dir, monkeypatch, fresh_obs
     ):
         monkeypatch.setenv(TIER_ENV, "0")
         program = _program()
@@ -232,8 +243,10 @@ class TestCodeCache:
             entry.write_text("{definitely not json")
 
         reset_code_cache()
+        registry = reset_registry()
         sim, warm = _run(program, ENGINE_TIERED)
         assert sim.last_tier["interp_blocks"] == 0
         assert warm.to_dict() == cold.to_dict()
         # The corrupt load counted as a miss and was recomputed.
-        assert get_code_cache().perf.misses.get("codegen", 0) >= 1
+        assert codegen_count(registry, "misses") >= 1
+        assert codegen_count(registry, "hits") == 0

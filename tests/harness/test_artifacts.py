@@ -1,4 +1,4 @@
-"""Tests for the persistent artifact cache and perf counters."""
+"""Tests for the persistent artifact cache and the runner's stage counts."""
 
 import json
 
@@ -6,12 +6,13 @@ import pytest
 
 from repro.harness.artifacts import (
     ArtifactCache,
-    PerfCounters,
     program_digest,
+    publish_cache_gauges,
     stable_key,
 )
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
 from repro.memory.hierarchy import HierarchyConfig
+from repro.obs import reset_registry
 from repro.timing.config import MachineConfig
 from repro.timing.stats import SimStats
 from repro.workloads.suite import build
@@ -137,57 +138,29 @@ class TestStorage:
         assert sum(cache.entry_count().values()) == 0
 
 
-class TestPerfCounters:
-    def test_accumulate_and_merge(self):
-        perf = PerfCounters()
-        perf.add_time("trace", 1.5)
-        perf.miss("trace")
-        perf.hit("baseline")
-        other = PerfCounters()
-        other.add_time("trace", 0.5)
-        other.disk_hit("trace")
-        perf.merge(other)
-        assert perf.stage_seconds["trace"] == 2.0
-        assert perf.misses == {"trace": 1}
-        assert perf.hits == {"baseline": 1}
-        assert perf.disk_hits == {"trace": 1}
-        assert perf.computations() == 1
-
-    def test_since_delta(self):
-        perf = PerfCounters()
-        perf.miss("trace")
-        before = perf.snapshot()
-        perf.miss("trace")
-        perf.hit("trace")
-        delta = perf.since(before)
-        assert delta.misses == {"trace": 1}
-        assert delta.hits == {"trace": 1}
-
-    def test_render_mentions_stages(self):
-        perf = PerfCounters()
-        perf.add_time("trace", 0.25)
-        perf.miss("trace")
-        report = perf.render()
-        assert "trace" in report
-        assert "disk hits" in report
+def stage_count(registry, kind: str, outcome: str) -> int:
+    return registry.counter(f"harness.stage.{kind}.{outcome}").value
 
 
 class TestRunnerIntegration:
-    def test_warm_cache_rerun_computes_nothing(self, tmp_path):
+    CACHED_KINDS = ("trace", "baseline", "selection", "perfect_l2")
+
+    def test_warm_cache_rerun_computes_nothing(self, tmp_path, fresh_obs):
         config = ExperimentConfig(workload="pharmacy", validate=True)
+        _, registry = fresh_obs
 
         cold = small_runner(tmp_path)
         first = cold.run(config)
-        assert cold.perf.misses["trace"] == 1
-        assert cold.perf.misses["baseline"] == 1
-        assert cold.perf.misses["selection"] == 1
-        assert cold.perf.misses["perfect_l2"] == 1
+        for kind in self.CACHED_KINDS:
+            assert stage_count(registry, kind, "misses") == 1, kind
 
+        registry = reset_registry()
         warm = small_runner(tmp_path)
         second = warm.run(config)
-        for kind in ("trace", "baseline", "selection", "perfect_l2"):
-            assert warm.perf.misses.get(kind, 0) == 0, kind
-            assert warm.perf.disk_hits[kind] == 1, kind
+        for kind in self.CACHED_KINDS:
+            assert stage_count(registry, kind, "misses") == 0, kind
+            assert stage_count(registry, kind, "disk_hits") == 1, kind
+        assert registry.counter("harness.cache.disk_hits").value == 4
         assert second.summary_row() == first.summary_row()
         assert (
             second.validation["perfect_l2"].ipc
@@ -203,8 +176,24 @@ class TestRunnerIntegration:
         payload = json.loads(trace_files[0].read_text())
         assert payload["instructions"] > 0
 
-    def test_disabled_cache_keeps_everything_in_memory(self, tmp_path):
+    def test_disabled_cache_keeps_everything_in_memory(
+        self, tmp_path, fresh_obs
+    ):
+        _, registry = fresh_obs
         runner = small_runner(None)
         runner.run(ExperimentConfig(workload="pharmacy"))
-        assert runner.perf.disk_hits == {}
-        assert runner.perf.misses["trace"] == 1
+        assert registry.counter("harness.cache.disk_hits").value == 0
+        assert stage_count(registry, "trace", "misses") == 1
+
+
+class TestCacheGauges:
+    def test_gauges_read_the_store_or_zero(self, tmp_path, fresh_obs):
+        _, registry = fresh_obs
+        cache = ArtifactCache(tmp_path)
+        cache.store("baseline", cache.key("baseline", i=0), {"i": 0})
+        publish_cache_gauges(cache)
+        assert registry.gauge("harness.cache.entries").value == 1
+        assert registry.gauge("harness.cache.bytes").value == cache.size_bytes()
+        publish_cache_gauges(None)
+        assert registry.gauge("harness.cache.entries").value == 0
+        assert registry.gauge("harness.cache.bytes").value == 0

@@ -74,6 +74,25 @@ class TestExecution:
         assert "Harness performance" in out
         assert "disk hits" in out
 
+    def test_table1_perf_and_trace_read_the_stage_spans(
+        self, capsys, hermetic_cli, tmp_path
+    ):
+        trace = tmp_path / "trace.json"
+        assert main(
+            ["table1", "--workloads", "pharmacy", "--perf",
+             "--trace", str(trace)]
+        ) == 0
+        out = capsys.readouterr().out
+        # One computed row per stage Table 1 runs, timed by its span.
+        report = out[out.index("Harness performance"):].splitlines()
+        rows = {line.split()[0]: line.split() for line in report[4:8]}
+        for stage in ("baseline", "perfect_l2", "trace"):
+            assert rows[stage][2:5] == ["1", "0", "0"], rows[stage]
+            assert float(rows[stage][1]) > 0
+        assert rows["total"][2] == "3"
+        names = {span["name"] for span in json.loads(trace.read_text())["spans"]}
+        assert {"trace", "baseline", "perfect_l2"} <= names
+
 
 class TestLintCommand:
     def test_lint_clean_workload_text(self, capsys, hermetic_cli):

@@ -91,7 +91,8 @@ class TestStageCaching:
         explicit = runner.workload("pharmacy", "train", SUITE_HIERARCHY)
         assert implicit is explicit
 
-    def test_one_trace_computation_across_two_cell_sweep(self):
+    def test_one_trace_computation_across_two_cell_sweep(self, fresh_obs):
+        _, registry = fresh_obs
         runner = fresh_small_runner()
         runner.run(ExperimentConfig(workload="pharmacy"))
         runner.run(
@@ -102,19 +103,26 @@ class TestStageCaching:
         )
         # Both cells share (workload, input, hierarchy): the trace and
         # baseline are computed once and hit in memory the second time.
-        assert runner.perf.misses["trace"] == 1
-        assert runner.perf.hits["trace"] == 1
-        assert runner.perf.misses["baseline"] == 1
-        assert runner.perf.hits["baseline"] == 1
+        assert stage_count(registry, "trace", "misses") == 1
+        assert stage_count(registry, "trace", "hits") == 1
+        assert stage_count(registry, "baseline", "misses") == 1
+        assert stage_count(registry, "baseline", "hits") == 1
         # The constraints differ, so selection legitimately reruns.
-        assert runner.perf.misses["selection"] == 2
+        assert stage_count(registry, "selection", "misses") == 2
+        # One trace simulated, counted once.
+        trace = runner.trace(runner.workload("pharmacy", "train"))
+        assert (
+            stage_count(registry, "trace", "instructions")
+            == trace.instructions
+        )
 
-    def test_perfect_l2_cached_like_baseline(self):
+    def test_perfect_l2_cached_like_baseline(self, fresh_obs):
+        _, registry = fresh_obs
         runner = fresh_small_runner()
         runner.run(ExperimentConfig(workload="pharmacy", validate=True))
         runner.run(ExperimentConfig(workload="pharmacy", validate=True))
-        assert runner.perf.misses["perfect_l2"] == 1
-        assert runner.perf.hits["perfect_l2"] == 1
+        assert stage_count(registry, "perfect_l2", "misses") == 1
+        assert stage_count(registry, "perfect_l2", "hits") == 1
 
     def test_timings_recorded_per_stage(self, runner):
         result = runner.run(ExperimentConfig(workload="pharmacy"))
@@ -123,8 +131,12 @@ class TestStageCaching:
             assert result.timings[stage] >= 0.0
 
 
+def stage_count(registry, kind: str, outcome: str) -> int:
+    return registry.counter(f"harness.stage.{kind}.{outcome}").value
+
+
 def fresh_small_runner() -> ExperimentRunner:
-    """An unshared runner (counter tests need pristine perf state)."""
+    """An unshared runner (counter tests need cold in-memory caches)."""
     runner = ExperimentRunner()
     small = build(
         "pharmacy", "train", n_xact=700, n_drugs=16384, hot_drugs=1024

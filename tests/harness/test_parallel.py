@@ -16,6 +16,7 @@ from repro.harness.parallel import (
     resolve_jobs,
 )
 from repro.model.params import SelectionConstraints
+from repro.obs import reset_registry
 from repro.workloads.suite import build
 
 SMALL_PHARMACY = dict(
@@ -100,7 +101,7 @@ class TestSerialPath:
         runner = seeded_runner()
         executor = SweepExecutor(jobs=4, runner=runner)
         executor.run([ExperimentConfig(workload="pharmacy")])
-        assert runner.perf.misses["trace"] == 1
+        assert len(runner._traces) == 1
 
 
 class TestParallelPath:
@@ -113,14 +114,37 @@ class TestParallelPath:
         assert [r.config for r in results] == TWO_CELLS
         assert [r.summary_row() for r in results] == expected
 
-    def test_parallel_merges_worker_perf(self, small_inputs, tmp_path):
-        executor = SweepExecutor(jobs=2, artifacts=ArtifactCache(tmp_path))
-        executor.run(TWO_CELLS)
-        # Both cells ran in workers, and every worker computation was
-        # shipped back: exactly two pre-execution timing simulations.
-        assert executor.perf.misses["timing"] == 2
-        assert executor.perf.misses["selection"] == 2
-        assert executor.perf.stage_seconds["timing"] > 0
+    def test_parallel_counts_match_serial(
+        self, small_inputs, fresh_obs, monkeypatch
+    ):
+        # Every worker cell ships its stage counts back, so the
+        # coordinator's registry holds what one process counts.  The
+        # cells share no stage, so no count depends on which worker
+        # ran which cell.
+        from repro.workloads import pharmacy
+
+        monkeypatch.setitem(
+            pharmacy.INPUTS, "test", dict(SMALL_PHARMACY, seed=13)
+        )
+        cells = [
+            ExperimentConfig(workload="pharmacy"),
+            ExperimentConfig(workload="pharmacy", input_name="test"),
+        ]
+
+        def stage_counts(jobs):
+            registry = reset_registry()
+            SweepExecutor(jobs=jobs, artifacts=None).run(cells)
+            return {
+                name: entry["value"]
+                for name, entry in registry.snapshot().items()
+                if name.startswith("harness.")
+            }
+
+        serial = stage_counts(1)
+        for kind in ("trace", "baseline", "selection", "timing"):
+            assert serial[f"harness.stage.{kind}.misses"] == 2, kind
+        assert serial["harness.cache.misses"] == 8
+        assert stage_counts(2) == serial
 
     def test_parallel_cell_error_does_not_kill_sweep(
         self, small_inputs, tmp_path

@@ -12,6 +12,7 @@ import pytest
 
 from repro.engine.compiler import ENGINE_INTERP, ENGINE_TIERED
 from repro.harness import simspeed
+from repro.obs import Span
 
 
 class FakeClock:
@@ -75,8 +76,8 @@ def _span(name, duration, *children, **meta):
 
 
 #: One validated Table 2 cell as the harness traces it: three timing
-#: simulations under ``validation``, perfect-L2 in a second
-#: ``validation`` span, and analysis spans that are not simulation.
+#: simulations under ``validation``, the perfect-L2 run in its own
+#: span, and analysis spans that are not simulation.
 VALIDATED_CELL = _span(
     "experiment",
     20.0,
@@ -95,29 +96,26 @@ VALIDATED_CELL = _span(
         _span("overhead_sequence", 1.5),
         _span("latency_only", 2.5),
     ),
-    _span("validation", 0.75, kind="perfect_l2"),
+    _span("perfect_l2", 0.75, _span("tier_up", 0.125)),
     workload="bzip2",
 )
 
 
+def sim_seconds(span):
+    seconds = Span.from_dict(span).seconds_by_name(simspeed.SIM_STAGES)
+    return sum(seconds.values())
+
+
 class TestSimStageAccounting:
     def test_validated_cell_counts_every_timing_simulation(self):
-        # trace + baseline + timing + both validation spans; nothing
+        # trace + baseline + timing + validation + perfect_l2; nothing
         # under selection, and no child counted twice.
-        sim = simspeed.stage_seconds(VALIDATED_CELL, simspeed.SIM_STAGES)
+        sim = sim_seconds(VALIDATED_CELL)
         assert sim == pytest.approx(1.0 + 0.5 + 2.0 + 6.0 + 0.75)
 
     def test_sweep_sums_cells(self):
         sweep = _span("sweep", 45.0, VALIDATED_CELL, VALIDATED_CELL)
-        assert simspeed.stage_seconds(
-            sweep, simspeed.SIM_STAGES
-        ) == pytest.approx(2 * 10.25)
-
-    def test_serve_bench_uses_the_same_definition(self):
-        from repro.serve import bench
-
-        assert bench.SIM_STAGES is simspeed.SIM_STAGES
-        assert bench.stage_seconds is simspeed.stage_seconds
+        assert sim_seconds(sweep) == pytest.approx(2 * 10.25)
 
 
 def _payload(

@@ -4,20 +4,11 @@ the catalog schema check."""
 
 import pytest
 
-from repro.harness.artifacts import ArtifactCache
+from repro.harness.artifacts import ArtifactCache, publish_cache_gauges
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
 from repro.harness.parallel import SweepExecutor
-from repro.harness.report import publish_harness_metrics
 from repro.model.params import SelectionConstraints
-from repro.obs import (
-    check_snapshot,
-    get_registry,
-    get_tracer,
-    load_snapshot,
-    reset_registry,
-    reset_tracer,
-    write_snapshot,
-)
+from repro.obs import check_snapshot, load_snapshot, write_snapshot
 from repro.workloads.suite import build
 
 SMALL_PHARMACY = dict(
@@ -40,20 +31,6 @@ def small_inputs(monkeypatch):
     from repro.workloads import pharmacy
 
     monkeypatch.setitem(pharmacy.INPUTS, "train", dict(SMALL_PHARMACY))
-
-
-@pytest.fixture
-def fresh_obs():
-    """Fresh global tracer/registry for the test, restored afterwards."""
-    from repro.obs import set_registry, set_tracer
-
-    old_tracer = get_tracer()
-    old_registry = get_registry()
-    tracer = reset_tracer()
-    registry = reset_registry()
-    yield tracer, registry
-    set_tracer(old_tracer)
-    set_registry(old_registry)
 
 
 def seeded_runner() -> ExperimentRunner:
@@ -115,8 +92,11 @@ def test_validation_resolves_into_one_span_per_simulation(fresh_obs):
         ExperimentConfig(workload="pharmacy", validate=True)
     )
     (experiment,) = tracer.root.children
-    validation, perfect = [
+    (validation,) = [
         child for child in experiment.children if child.name == "validation"
+    ]
+    (perfect,) = [
+        child for child in experiment.children if child.name == "perfect_l2"
     ]
     # Exactly three spans per cell; below them only the tiered engine's
     # compile spans, never one per launch or access.
@@ -126,7 +106,7 @@ def test_validation_resolves_into_one_span_per_simulation(fresh_obs):
     for child in validation.children:
         assert {span.name for span in child.walk()} <= {child.name, "tier_up"}
     assert sum(c.duration for c in validation.children) <= validation.duration
-    assert perfect.meta == {"kind": "perfect_l2"}
+    assert perfect.meta == {"workload": "pharmacy", "input": "train"}
     assert set(result.validation) == set(VALIDATION_STAGES) | {"perfect_l2"}
     # The stage timings reported per result keep their keys.
     assert set(result.timings) == set(PIPELINE_STAGES) | {"validation"}
@@ -178,12 +158,22 @@ def test_parallel_sweep_merges_worker_spans_and_metrics(
 
 
 def test_snapshot_of_real_run_passes_catalog_check(tmp_path, fresh_obs):
-    """`repro obs check` semantics: a pipeline run + harness publish
-    produces every catalog metric with the pinned type."""
+    """`repro obs check` semantics: a pipeline run plus the snapshot-time
+    cache gauges produce every catalog metric with the pinned type, and
+    the harness counts come straight from the runner's stages."""
     _, registry = fresh_obs
     runner = seeded_runner()
     runner.run(ExperimentConfig(workload="pharmacy"))
-    publish_harness_metrics(runner.perf, runner.artifacts)
+    publish_cache_gauges(runner.artifacts)
     path = tmp_path / "metrics_snapshot.json"
     write_snapshot(path, registry)
-    assert check_snapshot(load_snapshot(path)) == []
+    doc = load_snapshot(path)
+    assert check_snapshot(doc) == []
+    metrics = doc["metrics"]
+    # trace, baseline, selection and timing each computed once.
+    assert metrics["harness.cache.misses"]["value"] == 4
+    assert metrics["harness.cache.hits"]["value"] == 0
+    for kind in PIPELINE_STAGES:
+        assert metrics[f"harness.stage.{kind}.misses"]["value"] == 1, kind
+    # Registered at zero even though nothing ran.
+    assert metrics["harness.stage.perfect_l2.misses"]["value"] == 0

@@ -106,6 +106,23 @@ def test_find_and_walk():
     assert [s.name for s in tracer.root.walk()] == ["root", "a", "b", "c"]
 
 
+def test_seconds_by_name_sums_without_double_counting():
+    tree = Span(
+        "root",
+        children=[
+            Span("trace", duration=1.0, children=[Span("trace", duration=0.5)]),
+            Span("sweep", duration=9.0, children=[Span("trace", duration=2.0)]),
+            Span("timing", duration=4.0),
+        ],
+    )
+    # The nested "trace" inside a matched "trace" is already counted.
+    assert tree.seconds_by_name(["trace", "missing"]) == {"trace": 3.0}
+    assert tree.seconds_by_name(("timing", "sweep")) == {
+        "timing": 4.0,
+        "sweep": 9.0,
+    }
+
+
 def test_roundtrip_through_dict():
     tracer = Tracer(clock=FakeClock())
     with tracer.span("outer", k=1):

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.experiment import OUTCOMES, STAGE_KINDS, ExperimentRunner
 from repro.obs import check_snapshot, reset_registry
 from repro.serve import (
     ReproServer,
@@ -211,3 +211,51 @@ def test_backpressure_sheds_with_503_and_retry_after():
             await server.close()
 
     asyncio.run(scenario())
+
+
+def test_served_metrics_count_each_stage_once(fresh_obs):
+    """Three mcf requests at three scopes: the first computes the trace,
+    baseline, selection and timing stages; the next two hit the trace
+    and baseline in memory and compute selection and timing.  The
+    served counts say exactly that, however often ``/metrics`` is read.
+    """
+    config = ServeConfig(
+        port=0, workers=1, no_cache=True, max_instructions=300_000
+    )
+
+    async def scenario():
+        state, server = await _start_daemon(config)
+        snapshots = []
+        try:
+            client = ServeClient(*server.address)
+            for scope in (64, 128, 256):
+                status, _, payload = await client.post_json(
+                    "/v1/run",
+                    {"workload": "mcf", "constraints": {"scope": scope}},
+                )
+                assert status == 200 and payload["status"] == "ok", payload
+                status, snapshot = await client.get_json("/metrics/json")
+                assert status == 200
+                snapshots.append(snapshot)
+            await client.close()
+        finally:
+            await server.close()
+        return state, snapshots
+
+    state, snapshots = asyncio.run(scenario())
+    assert check_snapshot(snapshots[0]) == []
+    metrics = snapshots[-1]["metrics"]
+    assert metrics["harness.cache.misses"]["value"] == 8
+    assert metrics["harness.cache.hits"]["value"] == 4
+    assert metrics["harness.cache.disk_hits"]["value"] == 0
+    # Each total is the sum of its per-kind counts.
+    for outcome in OUTCOMES:
+        assert metrics[f"harness.cache.{outcome}"]["value"] == sum(
+            metrics[f"harness.stage.{kind}.{outcome}"]["value"]
+            for kind in STAGE_KINDS
+        )
+    (trace,) = state.runner._traces.values()
+    assert (
+        metrics["harness.stage.trace.instructions"]["value"]
+        == trace.instructions
+    )
