@@ -33,7 +33,10 @@ shrinking can match "the same failure" across candidate reductions:
     (``ADVagg = LTagg − OHagg``, ``LTagg = DCpt-cm·LT``,
     ``OHagg = DCtrig·OH``, ``OH = SIZEpt·charge``) recomputed against
     :mod:`repro.model.advantage`, and the aggregate prediction's
-    consistency with its per-p-thread parts.
+    consistency with its per-p-thread parts.  The ``slice_prefix``
+    check widens the trace's slice table past the selection's scope and
+    tree depth, derives trees at a narrower config from it, and
+    requires them to equal trees sliced fresh at that config.
 
 ``memory_sanity``
     Cache/MSHR accounting sanity on both simulators: the program
@@ -83,9 +86,20 @@ from repro.engine.compiler import (
     discover_blocks,
 )
 from repro.engine.functional import FunctionalResult, FunctionalSimulator
+from repro.engine.trace import Trace
 from repro.fuzz.generator import FuzzWorkload
 from repro.model.params import ModelParams, SelectionConstraints
-from repro.selection.program_selector import ProgramSelection, select_pthreads
+from repro.selection.program_selector import (
+    ProgramSelection,
+    select_pthreads,
+    slice_tree_depth,
+)
+from repro.slicing.serialize import tree_to_dict
+from repro.slicing.slice_tree import (
+    SliceTree,
+    build_slice_trees,
+    build_slice_trees_for_roots,
+)
 from repro.timing.config import BASELINE, PRE_EXECUTION, MachineConfig
 from repro.timing.core import TimingSimulator
 from repro.timing.stats import SimStats
@@ -496,6 +510,7 @@ def run_oracle(
     # ---- family 4: slice-tree / advantage-model invariants -----------
     check.start("model_invariants")
     _check_model(check, selection, params)
+    _check_slice_prefix(check, func.trace, constraints)
 
     if expired():
         return report
@@ -738,6 +753,47 @@ def _check_model(
         f"covered {prediction.misses_covered} > sample misses "
         f"{prediction.sample_l2_misses}",
     )
+
+
+def _check_slice_prefix(
+    check: _Checker, trace: Trace, constraints: SelectionConstraints
+) -> None:
+    """Trees derived from a widened slice table equal fresh ones.
+
+    Selection sliced the trace at its scope and tree depth.  Widen the
+    table to twice both, then ask for a quarter of the scope and half
+    the depth: every tree must match an exact-config build, children
+    order included (pickles keep it).
+    """
+    scope = constraints.scope
+    depth = slice_tree_depth(constraints)
+    build_slice_trees(trace, scope=2 * scope, max_length=2 * depth)
+    narrow_scope, narrow_depth = scope // 4, depth // 2
+    derived = build_slice_trees(
+        trace, scope=narrow_scope, max_length=narrow_depth
+    )
+    fresh = build_slice_trees_for_roots(
+        trace,
+        trace.miss_indices(3),
+        scope=narrow_scope,
+        max_length=narrow_depth,
+    )
+    check.expect_eq(
+        list(derived), list(fresh), "slice_prefix", "derived tree load PCs"
+    )
+    for load_pc, tree in fresh.items():
+        got = derived.get(load_pc)
+        check.expect(
+            got is not None and _tree_shape(got) == _tree_shape(tree),
+            "slice_prefix",
+            f"load #{load_pc}: tree derived at scope {narrow_scope}, "
+            f"depth {narrow_depth} differs from a fresh build",
+        )
+
+
+def _tree_shape(tree: SliceTree):
+    """Every node field, plus each node's children in insertion order."""
+    return tree_to_dict(tree), [list(node.children) for node in tree.nodes()]
 
 
 def _check_functional_sanity(

@@ -36,6 +36,7 @@ from repro.selection.program_selector import (
     _dc_trig_counts,
     _effective_coverage,
     ProgramPrediction,
+    slice_tree_depth,
 )
 from repro.selection.selector import select_from_tree
 from repro.slicing.slice_tree import build_slice_trees_for_roots
@@ -142,9 +143,11 @@ def select_branch_pthreads(
     for profile in problems:
         roots.extend(profile.mispredicted_indices)
     roots.sort()
-    tree_depth = max(constraints.max_pthread_length * 2, 48)
     trees = build_slice_trees_for_roots(
-        trace, roots, scope=constraints.scope, max_length=tree_depth
+        trace,
+        roots,
+        scope=constraints.scope,
+        max_length=slice_tree_depth(constraints),
     )
     dc_trig = _dc_trig_counts(trace, len(program), 0, None)
 

@@ -127,6 +127,13 @@ class ProgramSelection:
         return "\n".join(lines)
 
 
+def slice_tree_depth(constraints: SelectionConstraints) -> int:
+    """Depth of the slice trees selection builds: twice the longest
+    p-thread, so optimization can shorten longer raw slices, and at
+    least 48."""
+    return max(constraints.max_pthread_length * 2, 48)
+
+
 def _dc_trig_counts(
     trace: Trace, num_static: int, start: int, end: Optional[int]
 ) -> Dict[int, int]:
@@ -230,7 +237,6 @@ def select_pthreads(
     """
     constraints = constraints or SelectionConstraints()
     start, end = region if region is not None else (0, None)
-    tree_depth = max(constraints.max_pthread_length * 2, 48)
     # One span per stage of this call, never one per tree or per body
     # (DESIGN §8): the per-tree loop is the hot one.
     tracer = get_tracer()
@@ -238,7 +244,7 @@ def select_pthreads(
         trees = build_slice_trees(
             trace,
             scope=constraints.scope,
-            max_length=tree_depth,
+            max_length=slice_tree_depth(constraints),
             miss_level=miss_level,
             start=start,
             end=end,

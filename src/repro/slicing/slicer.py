@@ -51,13 +51,24 @@ class DynamicSlice:
         return len(self.indices)
 
 
+def check_bounds(scope: int, max_length: int) -> None:
+    """Reject a slicing scope or slice length below 1."""
+    if scope < 1:
+        raise ValueError("slicing scope must be >= 1")
+    if max_length < 1:
+        raise ValueError("max slice length must be >= 1")
+
+
 class Slicer:
     """Backward slicer over one trace.
 
     The edge columns are read through zero-copy ``memoryview``s taken
     once, at construction: indexing one yields a plain ``int``, with no
     numpy scalar to box and convert per edge, and no copy of the
-    columns.  Build a new slicer after appending to the trace.
+    columns.  The views are of the columns at construction, so build a
+    new slicer after appending to the trace.  The slice tables of
+    :func:`~repro.slicing.slice_tree.build_slice_trees` are tagged with
+    the trace length for the same reason: an append rebuilds them.
 
     Args:
         trace: the dynamic trace to slice.
@@ -69,10 +80,7 @@ class Slicer:
     """
 
     def __init__(self, trace: Trace, scope: int = 1024, max_length: int = 64) -> None:
-        if scope < 1:
-            raise ValueError("slicing scope must be >= 1")
-        if max_length < 1:
-            raise ValueError("max slice length must be >= 1")
+        check_bounds(scope, max_length)
         self.trace = trace
         self.scope = scope
         self.max_length = max_length
@@ -85,8 +93,8 @@ class Slicer:
 
         self._verify = verification_enabled()
 
-    def slice_at(self, root: int) -> DynamicSlice:
-        """Compute the backward slice of the dynamic load at ``root``."""
+    def members(self, root: int) -> List[int]:
+        """Dynamic indices of the slice of ``root``, descending (root first)."""
         dep1 = self._dep1
         dep2 = self._dep2
         memdep = self._memdep
@@ -124,6 +132,14 @@ class Slicer:
                 break
             idx = -heappop(frontier)
             members.append(idx)
+        return members
+
+    def slice_at(self, root: int) -> DynamicSlice:
+        """Compute the backward slice of the dynamic load at ``root``."""
+        members = self.members(root)
+        dep1 = self._dep1
+        dep2 = self._dep2
+        memdep = self._memdep
 
         # A producer outside the slice maps to the member's own position,
         # which is then dropped along with any self-dependence.

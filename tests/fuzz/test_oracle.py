@@ -4,6 +4,7 @@ import pytest
 
 import repro.engine.functional as functional_module
 import repro.fuzz.oracle as oracle_module
+import repro.slicing.slice_tree as slice_tree_module
 from repro.engine.compiler import tier_threshold
 from repro.fuzz.generator import generate
 from repro.fuzz.oracle import CHECK_FAMILIES, CheckFailure, run_oracle
@@ -93,6 +94,22 @@ class TestFailureDetection:
         assert report.failed_checks() == {
             ("engine_equivalence", "engine_availability")
         }
+
+    def test_inexact_slice_derivation_is_caught(self, monkeypatch):
+        # A derivation that skips both cuts hands a narrower request the
+        # table's wider slices.  An exact-config build cuts nothing, so
+        # selection stays clean and only slice_prefix can see it.
+        real_trees = slice_tree_module.SliceTable.trees
+
+        def uncut(self, trace, scope, depth, lo=0, hi=None):
+            return real_trees(self, trace, self.scope, self.depth, lo, hi)
+
+        monkeypatch.setattr(slice_tree_module.SliceTable, "trees", uncut)
+        report = run_oracle(generate(3))
+        assert {(f.family, f.check) for f in report.failures} == {
+            ("model_invariants", "slice_prefix")
+        }
+        assert report.families_run == list(CHECK_FAMILIES)
 
     def test_committed_state_divergence_is_caught(self, monkeypatch):
         # Corrupt the timing simulator's committed register capture:

@@ -55,16 +55,33 @@ def test_experiment_run_emits_nested_spans(fresh_obs):
 
 def test_slice_select_resolves_into_one_span_per_stage(fresh_obs):
     tracer, _ = fresh_obs
-    result = seeded_runner().run(ExperimentConfig(workload="pharmacy"))
-    (experiment,) = tracer.root.children
-    slice_select = experiment.find("slice+select")
-    # Exactly one of each per select_pthreads call, in pipeline order,
-    # with nothing nested below them (no per-tree or per-body spans).
-    names = [child.name for child in slice_select.children]
-    assert names == list(SELECTION_STAGES)
-    for child in slice_select.children:
-        assert child.children == []
-    assert sum(c.duration for c in slice_select.children) <= slice_select.duration
+    runner = seeded_runner()
+    result = runner.run(ExperimentConfig(workload="pharmacy"))
+    # Stage-warm: the trace is cached, the narrower selection is not.
+    runner.run(
+        ExperimentConfig(
+            workload="pharmacy", constraints=SelectionConstraints(scope=512)
+        )
+    )
+    cold, warm = tracer.root.children
+    for experiment, table in ((cold, ["slice_table"]), (warm, [])):
+        slice_select = experiment.find("slice+select")
+        # Exactly one of each per select_pthreads call, in pipeline
+        # order, with nothing nested below them (no per-tree or per-body
+        # spans) but the slice table the trace's first call builds.
+        names = [child.name for child in slice_select.children]
+        assert names == list(SELECTION_STAGES)
+        slice_trees, *rest = slice_select.children
+        assert [child.name for child in slice_trees.children] == table
+        for child in rest:
+            assert child.children == []
+        assert (
+            sum(c.duration for c in slice_select.children)
+            <= slice_select.duration
+        )
+    (span,) = cold.find("slice_trees").children
+    assert span.meta["scope"] == 1024 and span.meta["depth"] == 64
+    assert span.meta["roots"] > 0 and span.meta["members"] >= span.meta["roots"]
     # The stage timings reported per result keep their keys.
     assert set(result.timings) == set(PIPELINE_STAGES)
 
@@ -78,11 +95,13 @@ def test_region_selection_emits_one_span_per_stage_per_region(fresh_obs):
     (experiment,) = tracer.root.children
     slice_select = experiment.find("slice+select")
     # select_by_region calls select_pthreads once per region, and each
-    # call contributes its three stage spans, and nothing else.
+    # call contributes its three stage spans, and nothing else: the
+    # first region slices the trace into a table, the rest derive.
     names = [child.name for child in slice_select.children]
     assert names == list(SELECTION_STAGES) * result.num_regions
-    for child in slice_select.children:
-        assert child.children == []
+    for position, child in enumerate(slice_select.children):
+        table = ["slice_table"] if position == 0 else []
+        assert [span.name for span in child.children] == table
     assert set(result.timings) == set(PIPELINE_STAGES)
 
 

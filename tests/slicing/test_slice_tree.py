@@ -4,8 +4,7 @@ import pytest
 
 from repro.engine.functional import run_program
 from repro.isa import assemble
-from repro.slicing.slice_tree import SliceTree, build_slice_trees
-from repro.slicing.slicer import Slicer
+from repro.slicing.slice_tree import build_slice_trees, build_slice_trees_for_roots
 from repro.workloads import pharmacy
 
 
@@ -21,17 +20,10 @@ class TestInsertion:
                 """
             )
         ).trace
-        tree = SliceTree(load_pc=2)
-        tree.insert(Slicer(trace, scope=10).slice_at(2), trace)
+        tree = build_slice_trees_for_roots(trace, [2], scope=10)[2]
         assert tree.total_misses() == 1
         assert tree.max_depth() == 2
         tree.check_invariants()
-
-    def test_wrong_root_rejected(self):
-        trace = run_program(assemble("addi r1, r0, 4\nlw r2, 0(r1)\nhalt")).trace
-        tree = SliceTree(load_pc=0)
-        with pytest.raises(ValueError):
-            tree.insert(Slicer(trace).slice_at(1), trace)
 
     def test_repeated_paths_share_nodes(self):
         source = """
@@ -46,11 +38,8 @@ class TestInsertion:
             halt
         """
         trace = run_program(assemble(source)).trace
-        slicer = Slicer(trace, scope=100)
-        tree = SliceTree(load_pc=3)
         load_indices = [i for i in range(len(trace)) if trace.pc[i] == 3]
-        for index in load_indices:
-            tree.insert(slicer.slice_at(index), trace)
+        tree = build_slice_trees_for_roots(trace, load_indices, scope=100)[3]
         assert tree.total_misses() == 3
         # First-level child (the slli) is shared by all three paths.
         child = tree.root.children[2]
@@ -133,6 +122,15 @@ class TestBuildSliceTrees:
         trees = build_slice_trees(trace, start=0, end=half)
         total = sum(tree.total_misses() for tree in trees.values())
         assert total == sum(1 for i in trace.miss_indices(3) if i < half)
+
+    def test_bounds_checked_when_deriving(self, pharmacy_small_run):
+        trace = pharmacy_small_run.trace
+        build_slice_trees(trace)
+        # A stored table could serve these; the bounds still apply.
+        with pytest.raises(ValueError):
+            build_slice_trees(trace, scope=0)
+        with pytest.raises(ValueError):
+            build_slice_trees(trace, max_length=0)
 
     def test_miss_level_filter(self, pharmacy_small_run):
         trace = pharmacy_small_run.trace
