@@ -10,16 +10,18 @@ One :class:`ExperimentRunner` reproduces the paper's tool flow:
 4. pre-execution timing simulation (plus the overhead-only /
    latency-only validation modes on request) → measured statistics.
 
-Traces and baseline runs are cached per (workload, input, hierarchy,
-machine) so parameter sweeps (Figures 4–8) only repeat the stages they
-vary.
+Traces are cached per (workload, input, hierarchy), selections per
+selection config, and timing runs per everything the timing model
+reads, so parameter sweeps (Figures 4–8) only repeat the stages they
+vary, and a sweep point that selects an earlier point's p-threads
+simulates nothing.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import assert_clean, verification_enabled
 from repro.engine.functional import FunctionalResult, run_program
@@ -37,8 +39,10 @@ from repro.timing.config import (
     OVERHEAD_SEQUENCE,
     PERFECT_L2,
     PRE_EXECUTION,
+    SimMode,
 )
-from repro.timing.core import Schedule, TimingSimulator
+from repro.pthreads.pthread import StaticPThread
+from repro.timing.core import Schedule, TimingSimulator, schedule_key
 from repro.timing.stats import SimStats
 from repro.workloads.common import SUITE_HIERARCHY
 from repro.workloads.suite import Workload, build
@@ -90,6 +94,17 @@ class ExperimentConfig:
     effective_latency: bool = False
     validate: bool = False
     verify: bool = False
+
+    def __post_init__(self) -> None:
+        for name in (
+            "model_mem_latency",
+            "model_bw_seq",
+            "selection_prefix",
+            "granularity",
+        ):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -158,6 +173,13 @@ STAGE_KINDS = (
 OUTCOMES = ("hits", "disk_hits", "misses")
 
 
+def _simulated(stats: SimStats, outcome: str) -> int:
+    """Instructions a timing run simulated: none when it was not run."""
+    if outcome != "misses":
+        return 0
+    return stats.instructions + stats.pthread_instructions
+
+
 def _count(kind: str, outcome: str, instructions: int = 0) -> None:
     """Record one stage outcome (and what it simulated) in the registry."""
     registry = get_registry()
@@ -198,15 +220,19 @@ class ExperimentDeadlineError(RuntimeError):
 
 
 class ExperimentRunner:
-    """Pipeline driver with trace/baseline caching across sweep cells.
+    """Pipeline runner with stage caching across sweep cells.
 
-    Two cache layers back every expensive stage: an in-memory dict for
-    repeats within this process, and (when ``artifacts`` is given) the
-    persistent content-addressed :class:`ArtifactCache`, which survives
-    across sessions and is shared by the worker processes of a parallel
-    sweep.  Each stage method times itself in a span named by its kind
-    and counts how it was satisfied in the metrics registry
-    (``harness.cache.*`` and ``harness.stage.<kind>.*``).
+    Every expensive stage has an in-memory memo for repeats within this
+    runner.  Traces, selections and the runs that launch no p-threads
+    (baseline, perfect-L2) also go through the persistent
+    content-addressed :class:`ArtifactCache` when ``artifacts`` is
+    given, which survives across invocations and is shared by the worker
+    processes of a parallel sweep.  The timing memo keys each run on
+    everything the timing model reads (:func:`schedule_key`), so cells
+    that execute the same p-threads share one simulation.  Each stage
+    method times itself in a span named by its kind and counts how it
+    was satisfied in the metrics registry (``harness.cache.*`` and
+    ``harness.stage.<kind>.*``).
     """
 
     def __init__(
@@ -226,9 +252,10 @@ class ExperimentRunner:
                 registry.counter(f"harness.stage.{kind}.{name}")
         self._workloads: Dict[Tuple, Workload] = {}
         self._traces: Dict[Tuple, FunctionalResult] = {}
-        self._baselines: Dict[Tuple, SimStats] = {}
-        self._perfect: Dict[Tuple, SimStats] = {}
         self._selections: Dict[str, ProgramSelection] = {}
+        # Timing runs of every mode.  In memory only: the artifact keys
+        # do not change with the timing model's code.
+        self._runs: Dict[Tuple, SimStats] = {}
 
     # -- cached stages --------------------------------------------------
 
@@ -271,14 +298,10 @@ class ExperimentRunner:
             return result
 
     def baseline(self, workload: Workload, machine: MachineConfig) -> SimStats:
-        return self._timed_stats(
-            "baseline", BASELINE, self._baselines, workload, machine
-        )
+        return self._timed_stats("baseline", BASELINE, workload, machine)
 
     def perfect_l2(self, workload: Workload, machine: MachineConfig) -> SimStats:
-        return self._timed_stats(
-            "perfect_l2", PERFECT_L2, self._perfect, workload, machine
-        )
+        return self._timed_stats("perfect_l2", PERFECT_L2, workload, machine)
 
     # -- persistent-cache plumbing --------------------------------------
 
@@ -322,37 +345,69 @@ class ExperimentRunner:
     def _timed_stats(
         self,
         kind: str,
-        mode,
-        memo: Dict[Tuple, SimStats],
+        mode: SimMode,
         workload: Workload,
         machine: MachineConfig,
     ) -> SimStats:
-        """One baseline-family timing simulation, through both caches."""
-        key = (workload.name, workload.input_name, workload.hierarchy, machine)
+        """One run without p-threads, in its own span and count."""
         with get_tracer().span(
             kind, workload=workload.name, input=workload.input_name
         ):
-            stats = memo.get(key)
-            if stats is not None:
-                _count(kind, "hits")
-                return stats
-            payload = None
-            if self.artifacts is not None:
-                disk_key = self._stats_key(kind, workload, machine)
-                payload = self.artifacts.load(kind, disk_key)
-            if payload is not None:
-                _count(kind, "disk_hits")
-                stats = SimStats.from_dict(payload)
-            else:
-                sim = TimingSimulator(
-                    workload.program, workload.hierarchy, machine
-                )
-                stats = sim.run(mode, max_instructions=self.max_instructions)
-                _count(kind, "misses", stats.instructions)
-                if self.artifacts is not None:
-                    self.artifacts.store(kind, disk_key, stats.to_dict())
-            memo[key] = stats
-            return stats
+            stats, outcome = self._simulate(kind, mode, workload, machine)
+        _count(kind, outcome, _simulated(stats, outcome))
+        return stats
+
+    def _simulate(
+        self,
+        kind: str,
+        mode: SimMode,
+        workload: Workload,
+        machine: MachineConfig,
+        pthreads: Optional[Sequence[StaticPThread]] = None,
+        schedule: Optional[Schedule] = None,
+    ) -> Tuple[SimStats, str]:
+        """One timing run through the run memo; returns its stats and
+        how they were satisfied (one of :data:`OUTCOMES`).
+
+        A run that launches no p-threads also goes through the artifact
+        cache under ``kind``: its disk key holds no p-thread field.  Two
+        threads that miss the same key both simulate and store equal
+        stats.  The stats are shared by every cell that hits, so nothing
+        may mutate them.
+        """
+        key = (
+            program_digest(workload.program),
+            workload.hierarchy,
+            machine,
+            mode,
+            self.max_instructions,
+            schedule_key(pthreads, schedule),
+        )
+        stats = self._runs.get(key)
+        if stats is not None:
+            return stats, "hits"
+        outcome = "misses"
+        persisted = self.artifacts is not None and not mode.launch
+        payload = None
+        if persisted:
+            disk_key = self._stats_key(kind, workload, machine)
+            payload = self.artifacts.load(kind, disk_key)
+        if payload is not None:
+            outcome = "disk_hits"
+            stats = SimStats.from_dict(payload)
+        else:
+            sim = TimingSimulator(
+                workload.program,
+                workload.hierarchy,
+                machine,
+                pthreads=pthreads,
+                schedule=schedule,
+            )
+            stats = sim.run(mode, max_instructions=self.max_instructions)
+            if persisted:
+                self.artifacts.store(kind, disk_key, stats.to_dict())
+        self._runs[key] = stats
+        return stats, outcome
 
     def _cached_selection(
         self,
@@ -549,34 +604,24 @@ class ExperimentRunner:
             )
 
         # --- measurement ----------------------------------------------
-        def simulate(mode) -> SimStats:
-            if schedule is not None:
-                sim = TimingSimulator(
-                    workload.program,
-                    workload.hierarchy,
-                    config.machine,
-                    schedule=schedule,
-                )
-            else:
-                sim = TimingSimulator(
-                    workload.program,
-                    workload.hierarchy,
-                    config.machine,
-                    pthreads=selection.pthreads,
-                )
-            return sim.run(mode, max_instructions=self.max_instructions)
-
+        pthreads = selection.pthreads if schedule is None else None
         self._check_deadline(deadline, "timing", config, experiment)
         with tracer.span("timing"):
-            preexec = simulate(PRE_EXECUTION)
-        _count(
-            "timing",
-            "misses",
-            preexec.instructions + preexec.pthread_instructions,
-        )
+            preexec, outcome = self._simulate(
+                "timing",
+                PRE_EXECUTION,
+                workload,
+                config.machine,
+                pthreads,
+                schedule,
+            )
+        _count("timing", outcome, _simulated(preexec, outcome))
         validation: Dict[str, SimStats] = {}
         if config.validate:
             self._check_deadline(deadline, "validation", config, experiment)
+            # One outcome per cell: a hit only when no run simulated.
+            hits = True
+            simulated = 0
             with tracer.span("validation"):
                 # One child span per simulation, named by its key.
                 for key, mode in (
@@ -585,8 +630,18 @@ class ExperimentRunner:
                     ("latency_only", LATENCY_ONLY),
                 ):
                     with tracer.span(key):
-                        validation[key] = simulate(mode)
-            _count("validation", "misses")
+                        stats, outcome = self._simulate(
+                            "validation",
+                            mode,
+                            workload,
+                            config.machine,
+                            pthreads,
+                            schedule,
+                        )
+                    validation[key] = stats
+                    hits = hits and outcome == "hits"
+                    simulated += _simulated(stats, outcome)
+            _count("validation", "hits" if hits else "misses", simulated)
             # perfect_l2 has its own span and cache.
             validation["perfect_l2"] = self.perfect_l2(
                 workload, config.machine

@@ -218,7 +218,7 @@ class SweepExecutor:
         """Run a single cell on the shared runner with a soft budget.
 
         This is the serve daemon's entry point: cells execute in-process
-        so the warm runner caches (traces, baselines, selections, the
+        so the warm runner caches (traces, selections, timing runs, the
         compile memo behind them) are shared across requests.  A budget
         that expires between stages returns the
         :class:`PartialExperimentResult` instead of raising; other

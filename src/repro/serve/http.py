@@ -146,6 +146,8 @@ class ReproServer:
             try:
                 nbytes = int(length)
             except ValueError:
+                nbytes = -1
+            if nbytes < 0:
                 await self._respond(
                     writer, 400,
                     _json_bytes(error_payload("bad content-length")),

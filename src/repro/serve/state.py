@@ -4,8 +4,8 @@ One :class:`ServerState` owns everything that makes the daemon faster
 than one-shot CLI runs:
 
 * a single shared :class:`~repro.harness.experiment.ExperimentRunner`
-  whose in-memory stage caches (workloads, traces, baselines,
-  selections) and the process-wide compile memo behind it stay warm
+  whose in-memory stage caches (workloads, traces, selections, timing
+  runs) and the process-wide compile memo behind it stay warm
   across requests, backed by the persistent
   :class:`~repro.harness.artifacts.ArtifactCache`/``CodeCache``;
 * a bounded submission queue — when it is full the daemon sheds load

@@ -191,6 +191,55 @@ class _DecodedBody:
         self.busy_cycles = (self.bursts[-1][0] if self.bursts else 0) + 1
 
 
+def _normalized(
+    pthreads: Optional[Sequence[StaticPThread]],
+    schedule: Optional[Schedule],
+) -> Schedule:
+    """The schedule a run follows: a p-thread list is one region that
+    spans the whole run."""
+    if schedule is None:
+        schedule = [(0, 1 << 62, list(pthreads or []))]
+    return [(start, end, list(pts)) for start, end, pts in schedule]
+
+
+def schedule_key(
+    pthreads: Optional[Sequence[StaticPThread]] = None,
+    schedule: Optional[Schedule] = None,
+) -> tuple:
+    """What a run reads of its p-threads, as a hashable value.
+
+    Takes the p-threads the way :class:`TimingSimulator` does.  Per
+    region of the normalized schedule the key holds ``(start, end)``,
+    then per p-thread in list order its trigger PC, ``instances_ahead``
+    and each body instruction's ``(op, rd, rs1, rs2, imm, pc)``: all
+    that :class:`_DecodedBody` and :meth:`TimingSimulator._launch`
+    read.  Predictions, merge components, the unoptimized body and the
+    target load PCs are never read, so p-threads that differ only there
+    key equal, and a p-thread list keys equal to its one-region
+    schedule.  Runs of one program, hierarchy, machine, mode and
+    instruction cap whose keys are equal produce equal
+    :class:`SimStats`.
+    """
+    return tuple(
+        (
+            start,
+            end,
+            tuple(
+                (
+                    pthread.trigger_pc,
+                    pthread.instances_ahead,
+                    tuple(
+                        (inst.op, inst.rd, inst.rs1, inst.rs2, inst.imm, inst.pc)
+                        for inst in pthread.body.instructions
+                    ),
+                )
+                for pthread in pts
+            ),
+        )
+        for start, end, pts in _normalized(pthreads, schedule)
+    )
+
+
 class _TimingState:
     """Mutable run state shared between interpreter and dispatcher.
 
@@ -274,11 +323,7 @@ class TimingSimulator:
         self.decoded = DecodedProgram(program)
         self.hierarchy_config = hierarchy_config
         self.machine = machine or MachineConfig()
-        if schedule is None:
-            schedule = [(0, 1 << 62, list(pthreads or []))]
-        self.schedule: Schedule = [
-            (start, end, list(pts)) for start, end, pts in schedule
-        ]
+        self.schedule: Schedule = _normalized(pthreads, schedule)
         self._decoded_bodies: Dict[int, _DecodedBody] = {}
         for _, _, pts in self.schedule:
             for pthread in pts:

@@ -4,11 +4,17 @@ These are integration-grade but kept fast by overriding workload input
 parameters through the runner's workload cache.
 """
 
+import sys
+import threading
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
 from repro.model.params import SelectionConstraints
-from repro.timing.config import MachineConfig
+from repro.timing.config import BASELINE, MachineConfig
+from repro.timing.core import TimingSimulator
 from repro.workloads.suite import Workload, build
 
 
@@ -124,6 +130,74 @@ class TestStageCaching:
         assert stage_count(registry, "perfect_l2", "misses") == 1
         assert stage_count(registry, "perfect_l2", "hits") == 1
 
+    def test_validation_counts_what_it_simulates(self, fresh_obs):
+        _, registry = fresh_obs
+        runner = fresh_small_runner()
+        config = ExperimentConfig(workload="pharmacy", validate=True)
+        first = runner.run(config)
+        simulated = sum(
+            stats.instructions + stats.pthread_instructions
+            for key, stats in first.validation.items()
+            if key != "perfect_l2"
+        )
+        assert stage_count(registry, "validation", "misses") == 1
+        assert stage_count(registry, "validation", "instructions") == simulated
+        # The repeat simulates nothing, and its spans still open.
+        again = runner.run(config)
+        assert stage_count(registry, "validation", "hits") == 1
+        assert stage_count(registry, "validation", "instructions") == simulated
+        assert stage_count(registry, "timing", "hits") == 1
+        assert set(again.timings) == set(first.timings)
+        assert again.validation == first.validation
+
+    def test_configs_selecting_the_same_pthreads_share_one_run(
+        self, fresh_obs, monkeypatch
+    ):
+        _, registry = fresh_obs
+        runs = count_runs(monkeypatch)
+        runner = ExperimentRunner()
+        default = runner.run(VPR_DEFAULT)
+        narrow = runner.run(VPR_NARROW)
+        # Selection reran; the p-threads it chose did not change.
+        assert stage_count(registry, "selection", "misses") == 2
+        assert runs["pre-exec"] == 1
+        assert stage_count(registry, "timing", "misses") == 1
+        assert stage_count(registry, "timing", "hits") == 1
+        assert narrow.preexec.to_dict() == default.preexec.to_dict()
+        # Another machine simulates again, and so does a fresh runner.
+        runner.run(replace(VPR_NARROW, machine=MachineConfig(bw_seq=4)))
+        assert runs["pre-exec"] == 2
+        ExperimentRunner().run(VPR_NARROW)
+        assert runs["pre-exec"] == 3
+        assert stage_count(registry, "timing", "hits") == 1
+
+    def test_threads_sharing_the_memo_get_the_serial_stats(self):
+        """Threads that miss one key together each simulate and store
+        equal stats; every answer equals the serial one."""
+        runner = ExperimentRunner()
+        serial = runner.run(VPR_DEFAULT).preexec.to_dict()
+        runner._runs.clear()  # keep trace and selection, drop every run
+        results = []
+
+        def work(config):
+            results.append(runner.run(config).preexec.to_dict())
+
+        threads = [
+            threading.Thread(target=work, args=(config,))
+            for config in (VPR_DEFAULT, VPR_NARROW, VPR_NARROW)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial] * len(threads)
+
     def test_timings_recorded_per_stage(self, runner):
         result = runner.run(ExperimentConfig(workload="pharmacy"))
         for stage in ("trace", "baseline", "selection", "timing"):
@@ -133,6 +207,28 @@ class TestStageCaching:
 
 def stage_count(registry, kind: str, outcome: str) -> int:
     return registry.counter(f"harness.stage.{kind}.{outcome}").value
+
+
+#: Two vpr.r configs that select the same p-thread: its optimized body
+#: has five instructions, and one p-thread leaves nothing to merge.
+VPR_DEFAULT = ExperimentConfig(workload="vpr.r")
+VPR_NARROW = ExperimentConfig(
+    workload="vpr.r",
+    constraints=SelectionConstraints(max_pthread_length=8, merge=False),
+)
+
+
+def count_runs(monkeypatch) -> Counter:
+    """Count ``TimingSimulator.run`` calls by mode name."""
+    calls: Counter = Counter()
+    run = TimingSimulator.run
+
+    def counted(self, mode=BASELINE, *args, **kwargs):
+        calls[mode.name] += 1
+        return run(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(TimingSimulator, "run", counted)
+    return calls
 
 
 def fresh_small_runner() -> ExperimentRunner:

@@ -213,6 +213,37 @@ def test_backpressure_sheds_with_503_and_retry_after():
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("length", ["-1", "ten"])
+def test_bad_content_length_gets_400(length):
+    """A negative length is as malformed as a non-numeric one: the
+    client gets a 400, not a dropped connection."""
+
+    async def scenario():
+        state, server = await _start_daemon(
+            ServeConfig(port=0, workers=1, no_cache=True)
+        )
+        try:
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(
+                (
+                    "POST /v1/run HTTP/1.1\r\n"
+                    f"Content-Length: {length}\r\n\r\n"
+                ).encode("latin-1")
+            )
+            await writer.drain()
+            response = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.close()
+        return response
+
+    response = asyncio.run(scenario())
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert json.loads(body)["error"] == "bad content-length"
+
+
 def test_served_metrics_count_each_stage_once(fresh_obs):
     """Three mcf requests at three scopes: the first computes the trace,
     baseline, selection and timing stages; the next two hit the trace

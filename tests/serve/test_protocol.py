@@ -59,6 +59,10 @@ def test_full_request_round_trips():
         {"workload": "mcf", "constraints": 5},
         {"workload": "mcf", "constraints": {"no_such_knob": 1}},
         {"workload": "mcf", "machine": {"no_such_knob": 1}},
+        {"workload": "mcf", "granularity": 0},  # below 1
+        {"workload": "mcf", "selection_prefix": -5},
+        {"workload": "mcf", "model_mem_latency": 0},
+        {"workload": "mcf", "model_bw_seq": -1},
     ],
 )
 def test_malformed_requests_raise(doc):
