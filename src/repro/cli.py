@@ -680,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", default=None,
         help=(
             "restrict clear to one artifact kind "
-            "(e.g. codegen, trace, selection)"
+            "(trace, baseline, perfect_l2, selection)"
         ),
     )
     cache_parser.set_defaults(func=_cmd_cache)

@@ -160,18 +160,15 @@ def tier_threshold() -> int:
 def register_engine_metrics() -> None:
     """Register the engine's catalog counters at zero.
 
-    The metric catalog requires ``engine.compile.*``,
-    ``engine.codegen.*`` and ``engine.tier.*`` in every
-    default-pipeline snapshot, but a fully-interpreted tiered run never
-    compiles, a disabled code cache is never consulted, and a
-    non-tiered run never tiers.  ``counter()`` is get-or-create, so
-    this pins the names without incrementing anything.
+    The metric catalog requires ``engine.compile.*`` and
+    ``engine.tier.*`` in every default-pipeline snapshot, but a
+    fully-interpreted tiered run never compiles and a non-tiered run
+    never tiers.  ``counter()`` is get-or-create, so this pins the
+    names without incrementing anything.
     """
     registry = obs_registry()
     registry.counter("engine.compile.programs")
     registry.counter("engine.compile.blocks")
-    registry.counter("engine.codegen.cache_hits")
-    registry.counter("engine.codegen.cache_misses")
     registry.counter("engine.tier.compiled_blocks")
     registry.counter("engine.tier.interp_blocks")
 
@@ -304,12 +301,9 @@ class CompiledBlocks:
             counts instead of bumping counters inside the hot code.
         max_len: longest block (the dispatcher's budget guard).
         source: the generated Python source (for tests and debugging).
-        cache_key: the code-cache key this compilation is stored under
-            (``None`` when the cache is disabled).
         validated: translation validation has proved this source clean
-            (either this process or a previous one, via the cache).
-        from_cache: the source came from the persistent code cache
-            (block discovery and emission were skipped).
+            (the compile memo shares the verdict with every later
+            simulator of this process).
     """
 
     __slots__ = (
@@ -321,9 +315,7 @@ class CompiledBlocks:
         "branches",
         "max_len",
         "source",
-        "cache_key",
         "validated",
-        "from_cache",
     )
 
     def __init__(
@@ -335,9 +327,6 @@ class CompiledBlocks:
         stores,
         branches,
         source,
-        cache_key=None,
-        validated=False,
-        from_cache=False,
     ):
         self.bind = bind
         self.starts = starts
@@ -347,9 +336,7 @@ class CompiledBlocks:
         self.branches = branches
         self.max_len = max(lengths) if lengths else 0
         self.source = source
-        self.cache_key = cache_key
-        self.validated = validated
-        self.from_cache = from_cache
+        self.validated = False
 
     @property
     def num_blocks(self) -> int:
@@ -382,7 +369,7 @@ def _finish(
     blocks: List[Tuple[int, int]],
     counters: List[Tuple[int, int, int]],
     filename: str,
-) -> Optional[CompiledBlocks]:
+) -> CompiledBlocks:
     """Assemble, compile and exec the generated module source."""
     table = ", ".join(
         f"{start}: (_b{start}, {end - start}, {index})"
@@ -405,58 +392,17 @@ def _finish(
     )
 
 
-def _from_cached(
-    payload: Dict, key: str, filename: str
-) -> Optional[CompiledBlocks]:
-    """Rebuild a :class:`CompiledBlocks` from a cached codegen payload.
-
-    Any failure — source that no longer ``exec``s, metadata lists that
-    do not line up — returns ``None`` so the caller falls through to a
-    fresh emission (the bad entry is then overwritten by the fresh
-    store under the same key).
-    """
-    try:
-        source = payload["source"]
-        starts = [int(v) for v in payload["starts"]]
-        lengths = [int(v) for v in payload["lengths"]]
-        loads = [int(v) for v in payload["loads"]]
-        stores = [int(v) for v in payload["stores"]]
-        branches = [int(v) for v in payload["branches"]]
-        if not (
-            isinstance(source, str)
-            and len(starts)
-            == len(lengths)
-            == len(loads)
-            == len(stores)
-            == len(branches)
-        ):
-            return None
-        bind = _exec_module(source, filename)
-    except Exception:
-        return None
-    return CompiledBlocks(
-        bind=bind,
-        starts=starts,
-        lengths=lengths,
-        loads=loads,
-        stores=stores,
-        branches=branches,
-        source=source,
-        cache_key=key,
-        validated=bool(payload.get("validated", False)),
-        from_cache=True,
-    )
-
-
-#: Process-wide memo of finished compilations, keyed exactly like the
-#: persistent code cache.  Compilation is deterministic, but a cold
+#: Process-wide memo of finished compilations, keyed by
+#: :func:`_compile_key`.  Compilation is deterministic, but a cold
 #: pipeline builds many simulator instances per program (functional
 #: trace, baseline, perfect-L2, every timing mode), and each instance
 #: would otherwise re-emit and re-``exec`` the same module.  Bounded
 #: FIFO so fuzz campaigns streaming thousands of distinct programs
-#: through here cannot grow it without limit.
+#: through here cannot grow it without limit.  Generated code lives
+#: here only: it is never persisted, so what runs is always what the
+#: current emitter produces.
 _MEMO_LIMIT = 128
-_compile_memo: "OrderedDict[str, CompiledBlocks]" = OrderedDict()
+_compile_memo: "OrderedDict[tuple, CompiledBlocks]" = OrderedDict()
 # Guards every _compile_memo access: get/move_to_end, put/evict, clear.
 # OrderedDict mutation is not atomic under concurrent callers (the serve
 # daemon compiles from multiple worker threads), so an unguarded
@@ -465,7 +411,7 @@ _compile_memo: "OrderedDict[str, CompiledBlocks]" = OrderedDict()
 _memo_lock = threading.Lock()
 
 
-def _memo_get(key: str) -> Optional[CompiledBlocks]:
+def _memo_get(key: tuple) -> Optional[CompiledBlocks]:
     with _memo_lock:
         memo = _compile_memo.get(key)
         if memo is not None:
@@ -473,7 +419,7 @@ def _memo_get(key: str) -> Optional[CompiledBlocks]:
         return memo
 
 
-def _memo_put(key: str, compiled: CompiledBlocks) -> None:
+def _memo_put(key: tuple, compiled: CompiledBlocks) -> None:
     with _memo_lock:
         _compile_memo[key] = compiled
         _compile_memo.move_to_end(key)
@@ -497,11 +443,11 @@ def clear_compile_memo() -> None:
 # serialize, so the second one finds the first's result in the memo and
 # the module is emitted/exec'd exactly once per key.
 _inflight_lock = threading.Lock()
-_inflight: Dict[str, List] = {}  # key -> [lock, waiter_count]
+_inflight: Dict[tuple, List] = {}  # key -> [lock, waiter_count]
 
 
 @contextmanager
-def _compile_guard(key: str) -> Iterator[None]:
+def _compile_guard(key: tuple) -> Iterator[None]:
     with _inflight_lock:
         entry = _inflight.get(key)
         if entry is None:
@@ -522,57 +468,23 @@ def _compile_guard(key: str) -> Iterator[None]:
 def _compile_key(
     decoded: DecodedProgram,
     target: str,
-    variant: Dict,
+    variant: tuple,
     only_blocks: Optional[Sequence[int]],
-) -> str:
-    """Content-addressed key for one compilation.
+) -> tuple:
+    """Memo key for one compilation: ``(digest, target, variant, blocks)``.
 
-    Identical to :meth:`repro.engine.codecache.CodeCache.key` (same
-    ``stable_key`` parts), so the in-process memo and the persistent
-    cache index the same entries.
+    The program is named by its content digest, not its ``id()``: fuzz
+    campaigns stream thousands of programs through the memo, and
+    CPython reuses the id of a collected object.
     """
-    from repro.engine.codecache import CODEGEN_SCHEMA_VERSION
-    from repro.harness.artifacts import program_digest, stable_key
+    from repro.harness.artifacts import program_digest
 
-    return stable_key(
-        "codegen",
-        program=program_digest(decoded.program),
-        codegen_schema=CODEGEN_SCHEMA_VERSION,
-        target=target,
-        variant=variant,
-        only_blocks=(
-            sorted(only_blocks) if only_blocks is not None else None
-        ),
+    return (
+        program_digest(decoded.program),
+        target,
+        variant,
+        None if only_blocks is None else tuple(sorted(only_blocks)),
     )
-
-
-def _consult_code_cache(
-    key: str,
-    filename: str,
-) -> Tuple[Optional[object], Optional[CompiledBlocks]]:
-    """Memo and code-cache lookup shared by both compilers.
-
-    Returns ``(cache, compiled)`` for the caller-computed ``key`` (see
-    :func:`_compile_key`).  The in-process memo is consulted first (no
-    disk, no counters).  On a disk hit the rebuilt compilation is
-    memoized for the next simulator instance; on a full miss the caller
-    emits fresh source and stores it under ``key``.
-    """
-    from repro.engine.codecache import get_code_cache
-
-    memo = _memo_get(key)
-    if memo is not None:
-        return get_code_cache(), memo
-    cache = get_code_cache()
-    if cache is None:
-        return None, None
-    payload = cache.load(key)
-    if payload is not None:
-        compiled = _from_cached(payload, key, filename)
-        if compiled is not None:
-            _memo_put(key, compiled)
-            return cache, compiled
-    return cache, None
 
 
 # ----------------------------------------------------------------------
@@ -596,20 +508,18 @@ def compile_functional(
     ``only_blocks`` restricts emission to blocks whose leader PC is in
     the set (the tiered engine compiles just its hot subset); the
     dispatch table then covers only those leaders and the dispatcher
-    interprets everything else.  Generated source is served from and
-    stored to the persistent code cache when one is enabled.
+    interprets everything else.  Finished compilations are memoized
+    process-wide.
     """
     n = len(decoded)
     if not n or n > MAX_PROGRAM:
         return None
     filename = "<repro-compiled-functional>"
-    cache_key = _compile_key(
-        decoded, "functional", {"tracing": tracing, "caching": caching}, only_blocks
-    )
-    with _compile_guard(cache_key):
-        cache, cached = _consult_code_cache(cache_key, filename)
-        if cached is not None:
-            return cached
+    key = _compile_key(decoded, "functional", (tracing, caching), only_blocks)
+    with _compile_guard(key):
+        compiled = _memo_get(key)
+        if compiled is not None:
+            return compiled
         blocks = discover_blocks(decoded)
         if only_blocks is not None:
             only = frozenset(only_blocks)
@@ -642,19 +552,7 @@ def compile_functional(
         except _Unsupported:
             return None
         compiled = _finish(lines, blocks, counters, filename)
-        if compiled is not None:
-            _memo_put(cache_key, compiled)
-            if cache is not None:
-                compiled.cache_key = cache_key
-                cache.store(
-                    cache_key,
-                    compiled.source,
-                    compiled.starts,
-                    compiled.lengths,
-                    compiled.loads,
-                    compiled.stores,
-                    compiled.branches,
-                )
+        _memo_put(key, compiled)
         return compiled
 
 
@@ -867,34 +765,34 @@ def compile_timing(
     fallback.
 
     ``only_blocks`` restricts emission to blocks whose leader PC is in
-    the set (tiered hot subset); generated source is served from and
-    stored to the persistent code cache when one is enabled.
+    the set (tiered hot subset); finished compilations are memoized
+    process-wide.
     """
     n = len(decoded)
     if not n or n > MAX_PROGRAM:
         return None
     filename = "<repro-compiled-timing>"
-    cache_key = _compile_key(
+    key = _compile_key(
         decoded,
         "timing",
-        {
-            "window": window,
-            "bw_seq": bw_seq,
-            "dispatch_latency": dispatch_latency,
-            "mispredict_penalty": mispredict_penalty,
-            "forward_latency": forward_latency,
-            "launching": launching,
-            "stealing": stealing,
-            "prefetching": prefetching,
-            "trigger_pcs": sorted(trigger_pcs),
-            "hinted_pcs": sorted(hinted_pcs),
-        },
+        (
+            window,
+            bw_seq,
+            dispatch_latency,
+            mispredict_penalty,
+            forward_latency,
+            launching,
+            stealing,
+            prefetching,
+            trigger_pcs,
+            hinted_pcs,
+        ),
         only_blocks,
     )
-    with _compile_guard(cache_key):
-        cache, cached = _consult_code_cache(cache_key, filename)
-        if cached is not None:
-            return cached
+    with _compile_guard(key):
+        compiled = _memo_get(key)
+        if compiled is not None:
+            return compiled
         blocks = discover_blocks(
             decoded, extra_leaders=sorted(trigger_pcs) if launching else ()
         )
@@ -950,19 +848,7 @@ def compile_timing(
         except _Unsupported:
             return None
         compiled = _finish(lines, blocks, counters, filename)
-        if compiled is not None:
-            _memo_put(cache_key, compiled)
-            if cache is not None:
-                compiled.cache_key = cache_key
-                cache.store(
-                    cache_key,
-                    compiled.source,
-                    compiled.starts,
-                    compiled.lengths,
-                    compiled.loads,
-                    compiled.stores,
-                    compiled.branches,
-                )
+        _memo_put(key, compiled)
         return compiled
 
 

@@ -11,8 +11,7 @@ each other's work instead of re-simulating from scratch.
 
 Layout: ``<root>/<kind>/<aa>/<key>.<ext>`` where ``<aa>`` is the first
 two hex digits of the key (keeps directories small), ``kind`` is one of
-``trace`` / ``baseline`` / ``perfect_l2`` / ``selection`` /
-``codegen``, and the
+``trace`` / ``baseline`` / ``perfect_l2`` / ``selection``, and the
 extension is ``.json`` for the dict-codec kinds or ``.pkl`` for
 selections (whose p-thread bodies are instruction graphs; pickle is the
 pragmatic codec, and the package version baked into every key prevents
@@ -35,6 +34,7 @@ import hashlib
 import json
 import os
 import pickle
+import threading
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -50,7 +50,6 @@ _KIND_CODECS = {
     "baseline": "json",
     "perfect_l2": "json",
     "selection": "pickle",
-    "codegen": "json",
 }
 
 _DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
@@ -180,14 +179,15 @@ class ArtifactCache:
     def store(self, kind: str, key: str, payload) -> None:
         """Atomically persist ``payload`` under ``key``.
 
-        Writes to a per-process temporary name then ``os.replace``s it
-        into place, so concurrent sweep workers racing on the same key
-        each leave a complete file and the last writer wins (they wrote
-        identical bytes anyway — the key is content-addressed).
+        Writes to a temporary name of its own (process and thread id)
+        then ``os.replace``s it into place, so concurrent sweep workers
+        and serve worker threads racing on the same key each leave a
+        complete file and the last writer wins (they wrote identical
+        bytes anyway — the key is content-addressed).
         """
         target = self.path(kind, key)
         target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_suffix(f".{os.getpid()}.tmp")
+        tmp = target.with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             if _KIND_CODECS[kind] == "pickle":
                 with tmp.open("wb") as handle:
@@ -212,24 +212,21 @@ class ArtifactCache:
         return counts
 
     def size_bytes(self, kind: Optional[str] = None) -> int:
-        """Total stored bytes, optionally restricted to one kind."""
-        if kind is not None:
-            if kind not in _KIND_CODECS:
-                raise KeyError(f"unknown artifact kind {kind!r}")
-            base = self.root / kind
-            if not base.is_dir():
-                return 0
-            return sum(
-                path.stat().st_size
-                for path in base.rglob("*")
-                if path.is_file()
-            )
-        if not self.root.is_dir():
+        """Stored bytes of one kind, or of every kind the cache owns.
+
+        Anything else under the root (a retired kind's directory, a
+        stray file) is not counted, just as :meth:`clear` never
+        removes it.
+        """
+        if kind is None:
+            return sum(self.size_bytes(name) for name in _KIND_CODECS)
+        if kind not in _KIND_CODECS:
+            raise KeyError(f"unknown artifact kind {kind!r}")
+        base = self.root / kind
+        if not base.is_dir():
             return 0
         return sum(
-            path.stat().st_size
-            for path in self.root.rglob("*")
-            if path.is_file()
+            path.stat().st_size for path in base.rglob("*") if path.is_file()
         )
 
     def clear(self, kind: Optional[str] = None) -> int:

@@ -27,7 +27,12 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.compiler import ENGINE_ENV, ENGINE_INTERP, ENGINE_TIERED
+from repro.engine.compiler import (
+    ENGINE_ENV,
+    ENGINE_INTERP,
+    ENGINE_TIERED,
+    clear_compile_memo,
+)
 from repro.engine.functional import FunctionalSimulator
 from repro.timing.config import BASELINE
 from repro.timing.core import TimingSimulator
@@ -130,20 +135,16 @@ def _table2_once(workloads: Sequence[str], engine: str) -> Tuple[float, float]:
     wall-clock and the portion spent in the simulation stages
     (:data:`SIM_STAGES`, read from a private span tracer).  Cold
     means *fully* cold: the harness artifact cache is bypassed and the
-    codegen cache — persistent and in-process — is cleared, so every
-    engine pays its real start-up cost.
+    compile memo is cleared, so every engine pays its real start-up
+    cost.
     """
-    from repro.engine.codecache import reset_code_cache
     from repro.harness.parallel import SweepExecutor
     from repro.harness.tables import table2
     from repro.obs import Tracer, get_tracer, set_tracer
 
-    previous = {
-        name: os.environ.get(name) for name in (ENGINE_ENV, "REPRO_CACHE_DIR")
-    }
+    previous = os.environ.get(ENGINE_ENV)
     os.environ[ENGINE_ENV] = engine
-    os.environ["REPRO_CACHE_DIR"] = "off"
-    reset_code_cache()
+    clear_compile_memo()
     outer_tracer = get_tracer()
     tracer = Tracer()
     set_tracer(tracer)
@@ -154,12 +155,11 @@ def _table2_once(workloads: Sequence[str], engine: str) -> Tuple[float, float]:
         total = time.perf_counter() - start
     finally:
         set_tracer(outer_tracer)
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        reset_code_cache()
+        if previous is None:
+            os.environ.pop(ENGINE_ENV, None)
+        else:
+            os.environ[ENGINE_ENV] = previous
+        clear_compile_memo()
     sim = sum(tracer.root.seconds_by_name(SIM_STAGES).values())
     return total, sim
 

@@ -37,11 +37,9 @@ METRIC_CATALOG: Dict[str, str] = {
     # Basic-block code generation.
     "engine.compile.programs": "counter",
     "engine.compile.blocks": "counter",
-    # Tiered engine and the persistent codegen cache.
+    # Tiered engine.
     "engine.tier.compiled_blocks": "counter",
     "engine.tier.interp_blocks": "counter",
-    "engine.codegen.cache_hits": "counter",
-    "engine.codegen.cache_misses": "counter",
     # Timing core (SimStats totals, accumulated across runs).
     "timing.runs": "counter",
     "timing.instructions": "counter",

@@ -3,7 +3,7 @@
 An asyncio HTTP/JSON service over the experiment pipeline: submit a
 workload/scenario, get the selection, measured statistics, and
 table/figure payloads, with warm in-process state (compile memo,
-artifact/code caches, runner stage caches) shared across requests.
+artifact cache, runner stage caches) shared across requests.
 
 Layout:
 

@@ -27,7 +27,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.obs import to_prometheus
 from repro.serve.protocol import (
-    ProtocolError,
     error_payload,
     parse_run_request,
 )

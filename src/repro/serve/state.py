@@ -7,7 +7,7 @@ than one-shot CLI runs:
   whose in-memory stage caches (workloads, traces, selections, timing
   runs) and the process-wide compile memo behind it stay warm
   across requests, backed by the persistent
-  :class:`~repro.harness.artifacts.ArtifactCache`/``CodeCache``;
+  :class:`~repro.harness.artifacts.ArtifactCache`;
 * a bounded submission queue — when it is full the daemon sheds load
   (HTTP 503 + ``Retry-After``) instead of queueing without bound;
 * worker coroutines that drain the queue in small batches and execute

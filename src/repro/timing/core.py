@@ -419,13 +419,9 @@ class TimingSimulator:
                     f"blocks={compiled.num_blocks})",
                 )
                 # The memoized compilation remembers it proved
-                # clean even when no persistent cache is enabled.
+                # clean, so later simulators of this process skip
+                # re-validating it.
                 compiled.validated = True
-                from repro.engine.codecache import get_code_cache
-
-                cache = get_code_cache()
-                if cache is not None:
-                    cache.mark_validated(compiled)
             self._compiled[key] = compiled
         return self._compiled[key]
 

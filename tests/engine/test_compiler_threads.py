@@ -13,7 +13,6 @@ import threading
 import pytest
 
 from repro.engine import compiler
-from repro.engine.codecache import reset_code_cache
 from repro.engine.compiler import (
     _MEMO_LIMIT,
     _memo_len,
@@ -43,12 +42,11 @@ THREADS = 8
 
 
 @pytest.fixture
-def cold_compiler(monkeypatch):
-    """No persistent code cache, empty memo; restored afterwards."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", "off")
-    reset_code_cache()  # also clears the memo
+def cold_compiler():
+    """An empty compile memo, emptied again afterwards."""
+    clear_compile_memo()
     yield
-    reset_code_cache()  # next consult re-reads the restored environment
+    clear_compile_memo()
 
 
 @pytest.fixture

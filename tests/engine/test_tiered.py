@@ -1,30 +1,40 @@
-"""Tiered-engine mechanics and the persistent codegen cache.
+"""Tiered-engine mechanics and the in-process compile memo.
 
 The equivalence suite proves the tiered engine's *results*; these
 tests pin its *mechanics*: the entry-count threshold compiles exactly
 the hot blocks, short runs never pay for codegen, threshold 0 compiles
-every block before the first instruction, warm disk-cache hits skip
-source emission entirely, and a corrupt cache entry degrades to a
-recompile instead of an error.
+every block before the first instruction, and generated code lives
+only in the process that emitted it: nothing reaches the artifact
+cache, a cleared memo emits and validates afresh, and a memo hit
+reuses both the module and its translation-validation verdict.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.analysis import transval
+from repro.analysis.report import VERIFY_ENV
 from repro.engine import compiler
-from repro.engine.codecache import reset_code_cache
 from repro.engine.compiler import (
     ENGINE_INTERP,
     ENGINE_TIERED,
     TIER_ENV,
     TIER_SLICE,
+    clear_compile_memo,
+    compile_functional,
     discover_blocks,
 )
+from repro.engine.decode import DecodedProgram
 from repro.engine.functional import FunctionalSimulator
 from repro.isa import assemble
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.memory import HierarchyConfig
-from repro.obs import reset_registry
 from repro.pthreads.body import PThreadBody
 from repro.pthreads.pthread import PThreadPrediction, StaticPThread
 from repro.timing.config import PRE_EXECUTION
@@ -79,15 +89,6 @@ def _pthread():
     )
 
 
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    """Point the codegen cache at a private root for the test."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    reset_code_cache()
-    yield tmp_path
-    reset_code_cache()
-
-
 class TestTierThreshold:
     def test_hot_blocks_compile_cold_blocks_stay_interpreted(
         self, monkeypatch
@@ -128,9 +129,7 @@ class TestTierThreshold:
         _sim, ref = _run(program, ENGINE_INTERP)
         assert result.to_dict() == ref.to_dict()
 
-    def test_zero_threshold_compiles_every_block_up_front(
-        self, cache_dir, monkeypatch
-    ):
+    def test_zero_threshold_compiles_every_block_up_front(self, monkeypatch):
         # A run too short to reach the first scan at any positive
         # threshold still compiles the whole program, in one tier-up.
         monkeypatch.setenv(TIER_ENV, "0")
@@ -152,9 +151,7 @@ class TestTierThreshold:
         monkeypatch.setattr(compiler, "_emit_functional_block", boom)
         assert sim.validate_codegen(tracing=True, caching=False).ok
 
-    def test_zero_threshold_timing_counts_trigger_leaders(
-        self, cache_dir, monkeypatch
-    ):
+    def test_zero_threshold_timing_counts_trigger_leaders(self, monkeypatch):
         monkeypatch.setenv(TIER_ENV, "0")
         program = _program()
         limit = TIER_SLICE // 2
@@ -189,64 +186,94 @@ class TestTierThreshold:
             _run(_program(), ENGINE_TIERED)
 
 
-def codegen_count(registry, outcome: str) -> int:
-    return registry.counter(f"engine.codegen.cache_{outcome}").value
+#: Run in a fresh process: a tiered functional run and a tiered
+#: pre-execution timing run, each of which must compile something.
+_EAGER_RUNS = """
+from repro.engine.functional import FunctionalSimulator
+from repro.memory import HierarchyConfig
+from repro.timing.config import PRE_EXECUTION
+from repro.timing.core import TimingSimulator
+from tests.engine.test_tiered import _program, _pthread
+
+program = _program()
+functional = FunctionalSimulator(program, engine="tiered")
+functional.run()
+timing = TimingSimulator(
+    program, HierarchyConfig(), pthreads=[_pthread()], engine="tiered"
+)
+timing.run(PRE_EXECUTION)
+assert functional.last_tier["compiled_blocks"] > 0
+assert timing.last_tier["compiled_blocks"] > 0
+"""
 
 
-class TestCodeCache:
-    def test_warm_disk_hit_skips_emission(
-        self, cache_dir, monkeypatch, fresh_obs
+class TestCompileMemo:
+    def test_generated_code_never_reaches_the_artifact_cache(self, tmp_path):
+        # In a fresh process, so that the only cache root it can ever
+        # see is tmp_path.
+        root = Path(__file__).resolve().parents[2]
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
+        env[TIER_ENV] = "0"
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(src), str(root), env.get("PYTHONPATH")))
+        )
+        subprocess.run(
+            [sys.executable, "-c", _EAGER_RUNS],
+            env=env,
+            cwd=root,
+            check=True,
+            timeout=120,
+        )
+        assert not (tmp_path / "codegen").exists()
+
+    def test_compile_after_clearing_the_memo_emits_again(
+        self, tmp_path, monkeypatch
     ):
-        _, registry = fresh_obs
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        emitted = []
+        real = compiler._emit_functional_block
+
+        def counting(*args, **kwargs):
+            emitted.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(compiler, "_emit_functional_block", counting)
+        decoded = DecodedProgram(_program())
+        clear_compile_memo()
+        first = compile_functional(decoded, tracing=True, caching=False)
+        blocks = len(emitted)
+        assert blocks == len(discover_blocks(decoded))
+        assert compile_functional(decoded, tracing=True, caching=False) is first
+        assert len(emitted) == blocks
+        clear_compile_memo()
+        compile_functional(decoded, tracing=True, caching=False)
+        assert len(emitted) == 2 * blocks
+        assert not any(tmp_path.iterdir())
+
+    def test_validation_verdict_lives_as_long_as_the_memo(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv(VERIFY_ENV, "1")
         monkeypatch.setenv(TIER_ENV, "0")
+        checked = []
+        real = transval.validate_functional
+
+        def counting(*args, **kwargs):
+            checked.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transval, "validate_functional", counting)
         program = _program()
-        _sim, cold = _run(program, ENGINE_TIERED)
-        assert codegen_count(registry, "misses") >= 1
-
-        # Fresh process-state: new singleton, new simulator, and source
-        # emission booby-trapped — the warm run must never reach it.
-        reset_code_cache()
-        registry = reset_registry()
-
-        def boom(*args, **kwargs):
-            raise AssertionError("emission not skipped on warm cache")
-
-        monkeypatch.setattr(compiler, "_emit_functional_block", boom)
-        sim, warm = _run(program, ENGINE_TIERED)
-        assert sim.last_tier["interp_blocks"] == 0
-        assert warm.to_dict() == cold.to_dict()
-        assert codegen_count(registry, "hits") >= 1
-        assert codegen_count(registry, "misses") == 0
-
-    def test_tiered_engine_hits_the_same_cache(
-        self, cache_dir, monkeypatch, fresh_obs
-    ):
-        monkeypatch.setenv(TIER_ENV, "10")
-        program = _program()
-        _sim, cold = _run(program, ENGINE_TIERED)
-        reset_code_cache()
-        registry = reset_registry()
-        sim, warm = _run(program, ENGINE_TIERED)
-        assert sim.last_tier["tier_ups"] >= 1
-        assert warm.to_dict() == cold.to_dict()
-        assert codegen_count(registry, "hits") >= 1
-
-    def test_corrupt_entry_falls_back_to_recompile(
-        self, cache_dir, monkeypatch, fresh_obs
-    ):
-        monkeypatch.setenv(TIER_ENV, "0")
-        program = _program()
-        _sim, cold = _run(program, ENGINE_TIERED)
-        entries = list(cache_dir.glob("codegen/*/*.json"))
-        assert entries
-        for entry in entries:
-            entry.write_text("{definitely not json")
-
-        reset_code_cache()
-        registry = reset_registry()
-        sim, warm = _run(program, ENGINE_TIERED)
-        assert sim.last_tier["interp_blocks"] == 0
-        assert warm.to_dict() == cold.to_dict()
-        # The corrupt load counted as a miss and was recomputed.
-        assert codegen_count(registry, "misses") >= 1
-        assert codegen_count(registry, "hits") == 0
+        clear_compile_memo()
+        _run(program, ENGINE_TIERED)
+        assert len(checked) == 1
+        # A second simulator in this process reuses the verdict...
+        _run(program, ENGINE_TIERED)
+        assert len(checked) == 1
+        # ...but a compilation emitted afresh is validated afresh.
+        clear_compile_memo()
+        _run(program, ENGINE_TIERED)
+        assert len(checked) == 2
+        assert not any(tmp_path.iterdir())

@@ -1,6 +1,8 @@
 """Tests for the persistent artifact cache and the runner's stage counts."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -136,6 +138,54 @@ class TestStorage:
         assert cache.size_bytes() > 0
         assert cache.clear() == 4
         assert sum(cache.entry_count().values()) == 0
+
+    def test_size_counts_only_the_kinds_the_cache_owns(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.store("baseline", cache.key("baseline", i=0), {"i": 0})
+        owned = cache.size_bytes("baseline")
+        # A retired kind's directory, as an older tree left it.
+        stray = tmp_path / "codegen" / "ab"
+        stray.mkdir(parents=True)
+        (stray / "ab12.json").write_text("x" * 4096)
+        assert cache.size_bytes() == owned
+        assert sum(cache.entry_count().values()) == 1
+        with pytest.raises(KeyError):
+            cache.size_bytes("codegen")
+
+    def test_threads_storing_one_key(self, tmp_path):
+        # Serve worker threads share one process id, so only the thread
+        # id keeps their temporary names apart.
+        cache = ArtifactCache(tmp_path)
+        key = cache.key("selection", anything=5)
+        payload = {"pthreads": list(range(2000))}
+        writers = 4
+        barrier = threading.Barrier(writers, timeout=30)
+        errors = []
+
+        def store():
+            barrier.wait()
+            for _ in range(40):
+                try:
+                    cache.store("selection", key, payload)
+                except Exception as error:  # pragma: no cover - failure path
+                    errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=store) for _ in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert cache.load("selection", key) == payload
+        assert list(cache.path("selection", key).parent.iterdir()) == [
+            cache.path("selection", key)
+        ]
 
 
 def stage_count(registry, kind: str, outcome: str) -> int:
