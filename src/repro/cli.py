@@ -473,7 +473,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         queue_size=args.queue_size,
-        batch_max=args.batch_max,
         max_instructions=args.max_instructions,
         default_budget_seconds=args.budget,
         no_cache=getattr(args, "no_cache", False),
@@ -737,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=2,
-        help="worker threads executing experiment batches (default 2)",
+        help="worker threads, each running one request at a time (default 2)",
     )
     serve_parser.add_argument(
         "--queue-size", type=int, default=32,
@@ -745,10 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
             "bounded submission queue; a full queue sheds load with "
             "503 + Retry-After (default 32)"
         ),
-    )
-    serve_parser.add_argument(
-        "--batch-max", type=int, default=4,
-        help="max requests drained into one worker batch (default 4)",
     )
     serve_parser.add_argument(
         "--budget", type=float, default=None, metavar="SECONDS",

@@ -3,19 +3,23 @@
 Every evaluation artifact (Tables 1/2, Figures 4-8, the ablations) fans
 out over 10 workloads x many knob settings, but the expensive stages —
 functional tracing, baseline timing, p-thread selection — depend only
-on a small key: (workload program content, input, hierarchy, machine,
-constraints, package version).  :class:`ArtifactCache` stores those
-stage outputs on disk under a stable hash of that key, so repeated
-bench sessions (and the worker processes of a parallel sweep) reuse
-each other's work instead of re-simulating from scratch.
+on a small key: (program content, hierarchy, machine, constraints,
+source tree).  :class:`ArtifactCache` stores those stage outputs on
+disk under a stable hash of that key, so repeated bench sessions (and
+the worker processes of a parallel sweep) reuse each other's work
+instead of re-simulating from scratch.
 
 Layout: ``<root>/<kind>/<aa>/<key>.<ext>`` where ``<aa>`` is the first
 two hex digits of the key (keeps directories small), ``kind`` is one of
 ``trace`` / ``baseline`` / ``perfect_l2`` / ``selection``, and the
 extension is ``.json`` for the dict-codec kinds or ``.pkl`` for
 selections (whose p-thread bodies are instruction graphs; pickle is the
-pragmatic codec, and the package version baked into every key prevents
-stale formats from ever colliding).
+pragmatic codec).  Every key holds :func:`source_digest`, a hash of
+the package's own source, so an entry is only ever read by a tree
+whose every module is byte-identical to the one that wrote it: an edit
+to a codec, a simulator or the selector can never replay an older
+tree's answer.  Each edit therefore starts a cold store; old entries
+stay on disk until ``repro cache clear``.
 
 The root is ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``;
 setting ``REPRO_CACHE_DIR`` to ``off`` / ``0`` / the empty string
@@ -30,6 +34,8 @@ computed is counted by the runner in the metrics registry
 from __future__ import annotations
 
 import dataclasses
+import enum
+import functools
 import hashlib
 import json
 import os
@@ -40,9 +46,6 @@ from typing import Dict, Optional, Union
 
 from repro.isa.program import Program
 from repro.obs import get_registry
-
-#: Bumped whenever an on-disk codec changes shape; part of every key.
-SCHEMA_VERSION = 1
 
 #: Cache kinds and their storage codec.
 _KIND_CODECS = {
@@ -56,36 +59,51 @@ _DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
 
 
 def _json_default(obj):
-    """Canonicalize dataclasses (and tuples of them) for key hashing."""
+    """Canonicalize dataclasses (and tuples of them) and enums for key
+    hashing."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         encoded = {
             f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
         }
         encoded["__type__"] = type(obj).__name__
         return encoded
+    if isinstance(obj, enum.Enum):
+        return obj.name
     if isinstance(obj, (set, frozenset)):
         return sorted(obj)
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for cache key")
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """sha256 over the relative path and bytes of every ``*.py`` file of
+    the imported ``repro`` package, computed once per process.
+
+    It is the code identity in every :func:`stable_key`.  The whole
+    tree is hashed, not each kind's import closure: a per-module digest
+    would keep more hits, but a producer left out of a closure would
+    replay stale artifacts, and a whole-tree digest cannot leave one
+    out.
+    """
+    root = Path(__file__).resolve().parents[1]
+    hasher = hashlib.sha256()
+    names = sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py"))
+    for name in names:
+        data = (root / name).read_bytes()
+        hasher.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        hasher.update(data)
+    return hasher.hexdigest()
+
+
 def stable_key(kind: str, **parts) -> str:
     """A stable hex digest of a cache key description.
 
-    The digest covers the artifact kind, the package and schema
-    versions, and every keyword part (dataclasses are canonicalized
-    field by field), so any change to code version, configuration, or
-    workload identity lands in a different cache slot.
+    The digest covers the artifact kind, :func:`source_digest` and
+    every keyword part (dataclasses are canonicalized field by field,
+    enums by name), so a change to any source file, configuration or
+    workload content lands in a different cache slot.
     """
-    # Imported lazily: repro/__init__ re-exports the harness, so a
-    # module-level import here would be circular.
-    from repro import __version__
-
-    payload = {
-        "kind": kind,
-        "version": __version__,
-        "schema": SCHEMA_VERSION,
-        **parts,
-    }
+    payload = {"kind": kind, "source": source_digest(), **parts}
     blob = json.dumps(payload, sort_keys=True, default=_json_default)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -106,8 +124,9 @@ def program_digest(program: Program) -> str:
     for inst in program.instructions:
         hasher.update(str(inst).encode("utf-8"))
         hasher.update(b"\n")
-    for addr, value in sorted(program.data.words.items()):
-        hasher.update(f"{addr}:{value};".encode("ascii"))
+    # The data image in insertion order: exact for any int, and a build
+    # that stored the same words in another order can only miss.
+    hasher.update(repr(program.data.words).encode("ascii"))
     digest = hasher.hexdigest()
     program._repro_digest = digest
     return digest
@@ -142,11 +161,6 @@ class ArtifactCache:
         return cls(Path.home() / ".cache" / "repro")
 
     # -- paths ----------------------------------------------------------
-
-    def key(self, kind: str, **parts) -> str:
-        if kind not in _KIND_CODECS:
-            raise KeyError(f"unknown artifact kind {kind!r}")
-        return stable_key(kind, **parts)
 
     def path(self, kind: str, key: str) -> Path:
         ext = "pkl" if _KIND_CODECS[kind] == "pickle" else "json"

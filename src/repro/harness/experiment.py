@@ -10,18 +10,18 @@ One :class:`ExperimentRunner` reproduces the paper's tool flow:
 4. pre-execution timing simulation (plus the overhead-only /
    latency-only validation modes on request) → measured statistics.
 
-Traces are cached per (workload, input, hierarchy), selections per
-selection config, and timing runs per everything the timing model
-reads, so parameter sweeps (Figures 4–8) only repeat the stages they
-vary, and a sweep point that selects an earlier point's p-threads
-simulates nothing.
+Every stage value is memoized on the key of what produced it — traces
+per program and hierarchy, selections per selection config, timing runs
+per everything the timing model reads — so parameter sweeps (Figures
+4–8) only repeat the stages they vary, and a sweep point that selects
+an earlier point's p-threads simulates nothing.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import assert_clean, verification_enabled
 from repro.engine.functional import FunctionalResult, run_program
@@ -172,6 +172,16 @@ STAGE_KINDS = (
 #: the persistent artifact cache, or by computing it.
 OUTCOMES = ("hits", "disk_hits", "misses")
 
+#: The stage kinds the artifact cache persists, each with the class
+#: whose ``to_dict`` / ``from_dict`` carry it to and from JSON (``None``:
+#: pickled as is).  Pre-exec and validation runs stay in memory.
+PERSISTED = {
+    "trace": FunctionalResult,
+    "baseline": SimStats,
+    "perfect_l2": SimStats,
+    "selection": None,
+}
+
 
 def _simulated(stats: SimStats, outcome: str) -> int:
     """Instructions a timing run simulated: none when it was not run."""
@@ -222,16 +232,17 @@ class ExperimentDeadlineError(RuntimeError):
 class ExperimentRunner:
     """Pipeline runner with stage caching across sweep cells.
 
-    Every expensive stage has an in-memory memo for repeats within this
-    runner.  Traces, selections and the runs that launch no p-threads
-    (baseline, perfect-L2) also go through the persistent
-    content-addressed :class:`ArtifactCache` when ``artifacts`` is
+    Every stage goes through one memo, keyed ``(kind, key)`` where
+    ``key`` is the :func:`stable_key` of what the stage reads.  The
+    :data:`PERSISTED` kinds (traces, selections and the runs that launch
+    no p-threads) also go through the persistent content-addressed
+    :class:`ArtifactCache` under that same key when ``artifacts`` is
     given, which survives across invocations and is shared by the worker
-    processes of a parallel sweep.  The timing memo keys each run on
-    everything the timing model reads (:func:`schedule_key`), so cells
-    that execute the same p-threads share one simulation.  Each stage
-    method times itself in a span named by its kind and counts how it
-    was satisfied in the metrics registry (``harness.cache.*`` and
+    processes of a parallel sweep.  Timing runs key on everything the
+    timing model reads (:func:`schedule_key` for the p-threads), so
+    cells that execute the same p-threads share one simulation.  Each
+    stage method times itself in a span named by its kind and counts how
+    it was satisfied in the metrics registry (``harness.cache.*`` and
     ``harness.stage.<kind>.*``).
     """
 
@@ -251,11 +262,10 @@ class ExperimentRunner:
             for name in OUTCOMES + ("instructions",):
                 registry.counter(f"harness.stage.{kind}.{name}")
         self._workloads: Dict[Tuple, Workload] = {}
-        self._traces: Dict[Tuple, FunctionalResult] = {}
-        self._selections: Dict[str, ProgramSelection] = {}
-        # Timing runs of every mode.  In memory only: the artifact keys
-        # do not change with the timing model's code.
-        self._runs: Dict[Tuple, SimStats] = {}
+        # Every stage value, by (kind, stable key).  Pre-exec and
+        # validation runs live only here: they are the per-config work
+        # a warm sweep still does, and what `warm_table2` times.
+        self._memo: Dict[Tuple[str, str], Any] = {}
 
     # -- cached stages --------------------------------------------------
 
@@ -275,26 +285,20 @@ class ExperimentRunner:
         return self._workloads[key]
 
     def trace(self, workload: Workload) -> FunctionalResult:
-        key = (workload.name, workload.input_name, workload.hierarchy)
         with get_tracer().span(
             "trace", workload=workload.name, input=workload.input_name
         ):
-            result = self._traces.get(key)
-            if result is not None:
-                _count("trace", "hits")
-                return result
-            result = self._trace_from_disk(workload)
-            if result is not None:
-                _count("trace", "disk_hits")
-            else:
-                result = run_program(
+            result, outcome = self._stage(
+                "trace",
+                workload,
+                lambda: run_program(
                     workload.program,
                     workload.hierarchy,
                     max_instructions=self.max_instructions,
-                )
-                _count("trace", "misses", result.instructions)
-                self._trace_to_disk(workload, result)
-            self._traces[key] = result
+                ),
+            )
+            simulated = result.instructions if outcome == "misses" else 0
+            _count("trace", outcome, simulated)
             return result
 
     def baseline(self, workload: Workload, machine: MachineConfig) -> SimStats:
@@ -303,44 +307,52 @@ class ExperimentRunner:
     def perfect_l2(self, workload: Workload, machine: MachineConfig) -> SimStats:
         return self._timed_stats("perfect_l2", PERFECT_L2, workload, machine)
 
-    # -- persistent-cache plumbing --------------------------------------
+    # -- the stage memo and the artifact cache ---------------------------
 
-    def _trace_key(self, workload: Workload) -> str:
-        return self.artifacts.key(
-            "trace",
-            program=program_digest(workload.program),
-            workload=workload.name,
-            input=workload.input_name,
-            hierarchy=workload.hierarchy,
-            max_instructions=self.max_instructions,
-        )
+    def _stage(
+        self,
+        kind: str,
+        workload: Workload,
+        compute: Callable[[], Any],
+        **parts,
+    ) -> Tuple[Any, str]:
+        """One ``kind`` stage of ``workload`` through the memo, the
+        artifact cache, then ``compute``.
 
-    def _trace_from_disk(self, workload: Workload) -> Optional[FunctionalResult]:
-        if self.artifacts is None:
-            return None
-        payload = self.artifacts.load("trace", self._trace_key(workload))
-        if payload is None:
-            return None
-        return FunctionalResult.from_dict(payload)
-
-    def _trace_to_disk(self, workload: Workload, result: FunctionalResult) -> None:
-        if self.artifacts is not None:
-            self.artifacts.store(
-                "trace", self._trace_key(workload), result.to_dict()
-            )
-
-    def _stats_key(
-        self, kind: str, workload: Workload, machine: MachineConfig
-    ) -> str:
-        return self.artifacts.key(
+        The key is the :func:`stable_key` of the program content,
+        hierarchy, instruction cap and ``parts``; it names the value in
+        the memo and, for the :data:`PERSISTED` kinds only, on disk.
+        Returns the value and how it was satisfied (one of
+        :data:`OUTCOMES`).  Two threads that miss one key both compute
+        and store equal values.  A hit hands out the value the stage
+        produced, shared by every cell that hits, so nothing may mutate
+        it.
+        """
+        key = stable_key(
             kind,
             program=program_digest(workload.program),
-            workload=workload.name,
-            input=workload.input_name,
             hierarchy=workload.hierarchy,
-            machine=machine,
             max_instructions=self.max_instructions,
+            **parts,
         )
+        value = self._memo.get((kind, key))
+        if value is not None:
+            return value, "hits"
+        persisted = self.artifacts is not None and kind in PERSISTED
+        codec = PERSISTED.get(kind)
+        payload = self.artifacts.load(kind, key) if persisted else None
+        if payload is not None:
+            value = payload if codec is None else codec.from_dict(payload)
+            outcome = "disk_hits"
+        else:
+            value = compute()
+            outcome = "misses"
+            if persisted:
+                self.artifacts.store(
+                    kind, key, value if codec is None else value.to_dict()
+                )
+        self._memo[(kind, key)] = value
+        return value, outcome
 
     def _timed_stats(
         self,
@@ -366,48 +378,23 @@ class ExperimentRunner:
         pthreads: Optional[Sequence[StaticPThread]] = None,
         schedule: Optional[Schedule] = None,
     ) -> Tuple[SimStats, str]:
-        """One timing run through the run memo; returns its stats and
-        how they were satisfied (one of :data:`OUTCOMES`).
-
-        A run that launches no p-threads also goes through the artifact
-        cache under ``kind``: its disk key holds no p-thread field.  Two
-        threads that miss the same key both simulate and store equal
-        stats.  The stats are shared by every cell that hits, so nothing
-        may mutate them.
-        """
-        key = (
-            program_digest(workload.program),
-            workload.hierarchy,
-            machine,
-            mode,
-            self.max_instructions,
-            schedule_key(pthreads, schedule),
-        )
-        stats = self._runs.get(key)
-        if stats is not None:
-            return stats, "hits"
-        outcome = "misses"
-        persisted = self.artifacts is not None and not mode.launch
-        payload = None
-        if persisted:
-            disk_key = self._stats_key(kind, workload, machine)
-            payload = self.artifacts.load(kind, disk_key)
-        if payload is not None:
-            outcome = "disk_hits"
-            stats = SimStats.from_dict(payload)
-        else:
-            sim = TimingSimulator(
+        """One timing run through :meth:`_stage`, keyed on everything the
+        timing model reads; returns its stats and how they were
+        satisfied."""
+        return self._stage(
+            kind,
+            workload,
+            lambda: TimingSimulator(
                 workload.program,
                 workload.hierarchy,
                 machine,
                 pthreads=pthreads,
                 schedule=schedule,
-            )
-            stats = sim.run(mode, max_instructions=self.max_instructions)
-            if persisted:
-                self.artifacts.store(kind, disk_key, stats.to_dict())
-        self._runs[key] = stats
-        return stats, outcome
+            ).run(mode, max_instructions=self.max_instructions),
+            machine=machine,
+            mode=mode,
+            schedule=schedule_key(pthreads, schedule),
+        )
 
     def _cached_selection(
         self,
@@ -419,33 +406,12 @@ class ExperimentRunner:
         lmem_overrides: Optional[Dict[int, float]],
     ) -> ProgramSelection:
         """Whole-run p-thread selection, through both cache layers."""
-        key = stable_key(
-            "selection",
-            program=program_digest(profile_workload.program),
-            workload=profile_workload.name,
-            input=profile_workload.input_name,
-            hierarchy=profile_workload.hierarchy,
-            params=params,
-            constraints=constraints,
-            region=list(region) if region is not None else None,
-            lmem_overrides=lmem_overrides,
-            max_instructions=self.max_instructions,
-        )
-        cached = self._selections.get(key)
-        if cached is not None:
-            _count("selection", "hits")
-            return cached
-        selection = None
-        if self.artifacts is not None:
-            selection = self.artifacts.load("selection", key)
-            if selection is not None:
-                _count("selection", "disk_hits")
-        if selection is None:
-            _count("selection", "misses")
+
+        def select() -> ProgramSelection:
             with get_tracer().span(
                 "slice+select", workload=profile_workload.name
             ):
-                selection = select_pthreads(
+                return select_pthreads(
                     profile_workload.program,
                     profile_trace.trace,
                     params,
@@ -453,9 +419,17 @@ class ExperimentRunner:
                     region=region,
                     lmem_overrides=lmem_overrides,
                 )
-            if self.artifacts is not None:
-                self.artifacts.store("selection", key, selection)
-        self._selections[key] = selection
+
+        selection, outcome = self._stage(
+            "selection",
+            profile_workload,
+            select,
+            params=params,
+            constraints=constraints,
+            region=region,
+            lmem_overrides=lmem_overrides,
+        )
+        _count("selection", outcome)
         return selection
 
     # -- pipeline -------------------------------------------------------

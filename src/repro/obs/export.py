@@ -100,7 +100,6 @@ AUXILIARY_METRICS: Dict[str, str] = {
     "serve.requests.budget_exceeded": "counter",
     "serve.requests.cache_hits": "counter",
     "serve.queue.depth": "gauge",
-    "serve.batch.size": "histogram",
     "serve.request.seconds": "histogram",
 }
 

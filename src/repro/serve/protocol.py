@@ -17,6 +17,7 @@ stages that did complete; see
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Dict, Optional
 
 from repro.harness.experiment import (
@@ -26,7 +27,7 @@ from repro.harness.experiment import (
 )
 from repro.model.params import SelectionConstraints
 from repro.timing.config import MachineConfig
-from repro.workloads.suite import SUITE
+from repro.workloads.suite import SUITE, available_inputs
 
 SERVE_SCHEMA_VERSION = 1
 
@@ -101,9 +102,22 @@ def parse_run_request(doc: Any) -> RunRequest:
         raise ProtocolError(
             f"unknown workload {workload!r} (known: {sorted(known)})"
         )
+    inputs = available_inputs(workload)
+    for key in ("input", "selection_input"):
+        if doc.get(key) is not None and doc[key] not in inputs:
+            raise ProtocolError(
+                f"{workload!r} has no {key} {doc[key]!r} (known: {inputs})"
+            )
     budget = doc.get("budget_seconds")
-    if budget is not None and budget <= 0:
-        raise ProtocolError("'budget_seconds' must be positive")
+    if budget is not None:
+        # json.loads accepts NaN, Infinity and ints no float can hold;
+        # none of them is a budget.
+        try:
+            budget = float(budget)
+        except OverflowError:
+            budget = math.inf
+        if not (math.isfinite(budget) and budget > 0):
+            raise ProtocolError("'budget_seconds' must be finite and positive")
     constraints = _nested(doc, "constraints", SelectionConstraints)
     machine = _nested(doc, "machine", MachineConfig)
     kwargs: Dict[str, Any] = {
@@ -126,10 +140,7 @@ def parse_run_request(doc: Any) -> RunRequest:
         config = ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"invalid request: {error}") from None
-    return RunRequest(
-        config=config,
-        budget_seconds=float(budget) if budget is not None else None,
-    )
+    return RunRequest(config=config, budget_seconds=budget)
 
 
 def request_cache_key(request: RunRequest) -> str:

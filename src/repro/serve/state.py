@@ -10,9 +10,9 @@ than one-shot CLI runs:
   :class:`~repro.harness.artifacts.ArtifactCache`;
 * a bounded submission queue — when it is full the daemon sheds load
   (HTTP 503 + ``Retry-After``) instead of queueing without bound;
-* worker coroutines that drain the queue in small batches and execute
-  them through :meth:`SweepExecutor.run_one` on a thread pool, so the
-  event loop never blocks on a simulation;
+* worker coroutines that each take one queued job at a time and
+  execute it through :meth:`SweepExecutor.run_one` on a thread pool, so
+  the event loop never blocks on a simulation;
 * a bounded response cache keyed on the canonical request config, so a
   repeat submission is answered without re-entering the pipeline;
 * a bounded span-tree history backing ``/trace/<id>``.
@@ -56,7 +56,6 @@ class ServeConfig:
     port: int = 8421
     workers: int = 2
     queue_size: int = 32
-    batch_max: int = 4
     max_instructions: int = 10_000_000
     default_budget_seconds: Optional[float] = None
     response_cache_size: int = 256
@@ -128,7 +127,6 @@ class ServerState:
         ):
             registry.counter(name)
         registry.gauge("serve.queue.depth")
-        registry.histogram("serve.batch.size")
         registry.histogram("serve.request.seconds", buckets=LATENCY_BUCKETS)
 
     def _count(self, name: str, amount: int = 1) -> None:
@@ -204,62 +202,47 @@ class ServerState:
     async def _worker_loop(self, index: int) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            batch = [await self._queue.get()]
-            while len(batch) < max(1, self.config.batch_max):
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            registry = get_registry()
-            registry.gauge("serve.queue.depth").set(self._queue.qsize())
-            registry.histogram("serve.batch.size").observe(len(batch))
+            job = await self._queue.get()
+            get_registry().gauge("serve.queue.depth").set(self._queue.qsize())
             try:
-                await loop.run_in_executor(
-                    self._pool, self._run_batch, batch
-                )
+                await loop.run_in_executor(self._pool, self._run_job, job)
             except Exception as error:  # pool torn down mid-flight
-                for job in batch:
-                    if not job.future.done():
-                        job.future.set_exception(error)
+                if not job.future.done():
+                    job.future.set_exception(error)
             finally:
-                for _ in batch:
-                    self._queue.task_done()
+                self._queue.task_done()
 
-    def _run_batch(self, batch: List[_Job]) -> None:
-        """Execute one drained batch on the shared runner (worker thread).
+    def _run_job(self, job: _Job) -> None:
+        """Execute one job on the shared runner (worker thread).
 
-        Each job gets its own ``request`` span; the contextvars-scoped
-        tracer keeps concurrent batches' spans from nesting under each
-        other.  Failures resolve the job's future with the exception —
-        one bad request never poisons its batchmates.
+        The job gets its own ``request`` span; the contextvars-scoped
+        tracer keeps concurrent jobs' spans from nesting under each
+        other.  A failure resolves the job's future with the exception.
         """
         tracer = get_tracer()
-        for job in batch:
-            try:
-                with tracer.span(
-                    "request",
-                    id=job.request_id,
-                    workload=job.request.config.workload,
-                ) as span:
-                    payload = self._execute(job.request)
-                spans = span.to_dict()
-                tracer.root.children.remove(span)
-            except Exception as error:
-                self._count("serve.requests.errors")
-                job.loop.call_soon_threadsafe(
-                    _resolve, job.future, None, error
-                )
-                continue
-            registry = get_registry()
-            registry.histogram(
-                "serve.request.seconds", buckets=LATENCY_BUCKETS
-            ).observe(span.duration)
-            if payload["status"] == "ok":
-                self._count("serve.requests.ok")
-            else:
-                self._count("serve.requests.budget_exceeded")
-            self._record(job.request_id, job.request, payload, spans)
-            job.loop.call_soon_threadsafe(_resolve, job.future, payload, None)
+        try:
+            with tracer.span(
+                "request",
+                id=job.request_id,
+                workload=job.request.config.workload,
+            ) as span:
+                payload = self._execute(job.request)
+            spans = span.to_dict()
+            tracer.root.children.remove(span)
+        except Exception as error:
+            self._count("serve.requests.errors")
+            job.loop.call_soon_threadsafe(_resolve, job.future, None, error)
+            return
+        registry = get_registry()
+        registry.histogram(
+            "serve.request.seconds", buckets=LATENCY_BUCKETS
+        ).observe(span.duration)
+        if payload["status"] == "ok":
+            self._count("serve.requests.ok")
+        else:
+            self._count("serve.requests.budget_exceeded")
+        self._record(job.request_id, job.request, payload, spans)
+        job.loop.call_soon_threadsafe(_resolve, job.future, payload, None)
 
     def _execute(self, request: RunRequest) -> Dict[str, Any]:
         budget = (

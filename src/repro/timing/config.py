@@ -56,6 +56,15 @@ class MachineConfig:
             raise ValueError("pthread_contexts must be >= 0")
         if self.pthread_burst < 1 or self.pthread_burst_period < 1:
             raise ValueError("p-thread burst parameters must be >= 1")
+        for name in (
+            "dispatch_latency",
+            "mispredict_penalty",
+            "store_forward_latency",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.stride_degree < 1:
+            raise ValueError("stride_degree must be >= 1")
 
     def with_width(self, width: int) -> "MachineConfig":
         """Copy with a different sequencing width (width sweeps)."""

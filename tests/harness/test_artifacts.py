@@ -1,25 +1,55 @@
 """Tests for the persistent artifact cache and the runner's stage counts."""
 
 import json
+import os
+import shutil
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.harness.artifacts import (
     ArtifactCache,
     program_digest,
     publish_cache_gauges,
+    source_digest,
     stable_key,
 )
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
+from repro.isa.opcodes import Opcode
 from repro.memory.hierarchy import HierarchyConfig
 from repro.obs import reset_registry
 from repro.timing.config import MachineConfig
 from repro.timing.stats import SimStats
-from repro.workloads.suite import build
+from repro.workloads.suite import SUITE, build
 
 SMALL_PHARMACY = dict(n_xact=700, n_drugs=16384, hot_drugs=1024)
+
+#: The ``repro`` package under test.
+PACKAGE = Path(repro.__file__).resolve().parent
+
+
+def python(script, *args, package=PACKAGE, **env):
+    """Start ``script`` in a fresh interpreter that imports ``package``."""
+    environ = dict(os.environ, PYTHONPATH=str(package.parent), **env)
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=environ,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def output(process) -> str:
+    """The stdout of a finished ``process``; its stderr if it failed."""
+    stdout, stderr = process.communicate(timeout=120)
+    assert process.returncode == 0, stderr
+    return stdout
 
 
 def small_runner(cache_dir) -> ExperimentRunner:
@@ -64,6 +94,106 @@ class TestStableKey:
         with pytest.raises(TypeError):
             stable_key("trace", payload=object())
 
+    def test_enums_encode_by_name(self):
+        # schedule_key holds each p-thread instruction's Opcode.
+        add = stable_key("timing", schedule=((0, None, ((Opcode.ADD,),)),))
+        sub = stable_key("timing", schedule=((0, None, ((Opcode.SUB,),)),))
+        assert add != sub
+        assert add == stable_key(
+            "timing", schedule=((0, None, ((Opcode.ADD,),)),)
+        )
+
+
+#: Stores a small trace and baseline in the cache at ``argv[1]``; prints
+#: where ``repro`` came from, the baseline's cycles and the stage counts.
+STAGES = """
+import json, sys
+import repro
+from repro.harness.artifacts import ArtifactCache
+from repro.harness.experiment import ExperimentRunner
+from repro.obs import get_registry
+from repro.timing.config import MachineConfig
+from repro.workloads.suite import build
+
+runner = ExperimentRunner(artifacts=ArtifactCache(sys.argv[1]))
+workload = build("pharmacy", "train", n_xact=300, n_drugs=4096, hot_drugs=512)
+runner.trace(workload)
+stats = runner.baseline(workload, MachineConfig())
+print(json.dumps({
+    "package": repro.__file__,
+    "cycles": stats.cycles,
+    "counts": {
+        f"{kind}.{outcome}": get_registry().counter(
+            f"harness.stage.{kind}.{outcome}"
+        ).value
+        for kind in ("trace", "baseline")
+        for outcome in ("misses", "disk_hits")
+    },
+}))
+"""
+
+#: Appended to ``timing/core.py``: every timing run reports 1,000 more
+#: cycles, as a timing-model edit would.
+SLOWER_CORE = """
+
+_unedited_run = TimingSimulator.run
+
+
+def _edited_run(self, *args, **kwargs):
+    stats = _unedited_run(self, *args, **kwargs)
+    stats.cycles += 1000
+    return stats
+
+
+TimingSimulator.run = _edited_run
+"""
+
+
+class TestSourceDigest:
+    def test_stable_within_a_process(self):
+        assert source_digest() == source_digest()
+        assert len(source_digest()) == 64
+
+    def test_any_source_edit_recomputes(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(
+            PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        cache = tmp_path / "cache"
+
+        def stages():
+            report = json.loads(output(python(STAGES, cache, package=package)))
+            imported = Path(report["package"]).resolve()
+            assert imported.parent == package.resolve()
+            return report["cycles"], report["counts"]
+
+        computed = {
+            "trace.misses": 1,
+            "trace.disk_hits": 0,
+            "baseline.misses": 1,
+            "baseline.disk_hits": 0,
+        }
+        cycles, counts = stages()
+        assert counts == computed
+        # Unedited, both stages come from the store.
+        assert stages() == (
+            cycles,
+            {
+                "trace.misses": 0,
+                "trace.disk_hits": 1,
+                "baseline.misses": 0,
+                "baseline.disk_hits": 1,
+            },
+        )
+        # A timing-model edit recomputes both, and the new cycles show.
+        core = package / "timing" / "core.py"
+        core.write_text(core.read_text() + SLOWER_CORE)
+        assert stages() == (cycles + 1000, computed)
+        # So does a comment in a module no stage imports.
+        client = package / "serve" / "client.py"
+        client.write_text(client.read_text() + "\n# edited\n")
+        assert stages() == (cycles + 1000, computed)
+
 
 class TestProgramDigest:
     def test_same_build_same_digest(self):
@@ -81,6 +211,23 @@ class TestProgramDigest:
         first = program_digest(workload.program)
         assert workload.program._repro_digest == first
         assert program_digest(workload.program) == first
+
+    def test_build_order_ignores_the_hash_seed(self):
+        # The data image is hashed in insertion order, so a generator
+        # that stored words in set or str-keyed dict order would miss
+        # (never hit wrongly) under another PYTHONHASHSEED.
+        script = (
+            "from repro.harness.artifacts import program_digest\n"
+            "from repro.workloads.suite import SUITE, build\n"
+            "for name in [*SUITE, 'pharmacy']:\n"
+            "    print(name, program_digest(build(name, 'test').program))\n"
+        )
+        digests = [
+            output(python(script, PYTHONHASHSEED=seed))
+            for seed in ("0", "987")
+        ]
+        assert digests[0] == digests[1]
+        assert len(digests[0].splitlines()) == len(SUITE) + 1
 
 
 class TestFromEnv:
@@ -103,7 +250,7 @@ class TestStorage:
         cache = ArtifactCache(tmp_path)
         stats = SimStats(mode="baseline", cycles=100, instructions=80)
         stats.miss_exposure = {12: [3, 210.0]}
-        key = cache.key("baseline", anything=1)
+        key = stable_key("baseline", anything=1)
         assert cache.load("baseline", key) is None
         cache.store("baseline", key, stats.to_dict())
         loaded = SimStats.from_dict(cache.load("baseline", key))
@@ -111,13 +258,13 @@ class TestStorage:
 
     def test_pickle_round_trip(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        key = cache.key("selection", anything=2)
+        key = stable_key("selection", anything=2)
         cache.store("selection", key, {"pthreads": [1, 2, 3]})
         assert cache.load("selection", key) == {"pthreads": [1, 2, 3]}
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        key = cache.key("baseline", anything=3)
+        key = stable_key("baseline", anything=3)
         cache.store("baseline", key, {"cycles": 1})
         cache.path("baseline", key).write_text("{ not json")
         assert cache.load("baseline", key) is None
@@ -125,13 +272,13 @@ class TestStorage:
     def test_unknown_kind_rejected(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         with pytest.raises(KeyError):
-            cache.key("mystery", anything=4)
+            cache.store("mystery", stable_key("mystery", anything=4), {})
 
     def test_entry_count_and_clear(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         for i in range(3):
-            cache.store("baseline", cache.key("baseline", i=i), {"i": i})
-        cache.store("selection", cache.key("selection", i=0), [0])
+            cache.store("baseline", stable_key("baseline", i=i), {"i": i})
+        cache.store("selection", stable_key("selection", i=0), [0])
         counts = cache.entry_count()
         assert counts["baseline"] == 3
         assert counts["selection"] == 1
@@ -141,7 +288,7 @@ class TestStorage:
 
     def test_size_counts_only_the_kinds_the_cache_owns(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        cache.store("baseline", cache.key("baseline", i=0), {"i": 0})
+        cache.store("baseline", stable_key("baseline", i=0), {"i": 0})
         owned = cache.size_bytes("baseline")
         # A retired kind's directory, as an older tree left it.
         stray = tmp_path / "codegen" / "ab"
@@ -156,7 +303,7 @@ class TestStorage:
         # Serve worker threads share one process id, so only the thread
         # id keeps their temporary names apart.
         cache = ArtifactCache(tmp_path)
-        key = cache.key("selection", anything=5)
+        key = stable_key("selection", anything=5)
         payload = {"pthreads": list(range(2000))}
         writers = 4
         barrier = threading.Barrier(writers, timeout=30)
@@ -186,6 +333,45 @@ class TestStorage:
         assert list(cache.path("selection", key).parent.iterdir()) == [
             cache.path("selection", key)
         ]
+
+    def test_processes_storing_one_key(self, tmp_path):
+        # Sweep workers are processes, each storing under its own pid;
+        # the parent loads the key the whole time they write it.
+        cache = ArtifactCache(tmp_path / "cache")
+        key = stable_key("baseline", anything=6)
+        payload = {"cycles": list(range(20000))}
+        start = tmp_path / "start"
+        script = (
+            "import os, sys, time\n"
+            "from repro.harness.artifacts import ArtifactCache\n"
+            "root, key, start = sys.argv[1:]\n"
+            "cache = ArtifactCache(root)\n"
+            "payload = {'cycles': list(range(20000))}\n"
+            "print('ready', flush=True)\n"
+            "while not os.path.exists(start):\n"
+            "    time.sleep(0.001)\n"
+            "for _ in range(30):\n"
+            "    cache.store('baseline', key, payload)\n"
+        )
+        writers = [python(script, cache.root, key, start) for _ in range(3)]
+        loads = []
+        try:
+            for writer in writers:
+                assert writer.stdout.readline() == "ready\n"
+            start.touch()
+            deadline = time.monotonic() + 120
+            while any(writer.poll() is None for writer in writers):
+                assert time.monotonic() < deadline, "a writer never finished"
+                loads.append(cache.load("baseline", key))
+            for writer in writers:
+                output(writer)
+        finally:
+            for writer in writers:
+                writer.kill()
+        loads.append(cache.load("baseline", key))
+        assert all(load in (None, payload) for load in loads)
+        assert loads[-1] == payload
+        assert not list(cache.root.rglob("*.tmp"))
 
 
 def stage_count(registry, kind: str, outcome: str) -> int:
@@ -240,7 +426,7 @@ class TestCacheGauges:
     def test_gauges_read_the_store_or_zero(self, tmp_path, fresh_obs):
         _, registry = fresh_obs
         cache = ArtifactCache(tmp_path)
-        cache.store("baseline", cache.key("baseline", i=0), {"i": 0})
+        cache.store("baseline", stable_key("baseline", i=0), {"i": 0})
         publish_cache_gauges(cache)
         assert registry.gauge("harness.cache.entries").value == 1
         assert registry.gauge("harness.cache.bytes").value == cache.size_bytes()

@@ -78,7 +78,12 @@ class TestPipeline:
 
     def test_caching_reuses_traces(self, runner):
         runner.run(ExperimentConfig(workload="pharmacy"))
-        traces_before = dict(runner._traces)
+        traces_before = {
+            key: value
+            for key, value in runner._memo.items()
+            if key[0] == "trace"
+        }
+        assert traces_before
         runner.run(
             ExperimentConfig(
                 workload="pharmacy",
@@ -86,7 +91,7 @@ class TestPipeline:
             )
         )
         for key in traces_before:
-            assert runner._traces[key] is traces_before[key]
+            assert runner._memo[key] is traces_before[key]
 
 
 class TestStageCaching:
@@ -176,7 +181,10 @@ class TestStageCaching:
         equal stats; every answer equals the serial one."""
         runner = ExperimentRunner()
         serial = runner.run(VPR_DEFAULT).preexec.to_dict()
-        runner._runs.clear()  # keep trace and selection, drop every run
+        # Keep trace and selection, drop every run.
+        runs = [k for k in runner._memo if k[0] not in ("trace", "selection")]
+        for key in runs:
+            del runner._memo[key]
         results = []
 
         def work(config):

@@ -101,7 +101,7 @@ class TestSerialPath:
         runner = seeded_runner()
         executor = SweepExecutor(jobs=4, runner=runner)
         executor.run([ExperimentConfig(workload="pharmacy")])
-        assert len(runner._traces) == 1
+        assert [kind for kind, _ in runner._memo].count("trace") == 1
 
 
 class TestParallelPath:

@@ -285,7 +285,11 @@ def test_served_metrics_count_each_stage_once(fresh_obs):
             metrics[f"harness.stage.{kind}.{outcome}"]["value"]
             for kind in STAGE_KINDS
         )
-    (trace,) = state.runner._traces.values()
+    (trace,) = (
+        value
+        for (kind, _), value in state.runner._memo.items()
+        if kind == "trace"
+    )
     assert (
         metrics["harness.stage.trace.instructions"]["value"]
         == trace.instructions

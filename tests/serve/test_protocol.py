@@ -25,7 +25,7 @@ def test_full_request_round_trips():
     request = parse_run_request(
         {
             "workload": "vpr.r",
-            "input": "ref",
+            "input": "test",
             "validate": True,
             "granularity": 512,
             "budget_seconds": 2,
@@ -33,7 +33,7 @@ def test_full_request_round_trips():
             "machine": {"bw_seq": 4},
         }
     )
-    assert request.config.input_name == "ref"
+    assert request.config.input_name == "test"
     assert request.config.validate is True
     assert request.config.granularity == 512
     assert request.config.constraints.scope == 256
@@ -56,9 +56,19 @@ def test_full_request_round_trips():
         {"workload": "mcf", "granularity": True},  # bool is not int here
         {"workload": "mcf", "budget_seconds": 0},
         {"workload": "mcf", "budget_seconds": -1.0},
+        {"workload": "mcf", "budget_seconds": float("nan")},
+        {"workload": "mcf", "budget_seconds": float("inf")},
+        {"workload": "mcf", "budget_seconds": 10**400},  # no float holds it
+        {"workload": "mcf", "input": "ref"},  # no workload defines it
+        {"workload": "mcf", "selection_input": "ref"},
         {"workload": "mcf", "constraints": 5},
         {"workload": "mcf", "constraints": {"no_such_knob": 1}},
         {"workload": "mcf", "machine": {"no_such_knob": 1}},
+        {
+            "workload": "mcf",
+            "machine": {"stride_prefetch": True, "stride_degree": 0},
+        },
+        {"workload": "mcf", "machine": {"dispatch_latency": -1}},
         {"workload": "mcf", "granularity": 0},  # below 1
         {"workload": "mcf", "selection_prefix": -5},
         {"workload": "mcf", "model_mem_latency": 0},

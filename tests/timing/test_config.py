@@ -33,6 +33,10 @@ class TestMachineConfig:
             dict(pthread_contexts=-1),
             dict(pthread_burst=0),
             dict(pthread_burst_period=0),
+            dict(dispatch_latency=-1),
+            dict(mispredict_penalty=-1),
+            dict(store_forward_latency=-1),
+            dict(stride_degree=0),
         ],
     )
     def test_validation(self, kwargs):
