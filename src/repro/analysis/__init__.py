@@ -8,7 +8,7 @@ Public surface::
         verify_body, verify_pthread, verify_selection,       # verifier
         lint_program, lint_source, lint_workload,            # linter
         Diagnostic, Severity, verification_enabled,          # reporting
-        validate_functional, validate_timing,                # transval
+        validate_timing,                                     # transval
     )
 """
 
@@ -47,7 +47,6 @@ from repro.analysis.transval import (
     TimingParams,
     TransvalResult,
     fallback_reason,
-    validate_functional,
     validate_timing,
 )
 from repro.analysis.verifier import (
@@ -87,7 +86,6 @@ __all__ = [
     "TimingParams",
     "TransvalResult",
     "fallback_reason",
-    "validate_functional",
     "validate_timing",
     "summarize",
     "verify_body",

@@ -1,4 +1,4 @@
-"""Translation validation for the compiled basic-block engine.
+"""Translation validation for the timing simulator's compiled blocks.
 
 The specializing compiler in :mod:`repro.engine.compiler` turns every
 basic block of a :class:`~repro.engine.decode.DecodedProgram` into
@@ -16,8 +16,8 @@ How a block is validated
     abstractly interpreted over a symbolic machine state.  The result
     is an *effect summary*: final symbolic values for every register
     file slot written, an ordered list of side effects per effect
-    stream (memory, hierarchy, trace, store queue, retire ring,
-    predictor, ...), and the symbolic successor PC expression.
+    stream (memory, hierarchy, store queue, retire ring, predictor,
+    ...), and the symbolic successor PC expression.
 2.  A *reference* for the same block is derived straight from the
     ``DecodedProgram`` arrays (opcode, register indices, immediates,
     branch targets, latencies): naive straight-line source mirroring
@@ -43,9 +43,8 @@ CG002    memory effect mismatch (order, address, or value of loads,
          stores, hierarchy or store-queue operations)
 CG003    control-transfer mismatch (successor PC, block partition, or
          dispatch table)
-CG004    latency / trace side-effect mismatch (ready times, timing
-         scalars, trace records, retire ring, counters, predictor or
-         launch interactions)
+CG004    latency / side-effect mismatch (ready times, timing scalars,
+         retire ring, counters, predictor or launch interactions)
 CG005    unvalidatable construct — the extractor refused a statement
          or expression shape it cannot model.  Always explicit, never
          silently skipped.
@@ -55,11 +54,9 @@ CG101    advisory: the program fell back to the interpreter, with the
 
 Intentional compiled/interpreter divergences (the generated code's
 documented contract) are encoded in the reference generator rather
-than suppressed in the comparator: with tracing off compiled
-functional blocks skip last-writer bookkeeping entirely; launch
-checks happen only at schedule trigger PCs; aligned memory traffic
-bypasses the access methods and touches the backing word dict
-directly.
+than suppressed in the comparator: launch checks happen only at
+schedule trigger PCs; aligned memory traffic bypasses the access
+methods and touches the backing word dict directly.
 """
 
 from __future__ import annotations
@@ -71,7 +68,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     List,
@@ -109,7 +105,7 @@ CG_CODES: Dict[str, str] = {
     "CG001": "register dataflow mismatch",
     "CG002": "memory effect mismatch",
     "CG003": "control-transfer mismatch",
-    "CG004": "latency/trace side-effect mismatch",
+    "CG004": "latency/side-effect mismatch",
     "CG005": "unvalidatable construct",
     "CG101": "compilation fell back to the interpreter",
 }
@@ -122,11 +118,9 @@ _MEMORY_STREAMS = frozenset(("mem", "hier", "sq"))
 _EFFECT_CALLS: Dict[str, str] = {
     "mem_load": "mem",
     "mem_store": "mem",
-    "hier_access": "hier",
     "mt": "hier",
     "pt": "hier",
     "observe": "hier",
-    "tb_a": "trace",
     "predict": "predict",
     "predict_ind": "predict",
     "launch": "launch",
@@ -138,7 +132,6 @@ _EFFECT_CALLS: Dict[str, str] = {
 _PURE_CALLS = frozenset(
     (
         "words_get",
-        "ls_get",
         "sq_get",
         "bc_get",
         "bh_get",
@@ -156,17 +149,15 @@ _NULLABLE_CALLS = frozenset(
 #: Context container names -> effect stream for subscript mutation.
 _CTX_STREAMS: Dict[str, str] = {
     "words": "mem",
-    "last_store": "last_store",
     "sq": "sq",
     "ring": "ring",
     "mexp": "mexp",
     "bc": "hints",
-    "llc": "stats",
     "tallies": "stats",
 }
 
 #: Register-file parameter name -> symbolic leaf tag.
-_REGFILES = {"regs": "r", "lw": "w", "rdy": "d"}
+_REGFILES = {"regs": "r", "rdy": "d"}
 
 _BIN_OPS = {
     ast.Add: "+",
@@ -204,8 +195,7 @@ class _EvalError(Exception):
 
 #: Expression tags that carry no nested sub-expressions.
 _LEAF_TAGS = frozenset(
-    ("const", "r", "w", "d", "var", "undef", "memval", "traceidx",
-     "loopvar", "ctx")
+    ("const", "r", "d", "var", "undef", "memval", "loopvar", "ctx")
 )
 
 #: Every expression tag the extractor emits (used to tell expression
@@ -267,11 +257,11 @@ def _fold_const(node: ast.expr) -> Optional[Expr]:
 class _Extractor:
     """Abstractly interpret one block function into a :class:`_Summary`.
 
-    The symbolic state maps register-file slots ``("r"|"w"|"d", i)``
+    The symbolic state maps register-file slots ``("r"|"d", i)``
     and local variable names to expression trees.  Branches are merged
     at the join with if-then-else nodes; side effects are recorded in
     program order with the guard (path condition) under which they
-    fire.  Anything outside the grammar the two code generators emit
+    fire.  Anything outside the grammar the code generator emits
     raises :class:`UnvalidatableConstruct` — explicit, never silent.
     """
 
@@ -279,7 +269,6 @@ class _Extractor:
         self.decoded = decoded
         self.effects: List[Effect] = []
         self._ordinals: Dict[str, int] = {}
-        self._trace_count = 0
         self._memload_count = 0
         self._loop_count = 0
 
@@ -618,7 +607,7 @@ class _Extractor:
     def _while(self, st: ast.While, env: Dict, guard: Guard) -> None:
         """Unbounded loops are summarized as an opaque fixpoint.
 
-        The only loop either code generator emits is the fetch-slot
+        The only loop the code generator emits is the fetch-slot
         stealing prologue; the compiled and reference texts are
         token-identical, so a digest of the loop AST plus the symbolic
         entry values of its free variables identifies the fixpoint.
@@ -828,40 +817,10 @@ class _Extractor:
                     raise UnvalidatableConstruct(f"{name} arity")
                 tag = "opapply" if name.startswith("__op_") else "brapply"
                 return (tag, pc, args[0], args[1])
-            if name == "tb_len":
-                return ("traceidx", self._trace_count)
             if name == "mem_load":
                 self._emit("mem", guard, ("call", "mem_load", args))
                 self._memload_count += 1
                 return ("memval", self._memload_count)
-            if name == "tb_a":
-                if len(node.args) == 1 and isinstance(node.args[0], ast.Tuple):
-                    record = args[0][1]
-                else:
-                    record = args
-                self._emit("trace", guard, ("trace", None, record))
-                self._trace_count += 1
-                return ("const", None)
-            if name == "tb_e":
-                # Batched trace flush: one buffer extend carrying a
-                # tuple of record tuples.  Each element is one trace
-                # effect, so the batched compiled path unifies with
-                # the reference's per-record appends stream-for-stream.
-                if not (
-                    len(node.args) == 1
-                    and isinstance(node.args[0], ast.Tuple)
-                ):
-                    raise UnvalidatableConstruct(
-                        "tb_e argument is not a tuple literal"
-                    )
-                for record in args[0][1]:
-                    if not (_is_expr(record) and record[0] == "tuple"):
-                        raise UnvalidatableConstruct(
-                            "tb_e element is not a record tuple"
-                        )
-                    self._emit("trace", guard, ("trace", None, record[1]))
-                    self._trace_count += 1
-                return ("const", None)
             if name in _EFFECT_CALLS:
                 ordinal = self._ordinal(name)
                 self._emit(_EFFECT_CALLS[name], guard, ("call", name, args))
@@ -1043,7 +1002,7 @@ class _Equiv:
             if vec == 1:
                 return _CORNERS[index % len(_CORNERS)]
             return _signed_hash("r", index, vec)
-        if tag in ("w", "d"):
+        if tag == "d":
             return _signed_hash(tag, expr[1], vec) & 0xFFFF_FFFF
         if tag == "var":
             return _hash_int("var", expr[1], vec) & 0x7FFF_FFFF
@@ -1051,8 +1010,6 @@ class _Equiv:
             return _hash_int("undef", expr[1], vec) & 0x7FFF_FFFF
         if tag == "memval":
             return _signed_hash("memval", expr[1], vec)
-        if tag == "traceidx":
-            return expr[1]
         if tag == "loopvar":
             return _hash_int("loopvar", expr[1], vec) & 0x7FFF_FFFF
         if tag == "ctx":
@@ -1186,109 +1143,6 @@ def _ref_addr(decoded: DecodedProgram, pc: int) -> str:
     if imm:
         return f"regs[{decoded.rs1[pc]}] + ({imm})"
     return f"regs[{decoded.rs1[pc]}]"
-
-
-def functional_reference_source(
-    decoded: DecodedProgram,
-    start: int,
-    end: int,
-    tracing: bool,
-    caching: bool,
-) -> str:
-    """Reference source for a functional block, straight from the
-    decoded arrays, mirroring ``FunctionalSimulator._interp``'s
-    per-kind statements with opcode applications left opaque."""
-    lines = ["def _ref(regs, lw):"]
-    emit = lines.append
-    terminated = False
-    for pc in range(start, end):
-        k = decoded.kind[pc]
-        rd = decoded.rd[pc]
-        rs1 = decoded.rs1[pc]
-        rs2 = decoded.rs2[pc]
-        if k == K_ALU_R or k == K_ALU_I:
-            if tracing:
-                if rd:
-                    emit("    idx = tb_len()")
-                dep2 = f"lw[{rs2}]" if k == K_ALU_R else "-1"
-                emit(f"    tb_a(({pc}, -1, 0, lw[{rs1}], {dep2}, -1, False))")
-            if rd:
-                operand = (
-                    f"regs[{rs2}]"
-                    if k == K_ALU_R
-                    else f"({decoded.imm[pc]})"
-                )
-                emit(f"    regs[{rd}] = __op_{pc}(regs[{rs1}], {operand})")
-                if tracing:
-                    emit(f"    lw[{rd}] = idx")
-        elif k == K_LOAD:
-            emit(f"    a = {_ref_addr(decoded, pc)}")
-            emit(f"    {'v = ' if rd else ''}mem_load(a)")
-            if caching:
-                emit("    lvl = hier_access(a)")
-                emit("    llc[lvl] += 1")
-            if tracing:
-                lvl = "lvl" if caching else "0"
-                if rd:
-                    emit("    idx = tb_len()")
-                emit(
-                    f"    tb_a(({pc}, a, {lvl}, lw[{rs1}], -1, "
-                    "ls_get(a, -1), False))"
-                )
-            if rd:
-                emit(f"    regs[{rd}] = v")
-                if tracing:
-                    emit(f"    lw[{rd}] = idx")
-        elif k == K_STORE:
-            emit(f"    a = {_ref_addr(decoded, pc)}")
-            emit(f"    mem_store(a, regs[{rs2}])")
-            if caching:
-                emit("    hier_access(a, True)")
-            if tracing:
-                emit("    last_store[a] = tb_len()")
-                emit(
-                    f"    tb_a(({pc}, a, 0, lw[{rs1}], lw[{rs2}], -1, False))"
-                )
-        elif k == K_BRANCH:
-            emit(f"    t = __br_{pc}(regs[{rs1}], regs[{rs2}])")
-            if tracing:
-                emit(f"    tb_a(({pc}, -1, 0, lw[{rs1}], lw[{rs2}], -1, t))")
-            emit(f"    return {decoded.target[pc]} if t else {pc + 1}")
-            terminated = True
-        elif k == K_JUMP:
-            if tracing:
-                emit(f"    tb_a(({pc}, -1, 0, -1, -1, -1, True))")
-            emit(f"    return {decoded.target[pc]}")
-            terminated = True
-        elif k == K_JAL:
-            if tracing:
-                if rd:
-                    emit("    idx = tb_len()")
-                emit(f"    tb_a(({pc}, -1, 0, -1, -1, -1, True))")
-            if rd:
-                emit(f"    regs[{rd}] = {pc + 1}")
-                if tracing:
-                    emit(f"    lw[{rd}] = idx")
-            emit(f"    return {decoded.target[pc]}")
-            terminated = True
-        elif k == K_JR:
-            if tracing:
-                emit(f"    tb_a(({pc}, -1, 0, lw[{rs1}], -1, -1, True))")
-            emit(f"    return regs[{rs1}]")
-            terminated = True
-        elif k == K_HALT:
-            if tracing:
-                emit(f"    tb_a(({pc}, -1, 0, -1, -1, -1, False))")
-            emit("    return -1")
-            terminated = True
-        elif k == K_NOP:
-            if tracing:
-                emit(f"    tb_a(({pc}, -1, 0, -1, -1, -1, False))")
-        else:
-            raise UnvalidatableConstruct(f"unknown kind {k} at pc {pc}")
-    if not terminated:
-        emit(f"    return {end}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -1646,13 +1500,12 @@ def _compare_summaries(
     start: int,
     comp: _Summary,
     ref: _Summary,
-    timing: bool,
 ) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     eq = _Equiv(decoded)
 
     # Register-file finals: architectural registers are CG001; the
-    # last-writer and ready tables are trace/latency metadata (CG004).
+    # ready table is latency metadata (CG004).
     keys = {
         key
         for key in set(comp.env) | set(ref.env)
@@ -1665,8 +1518,6 @@ def _compare_summaries(
         if not eq.equal(got, want):
             if tag == "r":
                 code, what = "CG001", f"register r{index}"
-            elif tag == "w":
-                code, what = "CG004", f"last-writer slot lw[{index}]"
             else:
                 code, what = "CG004", f"ready time rdy[{index}]"
             diags.append(
@@ -1680,7 +1531,7 @@ def _compare_summaries(
 
     _compare_effects(eq, start, comp, ref, diags)
 
-    # Successor PC and (for timing) the returned scheduling scalars.
+    # Successor PC and the returned scheduling scalars.
     got_ret, want_ret = comp.ret, ref.ret
     if got_ret is None or want_ret is None:
         if got_ret != want_ret:
@@ -1694,54 +1545,44 @@ def _compare_summaries(
                 )
             )
         return diags
-    if timing:
-        ok_shape = (
-            got_ret[0] == "tuple"
-            and want_ret[0] == "tuple"
-            and len(got_ret[1]) == 5
-            and len(want_ret[1]) == 5
+    ok_shape = (
+        got_ret[0] == "tuple"
+        and want_ret[0] == "tuple"
+        and len(got_ret[1]) == 5
+        and len(want_ret[1]) == 5
+    )
+    if not ok_shape:
+        diags.append(
+            _diag(
+                "CG003",
+                start,
+                f"block _b{start}: timing return is not the "
+                f"(pc, {', '.join(_SCALAR_NAMES)}) tuple: generated "
+                f"{_fmt(got_ret)} vs reference {_fmt(want_ret)}",
+            )
         )
-        if not ok_shape:
-            diags.append(
-                _diag(
-                    "CG003",
-                    start,
-                    f"block _b{start}: timing return is not the "
-                    f"(pc, {', '.join(_SCALAR_NAMES)}) tuple: generated "
-                    f"{_fmt(got_ret)} vs reference {_fmt(want_ret)}",
-                )
-            )
-            return diags
-        if not eq.equal(got_ret[1][0], want_ret[1][0]):
-            diags.append(
-                _diag(
-                    "CG003",
-                    start,
-                    f"block _b{start}: successor PC differs: generated "
-                    f"{_fmt(got_ret[1][0])} vs reference "
-                    f"{_fmt(want_ret[1][0])}",
-                )
-            )
-        for pos, name in enumerate(_SCALAR_NAMES, start=1):
-            if not eq.equal(got_ret[1][pos], want_ret[1][pos]):
-                diags.append(
-                    _diag(
-                        "CG004",
-                        start,
-                        f"block _b{start}: returned {name} differs: "
-                        f"generated {_fmt(got_ret[1][pos])} vs reference "
-                        f"{_fmt(want_ret[1][pos])}",
-                    )
-                )
-    elif not eq.equal(got_ret, want_ret):
+        return diags
+    if not eq.equal(got_ret[1][0], want_ret[1][0]):
         diags.append(
             _diag(
                 "CG003",
                 start,
                 f"block _b{start}: successor PC differs: generated "
-                f"{_fmt(got_ret)} vs reference {_fmt(want_ret)}",
+                f"{_fmt(got_ret[1][0])} vs reference "
+                f"{_fmt(want_ret[1][0])}",
             )
         )
+    for pos, name in enumerate(_SCALAR_NAMES, start=1):
+        if not eq.equal(got_ret[1][pos], want_ret[1][pos]):
+            diags.append(
+                _diag(
+                    "CG004",
+                    start,
+                    f"block _b{start}: returned {name} differs: "
+                    f"generated {_fmt(got_ret[1][pos])} vs reference "
+                    f"{_fmt(want_ret[1][pos])}",
+                )
+            )
     return diags
 
 
@@ -1872,7 +1713,7 @@ def _structural_diagnostics(
 
 
 def fallback_reason(decoded: DecodedProgram) -> str:
-    """Why ``compile_functional``/``compile_timing`` returned ``None``."""
+    """Why :func:`~repro.engine.compiler.compile_timing` returned ``None``."""
     n = len(decoded)
     if not n:
         return "empty program"
@@ -1965,24 +1806,39 @@ def _deep_recursion(limit: int = 50_000):
         sys.setrecursionlimit(previous)
 
 
-def _validate(
+#: Parameters of every generated timing block function.
+_TIMING_ARGS = (
+    "executed",
+    "fetch_cycle",
+    "cap_used",
+    "last_retire",
+    "regs",
+    "rdy",
+)
+
+
+def validate_timing(
     decoded: DecodedProgram,
     compiled: Optional[CompiledBlocks],
-    mode: str,
-    reference: Callable[[int, int], str],
-    extra_leaders: Sequence[int],
-    expected_args: Tuple[str, ...],
+    params: TimingParams,
     only_blocks: Optional[Sequence[int]] = None,
 ) -> TransvalResult:
+    """Validate a timing-engine compilation against the decode.
+
+    ``only_blocks`` marks a tiered subset compilation: structural
+    checks then require membership in the full partition instead of
+    exact program coverage.
+    """
     result = TransvalResult()
-    with get_tracer().span(f"analysis.transval.{mode}"), _deep_recursion():
+    extra_leaders = sorted(params.trigger_pcs) if params.launching else ()
+    with get_tracer().span("analysis.transval.timing"), _deep_recursion():
         if compiled is None:
             result.fallbacks = 1
             result.diagnostics.append(
                 _diag(
                     "CG101",
                     0,
-                    f"{mode} codegen fell back to the interpreter: "
+                    "timing codegen fell back to the interpreter: "
                     f"{fallback_reason(decoded)}",
                 )
             )
@@ -2022,24 +1878,26 @@ def _validate(
                         f"leader {start}",
                     )
                 )
-            elif tuple(a.arg for a in fn.args.args) != expected_args:
+            elif tuple(a.arg for a in fn.args.args) != _TIMING_ARGS:
                 block_diags.append(
                     _diag(
                         "CG005",
                         start,
                         f"block _b{start} signature "
                         f"{tuple(a.arg for a in fn.args.args)} != "
-                        f"{expected_args}",
+                        f"{_TIMING_ARGS}",
                     )
                 )
             else:
                 try:
                     comp_sum = _Extractor(decoded).run(fn)
-                    ref_fn = ast.parse(reference(start, end)).body[0]
+                    ref_fn = ast.parse(
+                        timing_reference_source(decoded, start, end, params)
+                    ).body[0]
                     assert isinstance(ref_fn, ast.FunctionDef)
                     ref_sum = _Extractor(decoded).run(ref_fn)
                     block_diags = _compare_summaries(
-                        decoded, start, comp_sum, ref_sum, mode == "timing"
+                        decoded, start, comp_sum, ref_sum
                     )
                 except UnvalidatableConstruct as exc:
                     block_diags = [
@@ -2057,69 +1915,3 @@ def _validate(
         result.diagnostics = sort_diagnostics(result.diagnostics)
         _publish(result)
     return result
-
-
-def validate_functional(
-    decoded: DecodedProgram,
-    compiled: Optional[CompiledBlocks],
-    *,
-    tracing: bool,
-    caching: bool,
-    only_blocks: Optional[Sequence[int]] = None,
-) -> TransvalResult:
-    """Validate a functional-engine compilation against the decode.
-
-    ``only_blocks`` marks a tiered subset compilation: structural
-    checks then require membership in the full partition instead of
-    exact program coverage.
-    """
-
-    def reference(start: int, end: int) -> str:
-        return functional_reference_source(
-            decoded, start, end, tracing, caching
-        )
-
-    return _validate(
-        decoded,
-        compiled,
-        "functional",
-        reference,
-        extra_leaders=(),
-        expected_args=("regs", "lw"),
-        only_blocks=only_blocks,
-    )
-
-
-def validate_timing(
-    decoded: DecodedProgram,
-    compiled: Optional[CompiledBlocks],
-    params: TimingParams,
-    only_blocks: Optional[Sequence[int]] = None,
-) -> TransvalResult:
-    """Validate a timing-engine compilation against the decode.
-
-    ``only_blocks`` marks a tiered subset compilation (see
-    :func:`validate_functional`).
-    """
-
-    def reference(start: int, end: int) -> str:
-        return timing_reference_source(decoded, start, end, params)
-
-    return _validate(
-        decoded,
-        compiled,
-        "timing",
-        reference,
-        extra_leaders=(
-            sorted(params.trigger_pcs) if params.launching else ()
-        ),
-        expected_args=(
-            "executed",
-            "fetch_cycle",
-            "cap_used",
-            "last_retire",
-            "regs",
-            "rdy",
-        ),
-        only_blocks=only_blocks,
-    )

@@ -12,7 +12,7 @@ Commands mirror the paper's artifacts::
     python -m repro lint all --strict     # static lints, all workloads
     python -m repro lint mcf --pthreads   # ... plus p-thread verification
     python -m repro verify-codegen all --strict   # translation-validate codegen
-    python -m repro bench speed           # engine throughput benchmark
+    python -m repro bench speed           # timing engine throughput
     python -m repro serve --port 8421     # HTTP/JSON selection daemon
     python -m repro fuzz --seeds 25       # differential fuzzing campaign
     python -m repro fuzz --replay corpus/fuzz-000042-stride.json
@@ -22,8 +22,8 @@ Commands mirror the paper's artifacts::
 Sweeps accept ``--workloads`` to restrict the suite, ``--jobs/-j`` to
 fan cells out over worker processes (default ``REPRO_JOBS``, then the
 CPU count), ``--no-cache`` to skip the persistent artifact cache,
-``--engine tiered|interp`` to pick the simulation engine (default
-tiered; also via ``REPRO_ENGINE``), and ``--perf`` to append a
+``--engine tiered|interp`` to pick the timing simulator's engine
+(default tiered; also via ``REPRO_ENGINE``), and ``--perf`` to append a
 stage-timing / cache-effectiveness report (span seconds and the
 registry's stage counters).
 Every pipeline command also takes ``--trace PATH`` (write the
@@ -344,7 +344,6 @@ _CODEGEN_TIMING_SHAPES = {
 
 def _cmd_verify_codegen(args: argparse.Namespace) -> int:
     from repro.analysis import Severity
-    from repro.engine.functional import FunctionalSimulator
     from repro.timing import TimingSimulator
     from repro.workloads import build
 
@@ -359,15 +358,6 @@ def _cmd_verify_codegen(args: argparse.Namespace) -> int:
     rows = []  # (workload, target, TransvalResult)
     for name in names:
         workload = build(name, args.input)
-        fsim = FunctionalSimulator(workload.program, workload.hierarchy)
-        for tracing in (False, True):
-            for caching in (False, True):
-                rows.append((
-                    name,
-                    f"functional tracing={int(tracing)} "
-                    f"caching={int(caching)}",
-                    fsim.validate_codegen(tracing, caching),
-                ))
         for variant in variants:
             if variant == "pre-exec":
                 _, _, selection = _select_for(name, args.input)
@@ -443,11 +433,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.harness import simspeed
 
     workloads = _parse_workloads(args.workloads)
-    payload = simspeed.bench_speed(
-        workloads=workloads,
-        repeats=args.repeats,
-        table2=not args.no_table2,
-    )
+    try:
+        payload = simspeed.bench_speed(
+            workloads=workloads, repeats=args.repeats
+        )
+    except ValueError as error:
+        raise SystemExit(f"error: {error}")
     print(simspeed.render(payload))
     if args.output:
         simspeed.write_results(payload, args.output)
@@ -619,9 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine", choices=["tiered", "interp"],
             default=None,
             help=(
-                "simulation engine: tiered (default; interpret, then "
+                "timing engine: tiered (default; interpret, then "
                 "compile hot blocks) or the reference interpreter "
-                "(sets REPRO_ENGINE)"
+                "(sets REPRO_ENGINE; the functional trace has one engine)"
             ),
         )
         p.add_argument(
@@ -691,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     branch_parser.set_defaults(func=_cmd_branches)
 
     bench_parser = sub.add_parser(
-        "bench", help="performance benchmarks of the simulators themselves"
+        "bench", help="throughput of the timing simulator's two engines"
     )
     bench_parser.add_argument("what", choices=["speed"])
     bench_parser.add_argument(
@@ -700,11 +691,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--repeats", type=int, default=3,
-        help="timed repetitions per cell, best-of (default 3)",
-    )
-    bench_parser.add_argument(
-        "--no-table2", action="store_true",
-        help="skip the cold end-to-end Table 2 wall-clock measurement",
+        help=(
+            "interp/tiered run pairs per workload, at least 1 (default 3)"
+        ),
     )
     bench_parser.add_argument(
         "--output", default=None,
@@ -713,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--check", action="store_true",
         help=(
-            "exit non-zero unless the engine throughput/cold-start "
-            "floors hold"
+            "exit non-zero if the median per-pair tiered/interp "
+            "ratio is below 1.0"
         ),
     )
     bench_parser.set_defaults(func=_cmd_bench)

@@ -1,9 +1,8 @@
-"""Functional execution engine: decoding, compiling, tracing."""
+"""Execution engine: decoding, functional tracing, timing codegen."""
 
 from repro.engine.compiler import (
     ENGINE_INTERP,
     CompiledBlocks,
-    compile_functional,
     compile_timing,
     discover_blocks,
     resolve_engine,
@@ -26,7 +25,6 @@ __all__ = [
     "FunctionalSimulator",
     "Trace",
     "TraceRecord",
-    "compile_functional",
     "compile_timing",
     "discover_blocks",
     "resolve_engine",

@@ -1,52 +1,52 @@
-"""Basic-block specializing compiler for both simulator engines.
+"""Basic-block specializing compiler for the timing simulator.
 
-The interpreters in :mod:`repro.engine.functional` and
-:mod:`repro.timing.core` pay per-instruction costs that have nothing to
-do with the simulated machine: a ``kind[pc]`` dispatch chain, half a
-dozen parallel-array subscripts, and a Python call into an opcode
-lambda.  This module removes them by *specializing*: it walks a
-:class:`~repro.engine.decode.DecodedProgram`, partitions it into
-straight-line basic blocks, and ``compile()``/``exec()``-generates one
-Python function per block in which every opcode, register index,
-immediate, branch target, and latency is baked into the source as a
-constant.  The common ALU and branch operations are inlined as
-arithmetic expressions that are bit-identical to the
-:mod:`repro.isa.opcodes` lambdas, so a compiled run produces exactly
-the same architectural and timing results as the interpreter.
+The interpreter in :mod:`repro.timing.core` pays per-instruction costs
+that have nothing to do with the simulated machine: a ``kind[pc]``
+dispatch chain, half a dozen parallel-array subscripts, and a Python
+call into an opcode lambda.  This module removes them by
+*specializing*: it walks a :class:`~repro.engine.decode.DecodedProgram`,
+partitions it into straight-line basic blocks, and
+``compile()``/``exec()``-generates one Python function per block in
+which every opcode, register index, immediate, branch target, and
+latency is baked into the source as a constant.  The common ALU and
+branch operations are inlined as arithmetic expressions that are
+bit-identical to the :mod:`repro.isa.opcodes` lambdas, so a compiled
+run produces exactly the same architectural and timing results as the
+interpreter.  The functional simulator has no compiled engine: it
+traces each program once (DESIGN.md §6).
 
 Block discovery
 ---------------
 
 Leaders are: PC 0, every branch/jump target, the fall-through successor
 of every control transfer (which also covers ``jal`` return addresses),
-and any extra PCs the caller supplies (the timing engine passes
-p-thread trigger PCs).  The program text is then partitioned into
-maximal straight-line runs that end at a terminator (branch, jump,
-``jal``, ``jr``, ``halt``), just before the next leader, or at
-:data:`MAX_BLOCK` instructions.  Schedule *region* boundaries are
-dynamic instruction counts, not PCs, so they cannot be block leaders;
-the timing dispatcher instead caps compiled execution at the next
-boundary and single-steps across it with the interpreter (see
-``TimingSimulator._run_tiered``).
+and any extra PCs the caller supplies (p-thread trigger PCs).  The
+program text is then partitioned into maximal straight-line runs that
+end at a terminator (branch, jump, ``jal``, ``jr``, ``halt``), just
+before the next leader, or at :data:`MAX_BLOCK` instructions.  Schedule
+*region* boundaries are dynamic instruction counts, not PCs, so they
+cannot be block leaders; the timing dispatcher instead caps compiled
+execution at the next boundary and single-steps across it with the
+interpreter (see ``TimingSimulator._run_tiered``).
 
 Two-stage binding
 -----------------
 
 Generated source is compiled once per (program, variant) into a
 ``_bind(ctx)`` factory.  Each simulation run calls ``_bind`` with its
-run-specific objects (memory, hierarchy, trace, predictor, ...): the
-factory closes the block functions over them and returns a dispatch
-table ``{leader_pc: (fn, length, index)}``.  ``exec`` happens once;
-per-run binding is just closure creation.
+run-specific objects (memory, hierarchy, predictor, ...): the factory
+closes the block functions over them and returns a dispatch table
+``{leader_pc: (fn, length, index)}``.  ``exec`` happens once; per-run
+binding is just closure creation.
 
 Fallback
 --------
 
-:func:`compile_functional` / :func:`compile_timing` return ``None``
-when a program contains anything the codegen cannot specialize (an
-opcode with no inline template and no decoded callable, or a program
-over :data:`MAX_PROGRAM` instructions, where compile time could rival
-simulation time).  Both simulators treat ``None`` as "run the
+:func:`compile_timing` returns ``None`` when a program contains
+anything the codegen cannot specialize (an opcode with no inline
+template and no decoded callable, or a program over
+:data:`MAX_PROGRAM` instructions, where compile time could rival
+simulation time).  The simulator treats ``None`` as "run the
 interpreter"; a computed ``jr`` landing mid-block is handled at run
 time by interpreting until the next leader, so it never needs a
 whole-program fallback.
@@ -76,7 +76,7 @@ from repro.engine.decode import (
 from repro.isa.opcodes import Opcode, WORD_SIZE
 from repro.obs import get_registry as obs_registry
 
-#: Environment variable selecting the execution engine.
+#: Environment variable selecting the timing simulator's engine.
 ENGINE_ENV = "REPRO_ENGINE"
 ENGINE_INTERP = "interp"
 ENGINE_TIERED = "tiered"
@@ -107,7 +107,7 @@ _ALIGN_MASK = (
 
 
 def resolve_engine(explicit: Optional[str] = None) -> str:
-    """Resolve the engine selection: explicit arg > ``REPRO_ENGINE`` > tiered.
+    """Resolve the timing engine: explicit arg > ``REPRO_ENGINE`` > tiered.
 
     Any spelling of "interp" selects the interpreter; "tiered" (or
     unset/empty) selects the tiered engine, which starts in the
@@ -394,8 +394,8 @@ def _finish(
 
 #: Process-wide memo of finished compilations, keyed by
 #: :func:`_compile_key`.  Compilation is deterministic, but a cold
-#: pipeline builds many simulator instances per program (functional
-#: trace, baseline, perfect-L2, every timing mode), and each instance
+#: pipeline builds many simulator instances per program (baseline,
+#: perfect-L2, every pre-execution and validation mode), and each instance
 #: would otherwise re-emit and re-``exec`` the same module.  Bounded
 #: FIFO so fuzz campaigns streaming thousands of distinct programs
 #: through here cannot grow it without limit.  Generated code lives
@@ -487,251 +487,27 @@ def _compile_key(
     )
 
 
-# ----------------------------------------------------------------------
-# Functional engine codegen
-# ----------------------------------------------------------------------
-
-
-def compile_functional(
-    decoded: DecodedProgram,
-    tracing: bool,
-    caching: bool,
-    only_blocks: Optional[Sequence[int]] = None,
-) -> Optional[CompiledBlocks]:
-    """Compile a functional-simulation variant of ``decoded``.
-
-    Block functions take ``(regs, lw)`` (architectural registers and
-    the last-writer table) and return the next PC, or -1 for ``halt``.
-    Everything else — memory, hierarchy, trace, the last-store map —
-    is closed over at bind time.  Returns ``None`` on fallback.
-
-    ``only_blocks`` restricts emission to blocks whose leader PC is in
-    the set (the tiered engine compiles just its hot subset); the
-    dispatch table then covers only those leaders and the dispatcher
-    interprets everything else.  Finished compilations are memoized
-    process-wide.
-    """
-    n = len(decoded)
-    if not n or n > MAX_PROGRAM:
-        return None
-    filename = "<repro-compiled-functional>"
-    key = _compile_key(decoded, "functional", (tracing, caching), only_blocks)
-    with _compile_guard(key):
-        compiled = _memo_get(key)
-        if compiled is not None:
-            return compiled
-        blocks = discover_blocks(decoded)
-        if only_blocks is not None:
-            only = frozenset(only_blocks)
-            blocks = [b for b in blocks if b[0] in only]
-            if not blocks:
-                return None
-        lines = [
-            "def _bind(ctx):",
-            "    mem_load = ctx['mem_load']",
-            "    mem_store = ctx['mem_store']",
-            "    words = ctx['words']",
-            "    words_get = words.get",
-        ]
-        if caching:
-            lines.append("    hier_access = ctx['hier_access']")
-            lines.append("    llc = ctx['llc']")
-        if tracing:
-            lines.append("    tbuf = ctx['trace_buf']")
-            lines.append("    tb_a = tbuf.append")
-            lines.append("    tb_e = tbuf.extend")
-            lines.append("    tb_len = tbuf.__len__")
-            lines.append("    last_store = ctx['last_store']")
-            lines.append("    ls_get = last_store.get")
-        counters: List[Tuple[int, int, int]] = []
-        try:
-            for start, end in blocks:
-                counters.append(
-                    _emit_functional_block(decoded, start, end, tracing, caching, lines)
-                )
-        except _Unsupported:
-            return None
-        compiled = _finish(lines, blocks, counters, filename)
-        _memo_put(key, compiled)
-        return compiled
-
-
-def _emit_mem_load(rd: int, out: List[str], addr: str = "a") -> None:
-    """Value read at ``addr``: aligned addresses hit the word dict
+def _emit_mem_load(rd: int, out: List[str]) -> None:
+    """Value read at ``a``: aligned addresses hit the word dict
     directly; the misaligned path calls the real method (which raises
     the same :class:`~repro.memory.main_memory.MemoryAlignmentError`
     the interpreter would)."""
     if _ALIGN_MASK is None:
-        out.append(f"        {'v = ' if rd else ''}mem_load({addr})")
+        out.append(f"        {'v = ' if rd else ''}mem_load(a)")
         return
-    out.append(f"        if {addr} & {_ALIGN_MASK}:")
-    out.append(f"            mem_load({addr})")
+    out.append(f"        if a & {_ALIGN_MASK}:")
+    out.append("            mem_load(a)")
     if rd:
-        out.append(f"        v = words_get({addr}, 0)")
+        out.append("        v = words_get(a, 0)")
 
 
-def _emit_mem_store(value_expr: str, out: List[str], addr: str = "a") -> None:
+def _emit_mem_store(value_expr: str, out: List[str]) -> None:
     if _ALIGN_MASK is None:
-        out.append(f"        mem_store({addr}, {value_expr})")
+        out.append(f"        mem_store(a, {value_expr})")
         return
-    out.append(f"        if {addr} & {_ALIGN_MASK}:")
-    out.append(f"            mem_store({addr}, {value_expr})")
-    out.append(f"        words[{addr}] = {value_expr}")
-
-
-def _emit_functional_block(
-    decoded: DecodedProgram,
-    start: int,
-    end: int,
-    tracing: bool,
-    caching: bool,
-    out: List[str],
-) -> Tuple[int, int, int]:
-    kind = decoded.kind
-    rd_arr = decoded.rd
-    rs1_arr = decoded.rs1
-    rs2_arr = decoded.rs2
-    out.append(f"    def _b{start}(regs, lw):")
-    body_at = len(out)
-    loads = stores = branches = 0
-    terminated = False
-    emit = out.append
-    # Traced blocks batch their records: every instruction contributes
-    # one record source string to ``recs`` and the whole block flushes
-    # in a single buffer ``extend`` just before its (sole, terminator)
-    # return — or the fall-through end.  Record ``j`` of the block
-    # lands at buffer index ``idx0 + j``, exactly what the
-    # interpreter's per-record ``append`` would have returned, so
-    # last-writer updates are deferred to the flush and in-block
-    # dependencies are folded to ``idx0 + <offset>`` at compile time.
-    # Values a record needs at flush time (addresses, hit levels,
-    # memory dependencies) are snapshotted into per-instruction locals
-    # (``a3``, ``lvl3``, ``m3``) so later instructions cannot clobber
-    # them; register reads never appear in records.
-    recs: List[str] = []
-    lwmap: Dict[int, int] = {}
-
-    def lw_expr(r: int) -> str:
-        j = lwmap.get(r)
-        if j is None:
-            return f"lw[{r}]"
-        return "idx0" if j == 0 else f"idx0 + {j}"
-
-    def flush() -> None:
-        if len(recs) == 1:
-            emit(f"        tb_a({recs[0]})")
-        elif recs:
-            emit(f"        tb_e(({', '.join(recs)}))")
-        for r in sorted(lwmap):
-            j = lwmap[r]
-            emit(f"        lw[{r}] = idx0" + (f" + {j}" if j else ""))
-
-    if tracing and end > start:
-        emit("        idx0 = tb_len()")
-    for pc in range(start, end):
-        k = kind[pc]
-        rd = rd_arr[pc]
-        rs1 = rs1_arr[pc]
-        rs2 = rs2_arr[pc]
-        j = pc - start
-        if k == K_ALU_R or k == K_ALU_I:
-            if tracing:
-                dep2 = lw_expr(rs2) if k == K_ALU_R else "-1"
-                recs.append(
-                    f"({pc}, -1, 0, {lw_expr(rs1)}, {dep2}, -1, False)"
-                )
-            if rd:
-                emit(f"        regs[{rd}] = {_alu_expr(decoded, pc)}")
-                if tracing:
-                    lwmap[rd] = j
-        elif k == K_LOAD:
-            loads += 1
-            a = f"a{j}" if tracing else "a"
-            emit(f"        {a} = {_addr_expr(decoded, pc)}")
-            _emit_mem_load(rd, out, addr=a)
-            if caching:
-                lvl = f"lvl{j}" if tracing else "lvl"
-                emit(f"        {lvl} = hier_access({a})")
-                emit(f"        llc[{lvl}] += 1")
-            if tracing:
-                lvl_src = f"lvl{j}" if caching else "0"
-                emit(f"        m{j} = ls_get({a}, -1)")
-                recs.append(
-                    f"({pc}, {a}, {lvl_src}, {lw_expr(rs1)}, -1, "
-                    f"m{j}, False)"
-                )
-            if rd:
-                emit(f"        regs[{rd}] = v")
-                if tracing:
-                    lwmap[rd] = j
-        elif k == K_STORE:
-            stores += 1
-            a = f"a{j}" if tracing else "a"
-            emit(f"        {a} = {_addr_expr(decoded, pc)}")
-            _emit_mem_store(f"regs[{rs2}]", out, addr=a)
-            if caching:
-                emit(f"        hier_access({a}, True)")
-            if tracing:
-                own = "idx0" if j == 0 else f"idx0 + {j}"
-                emit(f"        last_store[{a}] = {own}")
-                recs.append(
-                    f"({pc}, {a}, 0, {lw_expr(rs1)}, {lw_expr(rs2)}, "
-                    "-1, False)"
-                )
-        elif k == K_BRANCH:
-            branches += 1
-            emit(f"        t = {_branch_expr(decoded, pc)}")
-            if tracing:
-                recs.append(
-                    f"({pc}, -1, 0, {lw_expr(rs1)}, {lw_expr(rs2)}, -1, t)"
-                )
-                flush()
-            emit(f"        return {decoded.target[pc]} if t else {pc + 1}")
-            terminated = True
-        elif k == K_JUMP:
-            branches += 1
-            if tracing:
-                recs.append(f"({pc}, -1, 0, -1, -1, -1, True)")
-                flush()
-            emit(f"        return {decoded.target[pc]}")
-            terminated = True
-        elif k == K_JAL:
-            branches += 1
-            if tracing:
-                recs.append(f"({pc}, -1, 0, -1, -1, -1, True)")
-            if rd:
-                emit(f"        regs[{rd}] = {pc + 1}")
-                if tracing:
-                    lwmap[rd] = j
-            if tracing:
-                flush()
-            emit(f"        return {decoded.target[pc]}")
-            terminated = True
-        elif k == K_JR:
-            branches += 1
-            if tracing:
-                recs.append(f"({pc}, -1, 0, {lw_expr(rs1)}, -1, -1, True)")
-                flush()
-            emit(f"        return regs[{rs1}]")
-            terminated = True
-        elif k == K_HALT:
-            if tracing:
-                recs.append(f"({pc}, -1, 0, -1, -1, -1, False)")
-                flush()
-            emit("        return -1")
-            terminated = True
-        elif k == K_NOP:
-            if tracing:
-                recs.append(f"({pc}, -1, 0, -1, -1, -1, False)")
-        else:
-            raise _Unsupported(f"unknown kind {k} at pc {pc}")
-    if not terminated:
-        if tracing:
-            flush()
-        out.append(f"        return {end}")
-    if len(out) == body_at:  # fully empty body (can't happen, but safe)
-        out.append("        pass")
-    return loads, stores, branches
+    out.append(f"        if a & {_ALIGN_MASK}:")
+    out.append(f"            mem_store(a, {value_expr})")
+    out.append(f"        words[a] = {value_expr}")
 
 
 # ----------------------------------------------------------------------

@@ -101,34 +101,6 @@ class Trace:
         records.append((pc, addr, level, dep1, dep2, memdep, taken))
         return len(records) - 1
 
-    def extend(self, records: List[Tuple]) -> None:
-        """Bulk-append pre-shaped ``(pc, addr, level, dep1, dep2,
-        memdep, taken)`` record tuples.
-
-        One list ``extend`` replaces per-record :meth:`append` calls;
-        compiled blocks flush their records through
-        this path (or directly on :meth:`raw_buffer`).
-        """
-        buffer = self._records
-        if buffer is None:
-            buffer = self._reopen()
-        if self._arrays is not None:
-            self._arrays = None
-        buffer.extend(records)
-
-    def raw_buffer(self) -> List[Tuple]:
-        """The live record-tuple buffer.
-
-        Compiled blocks append ``(pc, addr, level, dep1, dep2,
-        memdep, taken)`` tuples to it directly (skipping the
-        :meth:`append` call per instruction); any previously
-        materialized arrays are invalidated here.
-        """
-        if self._records is None:
-            self._reopen()
-        self._arrays = None
-        return self._records
-
     def _reopen(self) -> List[Tuple]:
         """Rebuild the record buffer from materialized arrays."""
         records = list(

@@ -5,14 +5,15 @@ and applies seven check families, each named by a stable identifier so
 shrinking can match "the same failure" across candidate reductions:
 
 ``engine_equivalence``
-    The tiered engine must be bit-identical to the reference
-    interpreter in two columns: ``tiered`` (the default threshold) and
-    ``eager`` (``REPRO_TIER_THRESHOLD=0``, the whole program compiled
-    before the first instruction, so generated code runs even on
-    programs too short to tier up).  Compared are the packed
-    functional trace and every statistic, and the timing simulator's
+    The timing simulator's tiered engine must be bit-identical to the
+    reference interpreter in two columns: ``tiered`` (the default
+    threshold) and ``eager`` (``REPRO_TIER_THRESHOLD=0``, the whole
+    program compiled before the first instruction, so generated code
+    runs even on programs too short to tier up).  Compared are the
     stats in baseline and pre-execution modes.  Every eager run must
-    have compiled every block: no silent compile fallback.
+    have compiled every block: no silent compile fallback.  The
+    functional simulator has one engine; its run here is the reference
+    every later family reads.
 
 ``functional_vs_timing``
     The two independent execution models must commit the same
@@ -47,13 +48,12 @@ shrinking can match "the same failure" across candidate reductions:
 
 ``codegen_transval``
     Static translation validation (:mod:`repro.analysis.transval`) of
-    every compiled variant the dynamic families exercised: all four
-    functional (tracing, caching) shapes, the baseline timing shape,
-    and the pre-execution timing shape with the selection's trigger
-    PCs.  No simulation runs — the generated block source is proven
-    equivalent to the interpreter semantics symbolically, so this
-    family is cheap per seed and catches codegen bugs on paths the
-    dynamic inputs never reached.
+    every compiled variant the dynamic families exercised: the
+    baseline timing shape, and the pre-execution timing shape with the
+    selection's trigger PCs.  No simulation runs — the generated block
+    source is proven equivalent to the interpreter semantics
+    symbolically, so this family is cheap per seed and catches codegen
+    bugs on paths the dynamic inputs never reached.
 
 ``timing_parity``
     The discrete-event timing model
@@ -115,8 +115,8 @@ CHECK_FAMILIES: Tuple[str, ...] = (
     "timing_parity",
 )
 
-#: ``engine_equivalence`` columns: the reference interpreter first,
-#: then the tiered engine at the default threshold and eager.
+#: ``engine_equivalence`` timing columns: the reference interpreter
+#: first, then the tiered engine at the default threshold and eager.
 _COLUMNS = (ENGINE_INTERP, ENGINE_TIERED, "eager")
 
 
@@ -363,22 +363,9 @@ def run_oracle(
 
     # ---- family 1: engine equivalence --------------------------------
     check.start("engine_equivalence")
-    functional: Dict[str, FunctionalResult] = {}
-    for column in _COLUMNS:
-        engine, scope = _in_column(column)
-        sim = FunctionalSimulator(program, hierarchy, engine=engine)
-        with scope:
-            functional[column] = sim.run(max_instructions=max_instructions)
-        if column == "eager":
-            _expect_all_compiled(check, sim, "functional")
-    func = functional[ENGINE_INTERP]
-    func_dicts = {c: functional[c].to_dict() for c in _COLUMNS}
-    for column in _COLUMNS[1:]:
-        check.expect(
-            func_dicts[ENGINE_INTERP] == func_dicts[column],
-            f"functional_{column}",
-            _dict_diff(func_dicts[ENGINE_INTERP], func_dicts[column]),
-        )
+    func = FunctionalSimulator(program, hierarchy).run(
+        max_instructions=max_instructions
+    )
     report.stats = {
         "instructions": func.instructions,
         "loads": func.loads,
@@ -409,7 +396,7 @@ def run_oracle(
     if expired():
         return report
 
-    # Selection from the reference (interpreter) trace.
+    # Selection from the functional trace.
     params = ModelParams(
         bw_seq=machine.bw_seq,
         unassisted_ipc=max(base[ENGINE_INTERP].stats.ipc, 0.05),
@@ -621,15 +608,6 @@ def _check_codegen_transval(
 ) -> None:
     """Statically validate every compiled variant the oracle exercised."""
     program, hierarchy = workload.program, workload.hierarchy
-    fsim = FunctionalSimulator(program, hierarchy)
-    for tracing in (False, True):
-        for caching in (False, True):
-            result = fsim.validate_codegen(tracing, caching)
-            _transval_failures(
-                check,
-                f"functional tracing={int(tracing)} caching={int(caching)}",
-                result,
-            )
     for pthreads, shape in (
         (None, (False, False, False)),
         (selection.pthreads, (True, True, False)),

@@ -60,19 +60,33 @@ class RunRequest:
 
 
 def _nested(doc: Dict[str, Any], key: str, cls):
-    """Build a dataclass from a nested request object, field-checked."""
+    """Build a dataclass from a nested request object, field-checked.
+
+    Each given value must have its field's default type exactly: a
+    bool field takes only a JSON boolean, an int field only a
+    non-boolean integer.  The dataclass would take ``"false"`` or
+    ``256.5`` as they come, run a different experiment than asked,
+    and key the response and stage caches on the stray value.
+    """
     raw = doc.get(key)
     if raw is None:
         return None
     if not isinstance(raw, dict):
         raise ProtocolError(f"{key!r} must be an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - allowed
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ProtocolError(
             f"unknown {key} field(s): {sorted(unknown)} "
-            f"(allowed: {sorted(allowed)})"
+            f"(allowed: {sorted(defaults)})"
         )
+    for name, value in raw.items():
+        expected = type(defaults[name])
+        if type(value) is not expected:
+            raise ProtocolError(
+                f"{key} field {name!r} must be {expected.__name__}, "
+                f"got {type(value).__name__}"
+            )
     try:
         return cls(**raw)
     except (TypeError, ValueError) as error:

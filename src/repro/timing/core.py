@@ -26,7 +26,7 @@ order) while computing a cycle-level timing model alongside:
   forward through a private store buffer and never commit.  Body loads
   prefetch into the L2 only.
 
-Like the functional simulator, two engines produce bit-identical
+Two engines produce bit-identical
 :class:`~repro.timing.stats.SimStats` (see DESIGN.md): the resumable
 interpreter in :meth:`TimingSimulator._interp`, and the tiered engine,
 which runs compiled basic-block functions from
@@ -888,9 +888,7 @@ class TimingSimulator:
     ) -> None:
         """Interpret first; compile blocks once they prove hot.
 
-        The timing twin of
-        :meth:`repro.engine.functional.FunctionalSimulator._run_tiered`:
-        starts in the resumable interpreter with block-entry counting
+        Starts in the resumable interpreter with block-entry counting
         on, scans the counts every ``TIER_SLICE`` instructions, and
         batch-compiles all block leaders past :func:`tier_threshold`
         entries (threshold ``0``: the whole program before the first

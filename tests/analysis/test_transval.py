@@ -5,7 +5,7 @@ each test corrupts the *generated block source* the way a real codegen
 bug would (wrong register index, dropped memory effect, off-by-one
 branch target, reordered side effect) and asserts the matching CG code
 fires.  Clean-validation tests pin the absence of false positives on
-every variant the simulators actually compile.
+every variant the timing simulator actually compiles.
 """
 
 import copy
@@ -18,14 +18,9 @@ from repro.analysis.transval import (
     TimingParams,
     TransvalResult,
     fallback_reason,
-    validate_functional,
     validate_timing,
 )
-from repro.engine.compiler import (
-    MAX_PROGRAM,
-    compile_functional,
-    compile_timing,
-)
+from repro.engine.compiler import MAX_PROGRAM, compile_timing
 from repro.engine.decode import DecodedProgram
 from repro.isa import assemble
 
@@ -94,29 +89,21 @@ def mixed():
 
 @pytest.fixture(scope="module")
 def mixed_compiled(mixed):
-    return compile_functional(mixed, tracing=True, caching=True)
+    return compile_timing(mixed, **TIMING_KW)
+
+
+def validate(program, compiled):
+    return validate_timing(program, compiled, TimingParams(**TIMING_KW))
 
 
 class TestCleanValidation:
-    @pytest.mark.parametrize("tracing", [False, True])
-    @pytest.mark.parametrize("caching", [False, True])
-    def test_functional_variants_clean(self, tracing, caching):
+    def test_timing_baseline_clean(self):
         program = decoded(FULL_SOURCE)
-        compiled = compile_functional(program, tracing, caching)
-        result = validate_functional(
-            program, compiled, tracing=tracing, caching=caching
-        )
+        result = validate(program, compile_timing(program, **TIMING_KW))
         assert result.ok, [d.render() for d in result.diagnostics]
         assert result.blocks_checked > 0
         assert result.blocks_failed == 0
         assert result.blocks_unvalidatable == 0
-
-    def test_timing_baseline_clean(self):
-        program = decoded(FULL_SOURCE)
-        compiled = compile_timing(program, **TIMING_KW)
-        result = validate_timing(program, compiled, TimingParams(**TIMING_KW))
-        assert result.ok, [d.render() for d in result.diagnostics]
-        assert result.blocks_checked > 0
 
     def test_timing_full_featured_clean(self):
         # Launching + stealing + prefetching, a non-power-of-two window
@@ -137,9 +124,7 @@ class TestCleanValidation:
         assert result.ok, [d.render() for d in result.diagnostics]
 
     def test_result_merge_accumulates(self, mixed, mixed_compiled):
-        one = validate_functional(
-            mixed, mixed_compiled, tracing=True, caching=True
-        )
+        one = validate(mixed, mixed_compiled)
         total = TransvalResult()
         total.merge(one)
         total.merge(one)
@@ -150,19 +135,14 @@ class TestCleanValidation:
 class TestMutationsFire:
     """Each CG code must be provoked by the bug class it names."""
 
-    def _validate(self, mixed, compiled):
-        return validate_functional(
-            mixed, compiled, tracing=True, caching=True
-        )
-
     def test_cg001_register_index_swap(self, mixed, mixed_compiled):
         # `add r2, r1, r1` reads r3 instead: register dataflow mismatch.
         bad = mutated(mixed_compiled, "regs[1] + regs[1]", "regs[1] + regs[3]")
-        assert "CG001" in codes(self._validate(mixed, bad))
+        assert "CG001" in codes(validate(mixed, bad))
 
     def test_cg002_dropped_store(self, mixed, mixed_compiled):
-        bad = mutated(mixed_compiled, "\n        words[a3] = regs[2]", "")
-        result = self._validate(mixed, bad)
+        bad = mutated(mixed_compiled, "\n        words[a] = regs[2]", "")
+        result = validate(mixed, bad)
         assert "CG002" in codes(result)
         assert result.blocks_failed > 0
 
@@ -172,21 +152,9 @@ class TestMutationsFire:
         # every concrete vector, so only arm-by-arm comparison of the
         # successor expression catches this.
         bad = mutated(
-            mixed_compiled, "return 0 if t else 5", "return 1 if t else 5"
+            mixed_compiled, "return (0 if t else 5)", "return (1 if t else 5)"
         )
-        assert "CG003" in codes(self._validate(mixed, bad))
-
-    def test_cg004_reordered_trace_effect(self, mixed, mixed_compiled):
-        # Swap the first two records inside the block's bulk trace
-        # flush: same records, wrong order in the trace stream.
-        bad = mutated(
-            mixed_compiled,
-            "tb_e(((0, -1, 0, lw[0], -1, -1, False), "
-            "(1, -1, 0, idx0, idx0, -1, False)",
-            "tb_e(((1, -1, 0, idx0, idx0, -1, False), "
-            "(0, -1, 0, lw[0], -1, -1, False)",
-        )
-        assert "CG004" in codes(self._validate(mixed, bad))
+        assert "CG003" in codes(validate(mixed, bad))
 
     def test_cg004_timing_latency_skew(self):
         program = decoded(FULL_SOURCE)
@@ -210,14 +178,12 @@ class TestMutationsFire:
             "        t = regs[2] == regs[3]",
             "        t = [q for q in (1,)][0] == regs[3]",
         )
-        result = self._validate(mixed, bad)
+        result = validate(mixed, bad)
         assert "CG005" in codes(result)
         assert result.blocks_unvalidatable > 0
 
     def test_cg101_interpreter_fallback_is_advisory(self, mixed):
-        result = validate_functional(
-            mixed, None, tracing=True, caching=True
-        )
+        result = validate(mixed, None)
         assert codes(result) == ["CG101"]
         assert result.fallbacks == 1
         # Advisory, not an error: REPRO_VERIFY must not reject programs
@@ -238,9 +204,9 @@ class TestDiagnosticsHygiene:
         # Two corruption sites -> several diagnostics; order must be
         # (code, pc, ...) and identical across runs.
         bad = mutated(mixed_compiled, "regs[1] + regs[1]", "regs[1] + regs[3]")
-        bad = mutated(bad, "\n        words[a3] = regs[2]", "")
-        first = validate_functional(mixed, bad, tracing=True, caching=True)
-        second = validate_functional(mixed, bad, tracing=True, caching=True)
+        bad = mutated(bad, "\n        words[a] = regs[2]", "")
+        first = validate(mixed, bad)
+        second = validate(mixed, bad)
         rendered = [d.render() for d in first.diagnostics]
         assert rendered == [d.render() for d in second.diagnostics]
         keys = [

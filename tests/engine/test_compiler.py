@@ -1,4 +1,8 @@
-"""Tests for the basic-block specializing compiler."""
+"""Tests for the basic-block specializing compiler and the engine seam.
+
+Only the timing simulator has a compiled engine; the functional
+simulator has one engine and takes no engine selection.
+"""
 
 import pytest
 
@@ -8,13 +12,15 @@ from repro.engine.compiler import (
     ENGINE_TIERED,
     MAX_PROGRAM,
     TIER_ENV,
-    compile_functional,
+    compile_timing,
     discover_blocks,
     resolve_engine,
 )
 from repro.engine.decode import DecodedProgram
-from repro.engine.functional import FunctionalSimulator
 from repro.isa import assemble
+from repro.memory import HierarchyConfig
+from repro.timing.config import BASELINE
+from repro.timing.core import TimingSimulator
 
 LOOP_SOURCE = """
     addi r1, r0, 3
@@ -37,6 +43,25 @@ func:
 
 def decoded(source):
     return DecodedProgram(assemble(source))
+
+
+def timing_sim(program, engine=None):
+    return TimingSimulator(program, HierarchyConfig(), engine=engine)
+
+
+#: What a BASELINE run of the default machine compiles.
+BASELINE_SHAPE = dict(
+    window=128,
+    bw_seq=8,
+    dispatch_latency=2,
+    mispredict_penalty=10,
+    forward_latency=2,
+    launching=False,
+    stealing=False,
+    prefetching=False,
+    trigger_pcs=frozenset(),
+    hinted_pcs=frozenset(),
+)
 
 
 class TestResolveEngine:
@@ -69,7 +94,7 @@ class TestResolveEngine:
             resolve_engine("compiled")
         monkeypatch.setenv(ENGINE_ENV, "compiled")
         with pytest.raises(ValueError):
-            FunctionalSimulator(assemble(LOOP_SOURCE))
+            timing_sim(assemble(LOOP_SOURCE))
 
 
 class TestDiscoverBlocks:
@@ -103,11 +128,9 @@ class TestDiscoverBlocks:
         assert split == plain | {2}
 
 
-class TestCompileFunctional:
+class TestCompileTiming:
     def test_compiles_block_table(self):
-        compiled = compile_functional(
-            decoded(LOOP_SOURCE), tracing=False, caching=False
-        )
+        compiled = compile_timing(decoded(LOOP_SOURCE), **BASELINE_SHAPE)
         assert compiled is not None
         assert compiled.num_blocks == len(compiled.starts)
         assert compiled.max_len >= 1
@@ -117,10 +140,7 @@ class TestCompileFunctional:
         real_length = len(program)
         try:
             program.kind.extend([program.kind[0]] * MAX_PROGRAM)
-            assert (
-                compile_functional(program, tracing=False, caching=False)
-                is None
-            )
+            assert compile_timing(program, **BASELINE_SHAPE) is None
         finally:
             del program.kind[real_length:]
 
@@ -134,25 +154,26 @@ def eager(monkeypatch):
 class TestEngineSeam:
     def test_last_engine_reflects_run(self):
         program = assemble(LOOP_SOURCE)
-        sim = FunctionalSimulator(program, engine="tiered")
-        sim.run()
+        sim = timing_sim(program, engine="tiered")
+        sim.run(BASELINE)
         assert sim.last_engine == ENGINE_TIERED
-        sim = FunctionalSimulator(program, engine="interp")
-        sim.run()
+        sim = timing_sim(program, engine="interp")
+        sim.run(BASELINE)
         assert sim.last_engine == ENGINE_INTERP
 
     def test_env_var_selects_interpreter(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "interp")
-        sim = FunctionalSimulator(assemble(LOOP_SOURCE))
-        sim.run()
+        sim = timing_sim(assemble(LOOP_SOURCE))
+        sim.run(BASELINE)
         assert sim.last_engine == ENGINE_INTERP
 
     def test_engines_agree_on_call_return(self, eager):
         program = assemble(CALL_SOURCE)
         results = {}
         for engine in (ENGINE_INTERP, ENGINE_TIERED):
-            sim = FunctionalSimulator(program, engine=engine)
-            results[engine] = sim.run().to_dict()
+            sim = timing_sim(program, engine=engine)
+            stats = sim.run(BASELINE)
+            results[engine] = (stats.to_dict(), list(sim.last_registers))
             assert sim.last_engine == engine
         assert sim.last_tier["interp_blocks"] == 0
         assert results[ENGINE_INTERP] == results[ENGINE_TIERED]
@@ -175,11 +196,11 @@ class TestEngineSeam:
         program = assemble(source)
         results = {}
         for engine in (ENGINE_INTERP, ENGINE_TIERED):
-            sim = FunctionalSimulator(program, engine=engine)
-            result = sim.run()
+            sim = timing_sim(program, engine=engine)
+            stats = sim.run(BASELINE)
             assert sim.last_engine == engine
-            results[engine] = result.to_dict()
-            assert result.registers[2] == 6
+            results[engine] = (stats.to_dict(), list(sim.last_registers))
+            assert sim.last_registers[2] == 6
         assert sim.last_tier["compiled_blocks"] == len(
             discover_blocks(sim.decoded)
         )

@@ -17,10 +17,11 @@ from repro.engine.compiler import (
     _MEMO_LIMIT,
     _memo_len,
     clear_compile_memo,
-    compile_functional,
+    compile_timing,
 )
 from repro.engine.decode import DecodedProgram
 from repro.isa import assemble
+from tests.engine.test_compiler import BASELINE_SHAPE
 
 # A few hundred instructions: big enough that one compilation spans
 # several GIL slices at a tiny switch interval, so unguarded racers
@@ -39,7 +40,6 @@ loop:
 """
 
 THREADS = 8
-
 
 @pytest.fixture
 def cold_compiler():
@@ -98,7 +98,7 @@ def test_racing_threads_compile_each_key_once(cold_compiler, exec_counter):
     results = [None] * THREADS
 
     def work(index):
-        results[index] = compile_functional(decoded, tracing=True, caching=True)
+        results[index] = compile_timing(decoded, **BASELINE_SHAPE)
 
     _storm(work)
     assert len(exec_counter) == 1
@@ -111,9 +111,11 @@ def test_distinct_keys_compile_independently(cold_compiler, exec_counter):
     decoded = DecodedProgram(assemble(LOOP_SOURCE))
 
     def work(index):
-        # Half the threads ask for the tracing variant, half for the
-        # non-tracing one; each variant must compile exactly once.
-        compile_functional(decoded, tracing=bool(index % 2), caching=True)
+        # Half the threads ask for the prefetching variant, half for
+        # the plain one; each variant must compile exactly once.
+        compile_timing(
+            decoded, **dict(BASELINE_SHAPE, prefetching=bool(index % 2))
+        )
 
     _storm(work)
     assert len(exec_counter) == 2

@@ -1,12 +1,13 @@
 """Tiered-engine mechanics and the in-process compile memo.
 
-The equivalence suite proves the tiered engine's *results*; these
-tests pin its *mechanics*: the entry-count threshold compiles exactly
-the hot blocks, short runs never pay for codegen, threshold 0 compiles
-every block before the first instruction, and generated code lives
-only in the process that emitted it: nothing reaches the artifact
-cache, a cleared memo emits and validates afresh, and a memo hit
-reuses both the module and its translation-validation verdict.
+The tiered engine is the timing simulator's.  The equivalence suite
+proves its *results*; these tests pin its *mechanics*: the
+entry-count threshold compiles exactly the hot blocks, short runs
+never pay for codegen, threshold 0 compiles every block before the
+first instruction, and generated code lives only in the process that
+emitted it: nothing reaches the artifact cache, a cleared memo emits
+and validates afresh, and a memo hit reuses both the module and its
+translation-validation verdict.
 """
 
 import os
@@ -26,19 +27,19 @@ from repro.engine.compiler import (
     TIER_ENV,
     TIER_SLICE,
     clear_compile_memo,
-    compile_functional,
+    compile_timing,
     discover_blocks,
 )
 from repro.engine.decode import DecodedProgram
-from repro.engine.functional import FunctionalSimulator
 from repro.isa import assemble
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.memory import HierarchyConfig
 from repro.pthreads.body import PThreadBody
 from repro.pthreads.pthread import PThreadPrediction, StaticPThread
-from repro.timing.config import PRE_EXECUTION
+from repro.timing.config import BASELINE, PRE_EXECUTION
 from repro.timing.core import TimingSimulator
+from tests.engine.test_compiler import BASELINE_SHAPE
 
 #: A hot loop (3000 iterations, ~9000 instructions — comfortably past
 #: TIER_SLICE) followed by a cold straight-line tail that runs once.
@@ -62,9 +63,11 @@ def _program(name="tiered_test"):
 
 
 def _run(program, engine, **kwargs):
-    sim = FunctionalSimulator(program, engine=engine)
-    result = sim.run(**kwargs)
-    return sim, result
+    """One BASELINE timing run: the simulator, and its stats and
+    committed registers as one comparable value."""
+    sim = TimingSimulator(program, HierarchyConfig(), engine=engine)
+    stats = sim.run(BASELINE, **kwargs)
+    return sim, (stats.to_dict(), list(sim.last_registers))
 
 
 #: Inside the loop block (1..3), so it only leads a block when the
@@ -106,7 +109,7 @@ class TestTierThreshold:
         assert tier["interp_blocks"] >= 1
         # And the mixed run still matches the pure interpreter.
         _sim, ref = _run(program, ENGINE_INTERP)
-        assert result.to_dict() == ref.to_dict()
+        assert result == ref
 
     def test_short_run_never_compiles(self, monkeypatch):
         monkeypatch.setenv(TIER_ENV, "10")
@@ -119,7 +122,7 @@ class TestTierThreshold:
         _sim, ref = _run(
             program, ENGINE_INTERP, max_instructions=TIER_SLICE // 2
         )
-        assert result.to_dict() == ref.to_dict()
+        assert result == ref
 
     def test_unreachable_threshold_stays_interpreted(self, monkeypatch):
         monkeypatch.setenv(TIER_ENV, "1000000")
@@ -127,7 +130,7 @@ class TestTierThreshold:
         sim, result = _run(program, ENGINE_TIERED)
         assert sim.last_tier["tier_ups"] == 0
         _sim, ref = _run(program, ENGINE_INTERP)
-        assert result.to_dict() == ref.to_dict()
+        assert result == ref
 
     def test_zero_threshold_compiles_every_block_up_front(self, monkeypatch):
         # A run too short to reach the first scan at any positive
@@ -141,15 +144,17 @@ class TestTierThreshold:
         assert tier["compiled_blocks"] == len(discover_blocks(sim.decoded))
         assert tier["interp_blocks"] == 0
         _sim, ref = _run(program, ENGINE_INTERP, max_instructions=limit)
-        assert result.to_dict() == ref.to_dict()
+        assert result == ref
 
         # The module that ran is the one verify-codegen validates: the
         # validation reuses it instead of emitting another.
         def boom(*args, **kwargs):
             raise AssertionError("eager run compiled a different module")
 
-        monkeypatch.setattr(compiler, "_emit_functional_block", boom)
-        assert sim.validate_codegen(tracing=True, caching=False).ok
+        monkeypatch.setattr(compiler, "_emit_timing_block", boom)
+        assert sim.validate_codegen(
+            launching=False, stealing=False, prefetching=False
+        ).ok
 
     def test_zero_threshold_timing_counts_trigger_leaders(self, monkeypatch):
         monkeypatch.setenv(TIER_ENV, "0")
@@ -186,24 +191,23 @@ class TestTierThreshold:
             _run(_program(), ENGINE_TIERED)
 
 
-#: Run in a fresh process: a tiered functional run and a tiered
-#: pre-execution timing run, each of which must compile something.
+#: Run in a fresh process: a tiered baseline run and a tiered
+#: pre-execution run, each of which must compile something.
 _EAGER_RUNS = """
-from repro.engine.functional import FunctionalSimulator
 from repro.memory import HierarchyConfig
-from repro.timing.config import PRE_EXECUTION
+from repro.timing.config import BASELINE, PRE_EXECUTION
 from repro.timing.core import TimingSimulator
 from tests.engine.test_tiered import _program, _pthread
 
 program = _program()
-functional = FunctionalSimulator(program, engine="tiered")
-functional.run()
-timing = TimingSimulator(
+baseline = TimingSimulator(program, HierarchyConfig(), engine="tiered")
+baseline.run(BASELINE)
+preexec = TimingSimulator(
     program, HierarchyConfig(), pthreads=[_pthread()], engine="tiered"
 )
-timing.run(PRE_EXECUTION)
-assert functional.last_tier["compiled_blocks"] > 0
-assert timing.last_tier["compiled_blocks"] > 0
+preexec.run(PRE_EXECUTION)
+assert baseline.last_tier["compiled_blocks"] > 0
+assert preexec.last_tier["compiled_blocks"] > 0
 """
 
 
@@ -232,22 +236,22 @@ class TestCompileMemo:
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         emitted = []
-        real = compiler._emit_functional_block
+        real = compiler._emit_timing_block
 
         def counting(*args, **kwargs):
             emitted.append(args[1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(compiler, "_emit_functional_block", counting)
+        monkeypatch.setattr(compiler, "_emit_timing_block", counting)
         decoded = DecodedProgram(_program())
         clear_compile_memo()
-        first = compile_functional(decoded, tracing=True, caching=False)
+        first = compile_timing(decoded, **BASELINE_SHAPE)
         blocks = len(emitted)
         assert blocks == len(discover_blocks(decoded))
-        assert compile_functional(decoded, tracing=True, caching=False) is first
+        assert compile_timing(decoded, **BASELINE_SHAPE) is first
         assert len(emitted) == blocks
         clear_compile_memo()
-        compile_functional(decoded, tracing=True, caching=False)
+        compile_timing(decoded, **BASELINE_SHAPE)
         assert len(emitted) == 2 * blocks
         assert not any(tmp_path.iterdir())
 
@@ -258,13 +262,13 @@ class TestCompileMemo:
         monkeypatch.setenv(VERIFY_ENV, "1")
         monkeypatch.setenv(TIER_ENV, "0")
         checked = []
-        real = transval.validate_functional
+        real = transval.validate_timing
 
         def counting(*args, **kwargs):
             checked.append(None)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(transval, "validate_functional", counting)
+        monkeypatch.setattr(transval, "validate_timing", counting)
         program = _program()
         clear_compile_memo()
         _run(program, ENGINE_TIERED)

@@ -2,9 +2,9 @@
 
 import pytest
 
-import repro.engine.functional as functional_module
 import repro.fuzz.oracle as oracle_module
 import repro.slicing.slice_tree as slice_tree_module
+import repro.timing.core as timing_module
 from repro.engine.compiler import tier_threshold
 from repro.fuzz.generator import generate
 from repro.fuzz.oracle import CHECK_FAMILIES, CheckFailure, run_oracle
@@ -71,26 +71,27 @@ class TestFailureDetection:
 
     def test_eager_compile_fallback_is_caught(self, monkeypatch):
         # A whole-program compile that silently fails leaves the eager
-        # run interpreted: results still agree, so only the
+        # runs interpreted: results still agree, so only the
         # every-block-compiled check can see it.
-        real_compile = functional_module.compile_functional
+        real_compile = timing_module.compile_timing
 
-        def no_whole_program(decoded, tracing, caching, only_blocks=None):
+        def no_whole_program(decoded, only_blocks=None, **shape):
             if only_blocks is None:
                 return None
-            return real_compile(decoded, tracing, caching, only_blocks)
+            return real_compile(decoded, only_blocks=only_blocks, **shape)
 
-        monkeypatch.setattr(
-            functional_module, "compile_functional", no_whole_program
-        )
+        monkeypatch.setattr(timing_module, "compile_timing", no_whole_program)
         report = run_oracle(generate(3))
         failures = [
             f for f in report.failures
             if (f.family, f.check) == ("engine_equivalence",
                                        "engine_availability")
         ]
-        assert len(failures) == 1, report.render()
-        assert "functional: eager run compiled 0 of" in failures[0].message
+        assert [f.message.split(":")[0] for f in failures] == [
+            "timing baseline", "timing pre-execution",
+        ], report.render()
+        for failure in failures:
+            assert ": eager run compiled 0 of" in failure.message
         assert report.failed_checks() == {
             ("engine_equivalence", "engine_availability")
         }

@@ -162,7 +162,8 @@ class TestVerifyCodegenCommand:
     def test_pharmacy_validates_clean(self, capsys, hermetic_cli):
         assert main(["verify-codegen", "pharmacy", "--strict"]) == 0
         out = capsys.readouterr().out
-        assert "functional tracing=1 caching=1" in out
+        assert "functional" not in out
+        assert "timing baseline launching=0" in out
         assert "timing pre-exec launching=1" in out
         assert "0 target(s) with errors" in out
 
@@ -182,19 +183,19 @@ class TestVerifyCodegenCommand:
         assert first == second
         payload = json.loads(first)
         assert payload["ok"] is True
-        targets = {t["target"] for t in payload["targets"]}
-        # 4 functional shapes + 2 baseline timing shapes.
-        assert len(payload["targets"]) == 6
-        assert any(t.startswith("timing baseline") for t in targets)
+        targets = [t["target"] for t in payload["targets"]]
+        # The 2 baseline timing shapes.
+        assert len(targets) == 2
+        assert all(t.startswith("timing baseline") for t in targets)
 
     def test_strict_propagates_block_failures(
         self, capsys, hermetic_cli, monkeypatch
     ):
         from repro.analysis.report import Diagnostic, Severity
         from repro.analysis.transval import TransvalResult
-        from repro.engine.functional import FunctionalSimulator
+        from repro.timing import TimingSimulator
 
-        def broken(self, tracing, caching):
+        def broken(self, launching, stealing, prefetching):
             return TransvalResult(
                 diagnostics=[
                     Diagnostic("CG001", Severity.ERROR, "injected")
@@ -203,9 +204,7 @@ class TestVerifyCodegenCommand:
                 blocks_failed=1,
             )
 
-        monkeypatch.setattr(
-            FunctionalSimulator, "validate_codegen", broken
-        )
+        monkeypatch.setattr(TimingSimulator, "validate_codegen", broken)
         assert main(
             ["verify-codegen", "pharmacy", "--variant", "baseline",
              "--strict"]

@@ -73,6 +73,12 @@ def test_full_request_round_trips():
         {"workload": "mcf", "selection_prefix": -5},
         {"workload": "mcf", "model_mem_latency": 0},
         {"workload": "mcf", "model_bw_seq": -1},
+        # Nested fields must match their field's type exactly: the
+        # dataclass would take these as they come.
+        {"workload": "vpr.r", "constraints": {"optimize": "false"}},
+        {"workload": "mcf", "machine": {"bw_seq": 8.5}},
+        {"workload": "mcf", "constraints": {"scope": 256.5}},
+        {"workload": "mcf", "constraints": {"scope": True}},
     ],
 )
 def test_malformed_requests_raise(doc):
