@@ -1596,7 +1596,6 @@ def _structural_diagnostics(
     compiled: CompiledBlocks,
     bind: ast.FunctionDef,
     extra_leaders: Sequence[int],
-    only_blocks: Optional[Sequence[int]] = None,
 ) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     n = len(decoded)
@@ -1604,12 +1603,7 @@ def _structural_diagnostics(
         (start, start + length)
         for start, length in zip(compiled.starts, compiled.lengths)
     ]
-    full = discover_blocks(decoded, extra_leaders=extra_leaders)
-    if only_blocks is None:
-        expected = full
-    else:
-        members = frozenset(only_blocks)
-        expected = [block for block in full if block[0] in members]
+    expected = discover_blocks(decoded, extra_leaders=extra_leaders)
     if actual != expected:
         diags.append(
             _diag(
@@ -1619,45 +1613,31 @@ def _structural_diagnostics(
                 f"leader analysis {expected[:8]}...",
             )
         )
-    # Independent partition sanity: a full compilation must cover the
-    # program exactly; a tiered subset compilation must emit only
-    # genuine blocks of the full partition.  Either way, no control
-    # transfer may be buried inside a block.
+    # Independent partition sanity: the compilation must cover the
+    # program exactly, and no control transfer may be buried inside a
+    # block.
     terminators = frozenset((K_BRANCH, K_JUMP, K_JAL, K_JR, K_HALT))
-    if only_blocks is None:
-        covered = 0
-        for start, end in actual:
-            if start != covered:
-                diags.append(
-                    _diag(
-                        "CG003",
-                        start,
-                        f"block gap/overlap: block starts at {start}, "
-                        f"coverage so far ends at {covered}",
-                    )
-                )
-            covered = end
-        if actual and covered != n:
+    covered = 0
+    for start, end in actual:
+        if start != covered:
             diags.append(
                 _diag(
                     "CG003",
-                    covered,
-                    f"blocks cover [0, {covered}) but the program has {n} "
-                    "instructions",
+                    start,
+                    f"block gap/overlap: block starts at {start}, "
+                    f"coverage so far ends at {covered}",
                 )
             )
-    else:
-        full_set = frozenset(full)
-        for start, end in actual:
-            if (start, end) not in full_set:
-                diags.append(
-                    _diag(
-                        "CG003",
-                        start,
-                        f"block [{start}, {end}) is not a basic block "
-                        "of the full partition",
-                    )
-                )
+        covered = end
+    if actual and covered != n:
+        diags.append(
+            _diag(
+                "CG003",
+                covered,
+                f"blocks cover [0, {covered}) but the program has {n} "
+                "instructions",
+            )
+        )
     for start, end in actual:
         for pc in range(start, end - 1):
             if decoded.kind[pc] in terminators:
@@ -1821,14 +1801,8 @@ def validate_timing(
     decoded: DecodedProgram,
     compiled: Optional[CompiledBlocks],
     params: TimingParams,
-    only_blocks: Optional[Sequence[int]] = None,
 ) -> TransvalResult:
-    """Validate a timing-engine compilation against the decode.
-
-    ``only_blocks`` marks a tiered subset compilation: structural
-    checks then require membership in the full partition instead of
-    exact program coverage.
-    """
+    """Validate a timing-engine compilation against the decode."""
     result = TransvalResult()
     extra_leaders = sorted(params.trigger_pcs) if params.launching else ()
     with get_tracer().span("analysis.transval.timing"), _deep_recursion():
@@ -1860,9 +1834,7 @@ def validate_timing(
             if isinstance(stmt, ast.FunctionDef)
         }
         result.diagnostics.extend(
-            _structural_diagnostics(
-                decoded, compiled, bind, extra_leaders, only_blocks
-            )
+            _structural_diagnostics(decoded, compiled, bind, extra_leaders)
         )
         for start, length in zip(compiled.starts, compiled.lengths):
             end = start + length

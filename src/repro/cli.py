@@ -21,11 +21,9 @@ Commands mirror the paper's artifacts::
 
 Sweeps accept ``--workloads`` to restrict the suite, ``--jobs/-j`` to
 fan cells out over worker processes (default ``REPRO_JOBS``, then the
-CPU count), ``--no-cache`` to skip the persistent artifact cache,
-``--engine tiered|interp`` to pick the timing simulator's engine
-(default tiered; also via ``REPRO_ENGINE``), and ``--perf`` to append a
-stage-timing / cache-effectiveness report (span seconds and the
-registry's stage counters).
+CPU count), ``--no-cache`` to skip the persistent artifact cache, and
+``--perf`` to append a stage-timing / cache-effectiveness report (span
+seconds and the registry's stage counters).
 Every pipeline command also takes ``--trace PATH`` (write the
 invocation's nested span tree as JSON) and ``--metrics PATH`` (write a
 metrics snapshot as JSON) — see DESIGN.md's Observability section.
@@ -122,20 +120,6 @@ def _export_observability(args: argparse.Namespace) -> None:
         print(f"wrote {metrics_path}")
 
 
-def _apply_engine(args: argparse.Namespace) -> None:
-    """Turn ``--engine`` into the ``REPRO_ENGINE`` environment switch.
-
-    Like ``--verify``, the environment variable is what parallel sweep
-    workers inherit, so the choice covers every simulation in the
-    invocation.
-    """
-    engine = getattr(args, "engine", None)
-    if engine:
-        from repro.engine.compiler import ENGINE_ENV
-
-        os.environ[ENGINE_ENV] = engine
-
-
 def _apply_verify(args: argparse.Namespace) -> None:
     """Turn ``--verify`` into the ``REPRO_VERIFY`` environment switch.
 
@@ -151,7 +135,6 @@ def _apply_verify(args: argparse.Namespace) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> None:
     _apply_verify(args)
-    _apply_engine(args)
     runner = ExperimentRunner(artifacts=_artifacts(args))
     result = runner.run(
         ExperimentConfig(
@@ -178,7 +161,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 def _cmd_table(args: argparse.Namespace) -> None:
     _apply_verify(args)
-    _apply_engine(args)
     executor = _executor(args)
     workloads = _parse_workloads(args.workloads)
     if args.which == "1":
@@ -190,7 +172,6 @@ def _cmd_table(args: argparse.Namespace) -> None:
 
 def _cmd_figure(args: argparse.Namespace) -> None:
     _apply_verify(args)
-    _apply_engine(args)
     executor = _executor(args)
     workloads = _parse_workloads(args.workloads)
     figure_fn = _FIGURES.get(args.which)
@@ -311,7 +292,6 @@ def _cmd_parity(args: argparse.Namespace) -> int:
     reports = parity_suite(
         names,
         input_name=args.input,
-        engine=args.engine,
         max_instructions=args.max_instructions,
     )
     if args.format == "json":
@@ -607,15 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="append a stage-timing / cache hit-miss report",
         )
         p.add_argument(
-            "--engine", choices=["tiered", "interp"],
-            default=None,
-            help=(
-                "timing engine: tiered (default; interpret, then "
-                "compile hot blocks) or the reference interpreter "
-                "(sets REPRO_ENGINE; the functional trace has one engine)"
-            ),
-        )
-        p.add_argument(
             "--verify", action="store_true",
             help=(
                 "statically verify p-thread invariants after every "
@@ -862,13 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parity_parser.add_argument(
         "--input", default="train", help="input set to build (default train)"
-    )
-    parity_parser.add_argument(
-        "--engine", choices=["interp", "tiered"], default=None,
-        help=(
-            "engine of the trace-driven model; the event model has one "
-            "dispatch (default: REPRO_ENGINE)"
-        ),
     )
     parity_parser.add_argument(
         "--max-instructions", type=int, default=120_000,

@@ -27,7 +27,9 @@ before the next leader, or at :data:`MAX_BLOCK` instructions.  Schedule
 *region* boundaries are dynamic instruction counts, not PCs, so they
 cannot be block leaders; the timing dispatcher instead caps compiled
 execution at the next boundary and single-steps across it with the
-interpreter (see ``TimingSimulator._run_tiered``).
+interpreter (see ``TimingSimulator._run_tiered``).  Every block of the
+partition is compiled, once per program variant, before the variant's
+first instruction runs.
 
 Two-stage binding
 -----------------
@@ -54,7 +56,6 @@ whole-program fallback.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -76,17 +77,10 @@ from repro.engine.decode import (
 from repro.isa.opcodes import Opcode, WORD_SIZE
 from repro.obs import get_registry as obs_registry
 
-#: Environment variable selecting the timing simulator's engine.
-ENGINE_ENV = "REPRO_ENGINE"
+#: The timing simulator's engines: the reference interpreter and the
+#: tiered engine that runs this module's compiled blocks.
 ENGINE_INTERP = "interp"
 ENGINE_TIERED = "tiered"
-_INTERP_NAMES = {"interp", "interpreter", "interpreted"}
-
-#: Environment variable for the tier-up threshold (block entry count at
-#: which the tiered engine compiles a block; ``0`` compiles the whole
-#: program before the first instruction).
-TIER_ENV = "REPRO_TIER_THRESHOLD"
-DEFAULT_TIER_THRESHOLD = 50
 
 #: Programs longer than this are not compiled (compile time guard).
 MAX_PROGRAM = 65_536
@@ -107,70 +101,36 @@ _ALIGN_MASK = (
 
 
 def resolve_engine(explicit: Optional[str] = None) -> str:
-    """Resolve the timing engine: explicit arg > ``REPRO_ENGINE`` > tiered.
+    """The timing engine a simulator runs: tiered unless ``explicit``
+    names the interpreter.
 
-    Any spelling of "interp" selects the interpreter; "tiered" (or
-    unset/empty) selects the tiered engine, which starts in the
-    interpreter and compiles only blocks that get hot (all of them up
-    front at ``REPRO_TIER_THRESHOLD=0``).  Anything else raises, so a
-    typo cannot silently change which engine ran.
+    Any other name raises, so a typo cannot silently change which
+    engine ran.
     """
-    value = explicit if explicit is not None else os.environ.get(ENGINE_ENV)
-    if value is None:
+    if explicit is None or explicit == ENGINE_TIERED:
         return ENGINE_TIERED
-    name = value.strip().lower()
-    if name in _INTERP_NAMES:
+    if explicit == ENGINE_INTERP:
         return ENGINE_INTERP
-    if name in ("", ENGINE_TIERED):
-        return ENGINE_TIERED
     raise ValueError(
-        f"unknown engine {value!r}: expected "
+        f"unknown engine {explicit!r}: expected "
         f"'{ENGINE_TIERED}' or '{ENGINE_INTERP}'"
     )
-
-
-#: Instruction budget of one tiered interpreter slice: the interval at
-#: which the tiered engine re-scans block-entry counts for new hot
-#: blocks.  Bounded so interpreter-only inner loops still tier up.
-TIER_SLICE = 4096
-
-
-def tier_threshold() -> int:
-    """Block-entry count at which the tiered engine compiles a block.
-
-    ``REPRO_TIER_THRESHOLD`` overrides the default.  ``0`` makes every
-    block leader hot before the first instruction, so one tier-up
-    compiles the whole program (eager compilation).  A negative or
-    non-integer value raises so a typo cannot silently change tiering.
-    """
-    raw = os.environ.get(TIER_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_TIER_THRESHOLD
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise ValueError(
-            f"{TIER_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"{TIER_ENV} must be >= 0, got {raw!r}")
-    return value
 
 
 def register_engine_metrics() -> None:
     """Register the engine's catalog counters at zero.
 
     The metric catalog requires ``engine.compile.*`` and
-    ``engine.tier.*`` in every default-pipeline snapshot, but a
-    fully-interpreted tiered run never compiles and a non-tiered run
-    never tiers.  ``counter()`` is get-or-create, so this pins the
-    names without incrementing anything.
+    ``engine.tier.compiled_blocks`` in every default-pipeline snapshot,
+    but a run the compiler refuses, an interpreter run, or a run whose
+    module is memoized compiles nothing.  ``counter()`` is
+    get-or-create, so this pins the names without incrementing
+    anything.
     """
     registry = obs_registry()
     registry.counter("engine.compile.programs")
     registry.counter("engine.compile.blocks")
     registry.counter("engine.tier.compiled_blocks")
-    registry.counter("engine.tier.interp_blocks")
 
 
 def discover_blocks(
@@ -466,12 +426,9 @@ def _compile_guard(key: tuple) -> Iterator[None]:
 
 
 def _compile_key(
-    decoded: DecodedProgram,
-    target: str,
-    variant: tuple,
-    only_blocks: Optional[Sequence[int]],
+    decoded: DecodedProgram, target: str, variant: tuple
 ) -> tuple:
-    """Memo key for one compilation: ``(digest, target, variant, blocks)``.
+    """Memo key for one compilation: ``(digest, target, variant)``.
 
     The program is named by its content digest, not its ``id()``: fuzz
     campaigns stream thousands of programs through the memo, and
@@ -479,12 +436,7 @@ def _compile_key(
     """
     from repro.harness.artifacts import program_digest
 
-    return (
-        program_digest(decoded.program),
-        target,
-        variant,
-        None if only_blocks is None else tuple(sorted(only_blocks)),
-    )
+    return (program_digest(decoded.program), target, variant)
 
 
 def _emit_mem_load(rd: int, out: List[str]) -> None:
@@ -528,7 +480,6 @@ def compile_timing(
     prefetching: bool,
     trigger_pcs: frozenset,
     hinted_pcs: frozenset,
-    only_blocks: Optional[Sequence[int]] = None,
 ) -> Optional[CompiledBlocks]:
     """Compile a timing-simulation variant of ``decoded``.
 
@@ -537,12 +488,9 @@ def compile_timing(
     next PC) so the dispatcher can keep the hot state in locals.  Rare
     events (L1 misses, mispredictions, hint coverage) tally into a
     shared 3-slot list; frequent per-instruction counts are recovered
-    statically from block execution counts.  Returns ``None`` on
-    fallback.
-
-    ``only_blocks`` restricts emission to blocks whose leader PC is in
-    the set (tiered hot subset); finished compilations are memoized
-    process-wide.
+    statically from block execution counts.  Every block of the
+    partition is emitted.  Returns ``None`` on fallback; finished
+    compilations are memoized process-wide.
     """
     n = len(decoded)
     if not n or n > MAX_PROGRAM:
@@ -563,7 +511,6 @@ def compile_timing(
             trigger_pcs,
             hinted_pcs,
         ),
-        only_blocks,
     )
     with _compile_guard(key):
         compiled = _memo_get(key)
@@ -572,11 +519,6 @@ def compile_timing(
         blocks = discover_blocks(
             decoded, extra_leaders=sorted(trigger_pcs) if launching else ()
         )
-        if only_blocks is not None:
-            only = frozenset(only_blocks)
-            blocks = [b for b in blocks if b[0] in only]
-            if not blocks:
-                return None
         lines = [
             "def _bind(ctx):",
             "    ring = ctx['ring']",

@@ -160,11 +160,6 @@ class FunctionalSimulator:
             if self.hierarchy_config is not None
             else None
         )
-        trace = (
-            Trace(capacity=min(max_instructions, 1 << 18))
-            if collect_trace
-            else None
-        )
 
         decoded = self.decoded
         kind = decoded.kind
@@ -183,8 +178,11 @@ class FunctionalSimulator:
         mem_load = memory.load
         mem_store = memory.store
         hier_access = hierarchy.access_fast if hierarchy is not None else None
-        trace_append = trace.append if trace is not None else None
-        tracing = trace is not None
+        # One positional record tuple per executed instruction, in
+        # Trace.FIELDS order; a record's dynamic index is executed - 1.
+        records: List[tuple] = []
+        record = records.append
+        tracing = collect_trace
         caching = hierarchy is not None
 
         pc = 0
@@ -206,9 +204,10 @@ class FunctionalSimulator:
                 rd = rd_arr[pc]
                 idx = -1
                 if tracing:
-                    idx = trace_append(
-                        pc, dep1=last_writer[rs1], dep2=last_writer[rs2]
+                    record(
+                        (pc, -1, 0, last_writer[rs1], last_writer[rs2], -1, False)
                     )
+                    idx = executed - 1
                 if rd:
                     regs[rd] = value
                     last_writer[rd] = idx
@@ -218,7 +217,8 @@ class FunctionalSimulator:
                 rd = rd_arr[pc]
                 idx = -1
                 if tracing:
-                    idx = trace_append(pc, dep1=last_writer[rs1])
+                    record((pc, -1, 0, last_writer[rs1], -1, -1, False))
+                    idx = executed - 1
                 if rd:
                     regs[rd] = value
                     last_writer[rd] = idx
@@ -234,13 +234,18 @@ class FunctionalSimulator:
                 rd = rd_arr[pc]
                 idx = -1
                 if tracing:
-                    idx = trace_append(
-                        pc,
-                        addr=addr,
-                        level=level,
-                        dep1=last_writer[rs1],
-                        memdep=last_store.get(addr, -1),
+                    record(
+                        (
+                            pc,
+                            addr,
+                            level,
+                            last_writer[rs1],
+                            -1,
+                            last_store.get(addr, -1),
+                            False,
+                        )
                     )
+                    idx = executed - 1
                 if rd:
                     regs[rd] = value
                     last_writer[rd] = idx
@@ -253,13 +258,10 @@ class FunctionalSimulator:
                 if caching:
                     hier_access(addr, True)
                 if tracing:
-                    idx = trace_append(
-                        pc,
-                        addr=addr,
-                        dep1=last_writer[rs1],
-                        dep2=last_writer[rs2],
+                    record(
+                        (pc, addr, 0, last_writer[rs1], last_writer[rs2], -1, False)
                     )
-                    last_store[addr] = idx
+                    last_store[addr] = executed - 1
                 else:
                     last_store[addr] = -1
             elif k == K_BRANCH:
@@ -268,25 +270,23 @@ class FunctionalSimulator:
                 rs2 = rs2_arr[pc]
                 taken = branch_arr[pc](regs[rs1], regs[rs2])
                 if tracing:
-                    trace_append(
-                        pc,
-                        dep1=last_writer[rs1],
-                        dep2=last_writer[rs2],
-                        taken=taken,
+                    record(
+                        (pc, -1, 0, last_writer[rs1], last_writer[rs2], -1, taken)
                     )
                 if taken:
                     next_pc = target_arr[pc]
             elif k == K_JUMP:
                 branches += 1
                 if tracing:
-                    trace_append(pc, taken=True)
+                    record((pc, -1, 0, -1, -1, -1, True))
                 next_pc = target_arr[pc]
             elif k == K_JAL:
                 branches += 1
                 rd = rd_arr[pc]
                 idx = -1
                 if tracing:
-                    idx = trace_append(pc, taken=True)
+                    record((pc, -1, 0, -1, -1, -1, True))
+                    idx = executed - 1
                 if rd:
                     regs[rd] = pc + 1
                     last_writer[rd] = idx
@@ -295,16 +295,16 @@ class FunctionalSimulator:
                 branches += 1
                 rs1 = rs1_arr[pc]
                 if tracing:
-                    trace_append(pc, dep1=last_writer[rs1], taken=True)
+                    record((pc, -1, 0, last_writer[rs1], -1, -1, True))
                 next_pc = regs[rs1]
             elif k == K_HALT:
                 if tracing:
-                    trace_append(pc)
+                    record((pc, -1, 0, -1, -1, -1, False))
                 halted = True
                 break
             else:  # K_NOP
                 if tracing:
-                    trace_append(pc)
+                    record((pc, -1, 0, -1, -1, -1, False))
 
             pc = next_pc
 
@@ -315,6 +315,7 @@ class FunctionalSimulator:
             )
         # The trace's parallel numpy arrays materialize lazily on first
         # column read: analysis pays the conversion, not the simulator.
+        trace = Trace(records) if tracing else None
         result = FunctionalResult(
             trace=trace,
             instructions=executed,

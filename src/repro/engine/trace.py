@@ -8,11 +8,12 @@ indexing.
 
 Internally the trace is built as a plain list of record tuples —
 appending to a Python list is several times faster than seven numpy
-scalar stores, and the simulators append once per executed instruction
-— and converted to the parallel numpy arrays lazily, the first time a
-column is read (or explicitly via :meth:`Trace.trim`).  The array
-attributes (``trace.pc`` etc.) are properties backed by that
-materialization, so consumers are unaffected by the buffering.
+scalar stores, and the functional simulator records once per executed
+instruction, straight into a list it hands over whole — and converted
+to the parallel numpy arrays lazily, the first time a column is read
+(or explicitly via :meth:`Trace.trim`).  The array attributes
+(``trace.pc`` etc.) are properties backed by that materialization, so
+consumers are unaffected by the buffering.
 
 Per-record fields:
 
@@ -52,8 +53,9 @@ class Trace:
     """Growable record-tuple trace with lazy parallel-array views.
 
     Args:
-        capacity: accepted for API compatibility; the record buffer is
-            a plain list and sizes itself.
+        records: record tuples in :attr:`FIELDS` order, one per
+            dynamic instruction; the trace takes ownership of the list.
+            ``None`` starts an empty trace.
     """
 
     #: Parallel-array field names, in record/serialization order.
@@ -69,8 +71,10 @@ class Trace:
         "taken": np.int8,
     }
 
-    def __init__(self, capacity: int = 1 << 16) -> None:
-        self._records: Optional[List[Tuple]] = []
+    def __init__(self, records: Optional[List[Tuple]] = None) -> None:
+        self._records: Optional[List[Tuple]] = (
+            [] if records is None else records
+        )
         self._arrays: Optional[Dict[str, np.ndarray]] = None
 
     @property

@@ -5,15 +5,13 @@ and applies seven check families, each named by a stable identifier so
 shrinking can match "the same failure" across candidate reductions:
 
 ``engine_equivalence``
-    The timing simulator's tiered engine must be bit-identical to the
-    reference interpreter in two columns: ``tiered`` (the default
-    threshold) and ``eager`` (``REPRO_TIER_THRESHOLD=0``, the whole
-    program compiled before the first instruction, so generated code
-    runs even on programs too short to tier up).  Compared are the
-    stats in baseline and pre-execution modes.  Every eager run must
-    have compiled every block: no silent compile fallback.  The
-    functional simulator has one engine; its run here is the reference
-    every later family reads.
+    The timing simulator's tiered engine, which compiles the whole
+    program before the first instruction, must be bit-identical to the
+    reference interpreter.  Compared are the stats in baseline and
+    pre-execution modes.  Every tiered run must have compiled every
+    block: no silent compile fallback.  The functional simulator has
+    one engine; its run here is the reference every later family
+    reads.
 
 ``functional_vs_timing``
     The two independent execution models must commit the same
@@ -71,20 +69,13 @@ shrinking can match "the same failure" across candidate reductions:
 from __future__ import annotations
 
 import math
-import os
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.report import Severity
 from repro.analysis.verifier import verify_selection
-from repro.engine.compiler import (
-    ENGINE_INTERP,
-    ENGINE_TIERED,
-    TIER_ENV,
-    discover_blocks,
-)
+from repro.engine.compiler import ENGINE_INTERP, ENGINE_TIERED, discover_blocks
 from repro.engine.functional import FunctionalResult, FunctionalSimulator
 from repro.engine.trace import Trace
 from repro.fuzz.generator import FuzzWorkload
@@ -116,41 +107,20 @@ CHECK_FAMILIES: Tuple[str, ...] = (
 )
 
 #: ``engine_equivalence`` timing columns: the reference interpreter
-#: first, then the tiered engine at the default threshold and eager.
-_COLUMNS = (ENGINE_INTERP, ENGINE_TIERED, "eager")
-
-
-@contextmanager
-def _eager_tiering() -> Iterator[None]:
-    """Scope ``REPRO_TIER_THRESHOLD=0``, restoring the caller's value."""
-    previous = os.environ.get(TIER_ENV)
-    os.environ[TIER_ENV] = "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(TIER_ENV, None)
-        else:
-            os.environ[TIER_ENV] = previous
-
-
-def _in_column(column: str):
-    """The engine one column runs and the environment scope it runs in."""
-    if column == "eager":
-        return ENGINE_TIERED, _eager_tiering()
-    return column, nullcontext()
+#: first, then the tiered engine.
+_COLUMNS = (ENGINE_INTERP, ENGINE_TIERED)
 
 
 def _expect_all_compiled(
     check: "_Checker", sim, label: str, extra_leaders=()
 ) -> None:
-    """An eager run compiled every block (no silent compile fallback)."""
+    """A tiered run compiled every block (no silent compile fallback)."""
     blocks = len(discover_blocks(sim.decoded, extra_leaders))
     compiled = sim.last_tier["compiled_blocks"]
     check.expect(
         compiled == blocks,
         "engine_availability",
-        f"{label}: eager run compiled {compiled} of {blocks} blocks",
+        f"{label}: tiered run compiled {compiled} of {blocks} blocks",
     )
 
 
@@ -305,17 +275,15 @@ def _run_timing(
     checker: _Checker,
     label: str,
 ) -> _TimingRun:
-    engine, scope = _in_column(column)
     sim = TimingSimulator(
         workload.program,
         workload.hierarchy,
         machine=machine,
         pthreads=pthreads,
-        engine=engine,
+        engine=column,
     )
-    with scope:
-        stats = sim.run(mode, max_instructions=max_instructions)
-    if column == "eager":
+    stats = sim.run(mode, max_instructions=max_instructions)
+    if column == ENGINE_TIERED:
         triggers = (
             sorted({pt.trigger_pc for pt in pthreads or ()})
             if mode.launch

@@ -69,7 +69,9 @@ class ExperimentConfig:
         selection_prefix: select using only the first N dynamic
             instructions of the trace (Figure 7 dynamic scenario).
         granularity: region size for region-specialized selection
-            (Figure 6); ``None`` selects over the whole run.
+            (Figure 6); ``None`` selects over the whole run.  Region
+            selection reads neither ``selection_prefix`` nor
+            ``effective_latency``, so setting either with it raises.
         effective_latency: refine ``Lmem`` per static load using the
             exposed-stall measurement from the baseline run — the
             critical-path extension the paper lists as future work.
@@ -105,6 +107,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.granularity is not None:
+            for name in ("selection_prefix", "effective_latency"):
+                if getattr(self, name):
+                    raise ValueError(
+                        f"granularity selects per region and ignores {name}"
+                    )
 
 
 @dataclass

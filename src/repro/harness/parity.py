@@ -47,7 +47,6 @@ DEFAULT_MAX_INSTRUCTIONS = 120_000
 def parity_workload(
     name: str,
     input_name: str = "train",
-    engine: Optional[str] = None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     tolerance: Optional[ParityTolerance] = None,
 ) -> List[ParityReport]:
@@ -76,7 +75,6 @@ def parity_workload(
                 workload.hierarchy,
                 mode,
                 pthreads=selection.pthreads if mode.launch else None,
-                engine=engine,
                 max_instructions=max_instructions,
                 workload=name,
                 tolerance=tolerance,
@@ -88,7 +86,6 @@ def parity_workload(
 def parity_suite(
     names: Sequence[str],
     input_name: str = "train",
-    engine: Optional[str] = None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     tolerance: Optional[ParityTolerance] = None,
 ) -> List[ParityReport]:
@@ -99,7 +96,6 @@ def parity_suite(
             parity_workload(
                 name,
                 input_name=input_name,
-                engine=engine,
                 max_instructions=max_instructions,
                 tolerance=tolerance,
             )

@@ -39,7 +39,6 @@ METRIC_CATALOG: Dict[str, str] = {
     "engine.compile.blocks": "counter",
     # Tiered engine.
     "engine.tier.compiled_blocks": "counter",
-    "engine.tier.interp_blocks": "counter",
     # Timing core (SimStats totals, accumulated across runs).
     "timing.runs": "counter",
     "timing.instructions": "counter",

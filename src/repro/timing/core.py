@@ -29,12 +29,14 @@ order) while computing a cycle-level timing model alongside:
 Two engines produce bit-identical
 :class:`~repro.timing.stats.SimStats` (see DESIGN.md): the resumable
 interpreter in :meth:`TimingSimulator._interp`, and the tiered engine,
-which runs compiled basic-block functions from
-:mod:`repro.engine.compiler` for hot blocks through
-:meth:`TimingSimulator._run_tiered`.  The dispatcher leans on the
-interpreter for cold blocks, block tails, computed-jump entries, and
-the instructions around schedule region boundaries (which are dynamic
-instruction counts, not PCs, so compiled blocks cannot observe them).
+which compiles the whole program into basic-block functions from
+:mod:`repro.engine.compiler` before the first instruction and runs
+them through :meth:`TimingSimulator._run_tiered`.  The dispatcher
+leans on the interpreter for computed-jump entries that land
+mid-block, for the instructions around schedule region boundaries and
+the run limit (which are dynamic instruction counts, not PCs, so
+compiled blocks cannot observe them), and for programs the compiler
+refuses.
 """
 
 from __future__ import annotations
@@ -45,13 +47,10 @@ from repro.analysis.report import assert_clean, verification_enabled
 from repro.engine.compiler import (
     ENGINE_INTERP,
     ENGINE_TIERED,
-    TIER_SLICE,
     CompiledBlocks,
     compile_timing,
-    discover_blocks,
     register_engine_metrics,
     resolve_engine,
-    tier_threshold,
 )
 from repro.engine.decode import (
     DecodedProgram,
@@ -71,7 +70,7 @@ from repro.isa.program import Program
 from repro.isa.registers import NUM_REGS
 from repro.memory.hierarchy import HierarchyConfig, TimedHierarchy
 from repro.memory.main_memory import MainMemory
-from repro.obs import get_registry as obs_registry, get_tracer
+from repro.obs import get_registry as obs_registry
 from repro.pthreads.pthread import StaticPThread
 from repro.timing.config import BASELINE, MachineConfig, SimMode
 from repro.timing.stats import SimStats
@@ -244,9 +243,9 @@ class _TimingState:
     """Mutable run state shared between interpreter and dispatcher.
 
     The tiered dispatcher and the resumable interpreter hand
-    execution back and forth (tails, computed-jump entries, region
-    boundaries); everything either side reads or writes lives here so
-    the hand-off is exact.
+    execution back and forth (region and run-limit edges,
+    computed-jump entries); everything either side reads or writes
+    lives here so the hand-off is exact.
     """
 
     __slots__ = (
@@ -294,8 +293,8 @@ class TimingSimulator:
             exclusive with ``schedule``).
         schedule: region-based p-thread activation for granularity
             experiments.
-        engine: ``"tiered"`` / ``"interp"``; ``None`` defers to the
-            ``REPRO_ENGINE`` environment variable (default tiered).
+        engine: ``"tiered"`` (the default, also for ``None``) or
+            ``"interp"``, the reference interpreter.
 
     Attributes:
         last_registers: committed register file after the most recent
@@ -373,28 +372,19 @@ class TimingSimulator:
         return triggers
 
     def _tiered_variant(
-        self,
-        launching: bool,
-        stealing: bool,
-        prefetching: bool,
-        hot: Optional[tuple],
+        self, launching: bool, stealing: bool, prefetching: bool
     ) -> Optional[CompiledBlocks]:
-        """The compiled module for tiered runs, memoized per instance.
+        """The whole-program module for tiered runs, memoized per instance.
 
-        ``hot`` is the sorted tuple of hot block-leader PCs the module
-        covers, or ``None`` for the whole program (eager tiering).
         Under ``REPRO_VERIFY`` the module is translation-validated
-        before it runs (the structural partition check runs in subset
-        mode for a hot subset).
+        before it runs.
         """
-        key = (launching, stealing, prefetching, hot)
+        key = (launching, stealing, prefetching)
         if key not in self._compiled:
             shape = dict(
                 launching=launching, stealing=stealing, prefetching=prefetching
             )
-            compiled = compile_timing(
-                self.decoded, **self._codegen_args, **shape, only_blocks=hot
-            )
+            compiled = compile_timing(self.decoded, **self._codegen_args, **shape)
             if (
                 compiled is not None
                 and verification_enabled()
@@ -409,7 +399,6 @@ class TimingSimulator:
                     self.decoded,
                     compiled,
                     TimingParams(**self._codegen_args, **shape),
-                    only_blocks=hot,
                 )
                 assert_clean(
                     result.diagnostics,
@@ -590,15 +579,10 @@ class TimingSimulator:
         st: _TimingState,
         limit: int,
         stop_pcs: Optional[dict] = None,
-        entry_counts: Optional[Dict[int, int]] = None,
     ) -> None:
         """Interpret from ``st`` until halt, ``limit`` instructions, or
         a PC in ``stop_pcs`` (checked before executing — callers enter
         with ``st.pc`` outside the set).
-
-        With ``entry_counts``, every control-flow transfer target is
-        counted (``{next_pc: entries}``); the tiered engine scans the
-        counts for block leaders worth compiling.
         """
         machine = self.machine
         decoded = self.decoded
@@ -653,7 +637,6 @@ class TimingSimulator:
         region_end = st.region_end
         triggers = st.triggers
         halted = False
-        counting = entry_counts is not None
 
         while executed < limit:
             if stop_pcs is not None and pc in stop_pcs:
@@ -807,14 +790,10 @@ class TimingSimulator:
                     else:
                         fetch_cycle = complete + mispredict_penalty
                         cap_used = 0
-                if counting:
-                    entry_counts[next_pc] = entry_counts.get(next_pc, 0) + 1
             elif k == K_JUMP:
                 stats.branches += 1
                 complete = disp
                 next_pc = target_arr[pc]
-                if counting:
-                    entry_counts[next_pc] = entry_counts.get(next_pc, 0) + 1
             elif k == K_JAL:
                 stats.branches += 1
                 complete = disp
@@ -823,8 +802,6 @@ class TimingSimulator:
                     regs[rd] = pc + 1
                     reg_ready[rd] = complete
                 next_pc = target_arr[pc]
-                if counting:
-                    entry_counts[next_pc] = entry_counts.get(next_pc, 0) + 1
             elif k == K_JR:
                 stats.branches += 1
                 rs1 = rs1_arr[pc]
@@ -838,8 +815,6 @@ class TimingSimulator:
                     stats.mispredictions += 1
                     fetch_cycle = complete + mispredict_penalty
                     cap_used = 0
-                if counting:
-                    entry_counts[next_pc] = entry_counts.get(next_pc, 0) + 1
             elif k == K_HALT:
                 complete = disp
                 last_retire = max(last_retire, complete)
@@ -886,43 +861,28 @@ class TimingSimulator:
     def _run_tiered(
         self, st: _TimingState, limit: int, prefetching: bool
     ) -> None:
-        """Interpret first; compile blocks once they prove hot.
+        """Run compiled blocks of the whole program, compiled up front.
 
-        Starts in the resumable interpreter with block-entry counting
-        on, scans the counts every ``TIER_SLICE`` instructions, and
-        batch-compiles all block leaders past :func:`tier_threshold`
-        entries (threshold ``0``: the whole program before the first
-        instruction).  Compiled blocks cannot observe
-        dynamic-instruction milestones mid-block, so the dispatcher
-        only runs a block when at least ``max_len`` instructions remain
-        before the next schedule region boundary and before the run
-        limit; the interpreter carries execution across those edges,
-        cold leaders and computed-jump entries that land mid-block.
-        Dispatch misses on cold leaders keep counting so late-blooming
-        blocks still tier up.  Static per-block load/store/branch
-        counts fold in from block execution counts.  Cycle counts are
+        One module per variant (launching, stealing, prefetching and
+        the trigger set) is compiled before the first instruction.
+        Compiled blocks cannot observe dynamic-instruction milestones
+        mid-block, so the dispatcher only runs a block when at least
+        ``max_len`` instructions remain before the next schedule region
+        boundary and before the run limit; the interpreter carries
+        execution across those edges and across computed-jump entries
+        that land mid-block, and runs the whole program when the
+        compiler refuses it.  Static per-block load/store/branch counts
+        fold in from block execution counts.  Cycle counts are
         bit-identical to the interpreter.
         """
         launching = st.launching
-        stealing = launching and st.mode.steal
-        threshold = tier_threshold()
-        eager = threshold == 0
-        leaders = frozenset(
-            start
-            for start, _end in discover_blocks(
-                self.decoded,
-                extra_leaders=(
-                    sorted(self._trigger_union) if launching else ()
-                ),
-            )
+        compiled = self._tiered_variant(
+            launching, launching and st.mode.steal, prefetching
         )
-        # Eager tiering: every leader starts hot at zero entries.
-        entry_counts: Dict[int, int] = (
-            dict.fromkeys(leaders, 0) if eager else {}
-        )
-        attempted: set = set()
-        rejected: set = set()
-        tier_ups = 0
+        if compiled is None:
+            self._interp(st, limit)
+            self.last_tier = {"compiled_blocks": 0}
+            return
 
         hierarchy = st.hierarchy
         stolen = st.stolen
@@ -934,155 +894,97 @@ class TimingSimulator:
             for pthread in waiting:
                 launch_one(pthread, disp, st)
 
-        ctx = {
-            "ring": st.retire_ring,
-            "store_queue": st.store_queue,
-            "predict": st.predictor.predict_and_update,
-            "predict_ind": st.predictor.predict_indirect,
-            "mt_access": hierarchy.mt_access_fast,
-            "pt_access": hierarchy.pt_access_fast,
-            "mem_load": st.mem_load,
-            "mem_store": st.mem_store,
-            "words": st.memory.raw_words(),
-            "miss_exposure": st.miss_exposure,
-            "tallies": st.tallies,
-            "stolen": stolen,
-            "trig": st.trig,
-            "launch": launch,
-            "branch_hints": st.branch_hints,
-            "branch_counts": st.branch_counts,
-            "observe": (
-                st.prefetcher.observe if st.prefetcher is not None else None
-            ),
-        }
-        compiled: Optional[CompiledBlocks] = None
-        table: dict = {}
+        table = compiled.bind(
+            {
+                "ring": st.retire_ring,
+                "store_queue": st.store_queue,
+                "predict": st.predictor.predict_and_update,
+                "predict_ind": st.predictor.predict_indirect,
+                "mt_access": hierarchy.mt_access_fast,
+                "pt_access": hierarchy.pt_access_fast,
+                "mem_load": st.mem_load,
+                "mem_store": st.mem_store,
+                "words": st.memory.raw_words(),
+                "miss_exposure": st.miss_exposure,
+                "tallies": st.tallies,
+                "stolen": stolen,
+                "trig": st.trig,
+                "launch": launch,
+                "branch_hints": st.branch_hints,
+                "branch_counts": st.branch_counts,
+                "observe": (
+                    st.prefetcher.observe
+                    if st.prefetcher is not None
+                    else None
+                ),
+            }
+        )
         table_get = table.get
-        counts: List[int] = []
-        max_len = 0
+        counts = [0] * compiled.num_blocks
+        max_len = compiled.max_len
         last_region = len(self.schedule) - 1
         cleanup_mark = 0
-        next_scan = 0 if eager else TIER_SLICE
 
         while not st.halted and st.executed < limit:
-            if compiled is not None:
-                executed = st.executed
-                if (
-                    launching
-                    and executed >= st.region_end
-                    and st.region_index < last_region
-                ):
-                    self._advance_region(st, executed)
-                cap = limit
-                if (
-                    launching
-                    and st.region_index < last_region
-                    and st.region_end < cap
-                ):
-                    cap = st.region_end
-                if executed > cap - max_len:
-                    # Approaching the region boundary or the run
-                    # limit: single-step across it exactly.
-                    self._interp(st, cap)
-                    continue
-                entry = table_get(st.pc)
-                if entry is not None:
-                    fn, length, index = entry
-                    (
-                        st.pc,
-                        st.executed,
-                        st.fetch_cycle,
-                        st.cap_used,
-                        st.last_retire,
-                    ) = fn(
-                        executed,
-                        st.fetch_cycle,
-                        st.cap_used,
-                        st.last_retire,
-                        regs,
-                        rdy,
-                    )
-                    counts[index] += 1
-                    if st.pc == -1:
-                        st.halted = True
-                        break
-                    # Periodic stale stolen-slot cleanup, mirroring
-                    # the interpreter's (cleanup timing is
-                    # unobservable: fetch cycles are monotonic).
-                    if st.executed - cleanup_mark >= 0x10000:
-                        cleanup_mark = st.executed
-                        if stolen:
-                            fc = st.fetch_cycle
-                            for cycle in [c for c in stolen if c < fc]:
-                                del stolen[cycle]
-                    continue
-                # Cold (or mid-block) entry from compiled code: count
-                # it and let the interpreter take over.
-                pc = st.pc
-                if pc in leaders:
-                    entry_counts[pc] = entry_counts.get(pc, 0) + 1
-
-            if st.executed >= next_scan:
-                next_scan = st.executed + TIER_SLICE
-                fresh = [
-                    p
-                    for p, c in entry_counts.items()
-                    if c >= threshold
-                    and p in leaders
-                    and p not in attempted
-                    and p not in rejected
-                ]
-                if fresh:
-                    hot = tuple(sorted(attempted.union(fresh)))
-                    with get_tracer().span(
-                        "tier_up",
-                        program=self.program.name,
-                        blocks=len(hot),
-                    ):
-                        new = self._tiered_variant(
-                            launching,
-                            stealing,
-                            prefetching,
-                            None if eager else hot,
-                        )
-                    if new is None:
-                        # Subset failed to compile; never retry it.
-                        rejected.update(fresh)
-                    else:
-                        if compiled is not None:
-                            compiled.fold_counts(counts, st.stats)
-                        attempted.update(fresh)
-                        tier_ups += 1
-                        compiled = new
-                        table = compiled.bind(ctx)
-                        table_get = table.get
-                        counts = [0] * compiled.num_blocks
-                        max_len = compiled.max_len
-                        continue
-
-            end = min(st.executed + TIER_SLICE, limit)
-            self._interp(
-                st,
-                end,
-                stop_pcs=table if compiled is not None else None,
-                entry_counts=entry_counts,
+            executed = st.executed
+            if (
+                launching
+                and executed >= st.region_end
+                and st.region_index < last_region
+            ):
+                self._advance_region(st, executed)
+            cap = limit
+            if (
+                launching
+                and st.region_index < last_region
+                and st.region_end < cap
+            ):
+                cap = st.region_end
+            if executed > cap - max_len:
+                # Approaching the region boundary or the run limit:
+                # single-step across it exactly.
+                self._interp(st, cap)
+                continue
+            entry = table_get(st.pc)
+            if entry is None:
+                # A computed jump landed mid-block: interpret up to the
+                # next block leader.
+                self._interp(st, limit, stop_pcs=table)
+                continue
+            fn, length, index = entry
+            (
+                st.pc,
+                st.executed,
+                st.fetch_cycle,
+                st.cap_used,
+                st.last_retire,
+            ) = fn(
+                executed,
+                st.fetch_cycle,
+                st.cap_used,
+                st.last_retire,
+                regs,
+                rdy,
             )
+            counts[index] += 1
+            if st.pc == -1:
+                st.halted = True
+                break
+            # Periodic stale stolen-slot cleanup, mirroring the
+            # interpreter's (cleanup timing is unobservable: fetch
+            # cycles are monotonic).
+            if st.executed - cleanup_mark >= 0x10000:
+                cleanup_mark = st.executed
+                if stolen:
+                    fc = st.fetch_cycle
+                    for cycle in [c for c in stolen if c < fc]:
+                        del stolen[cycle]
 
-        if compiled is not None:
-            compiled.fold_counts(counts, st.stats)
-        interp_blocks = sum(
-            1 for p in entry_counts if p in leaders and p not in attempted
+        compiled.fold_counts(counts, st.stats)
+        obs_registry().counter("engine.tier.compiled_blocks").inc(
+            compiled.num_blocks
         )
-        compiled_blocks = compiled.num_blocks if compiled is not None else 0
-        registry = obs_registry()
-        registry.counter("engine.tier.compiled_blocks").inc(compiled_blocks)
-        registry.counter("engine.tier.interp_blocks").inc(interp_blocks)
-        self.last_tier = {
-            "tier_ups": tier_ups,
-            "compiled_blocks": compiled_blocks,
-            "interp_blocks": interp_blocks,
-            "hot": tuple(sorted(attempted)),
-        }
+        self.last_tier = {"compiled_blocks": compiled.num_blocks}
 
     # ------------------------------------------------------------------
 

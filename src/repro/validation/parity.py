@@ -297,9 +297,9 @@ def run_parity(
 ) -> ParityReport:
     """Run both timing models on one configuration and compare.
 
-    ``engine`` selects the trace-driven model's engine (``None``
-    defers to ``REPRO_ENGINE``); the report is labelled with the
-    engine that model ran.  Both models run under the same instruction
+    ``engine`` selects the trace-driven model's engine (``None`` runs
+    the tiered engine); the report is labelled with the engine that
+    model ran.  Both models run under the same instruction
     cap so the committed state they are compared on is well-defined
     even for workloads that do not halt within the cap.  Emits a
     ``parity`` span and folds verdict counters into the metrics

@@ -7,11 +7,9 @@ simulator has one engine and takes no engine selection.
 import pytest
 
 from repro.engine.compiler import (
-    ENGINE_ENV,
     ENGINE_INTERP,
     ENGINE_TIERED,
     MAX_PROGRAM,
-    TIER_ENV,
     compile_timing,
     discover_blocks,
     resolve_engine,
@@ -65,36 +63,18 @@ BASELINE_SHAPE = dict(
 
 
 class TestResolveEngine:
-    def test_default_is_tiered(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+    def test_default_is_tiered(self):
         assert resolve_engine() == ENGINE_TIERED
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "interp")
-        assert resolve_engine("tiered") == ENGINE_TIERED
-
-    def test_tiered_spelling(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, " Tiered ")
-        assert resolve_engine() == ENGINE_TIERED
-
-    @pytest.mark.parametrize(
-        "name", ["interp", "interpreter", "Interpreted", " INTERP "]
-    )
-    def test_interpreter_spellings(self, monkeypatch, name):
-        monkeypatch.setenv(ENGINE_ENV, name)
-        assert resolve_engine() == ENGINE_INTERP
 
     def test_unknown_value_rejected(self):
         with pytest.raises(ValueError):
             resolve_engine("turbo")
 
-    def test_compiled_is_not_an_engine(self, monkeypatch):
-        # Eager tiering (REPRO_TIER_THRESHOLD=0) replaced it.
+    def test_compiled_is_not_an_engine(self):
         with pytest.raises(ValueError, match="'tiered' or 'interp'"):
             resolve_engine("compiled")
-        monkeypatch.setenv(ENGINE_ENV, "compiled")
         with pytest.raises(ValueError):
-            timing_sim(assemble(LOOP_SOURCE))
+            timing_sim(assemble(LOOP_SOURCE), engine="compiled")
 
 
 class TestDiscoverBlocks:
@@ -145,12 +125,6 @@ class TestCompileTiming:
             del program.kind[real_length:]
 
 
-@pytest.fixture
-def eager(monkeypatch):
-    """Eager tiering: every block compiled before the first instruction."""
-    monkeypatch.setenv(TIER_ENV, "0")
-
-
 class TestEngineSeam:
     def test_last_engine_reflects_run(self):
         program = assemble(LOOP_SOURCE)
@@ -161,13 +135,7 @@ class TestEngineSeam:
         sim.run(BASELINE)
         assert sim.last_engine == ENGINE_INTERP
 
-    def test_env_var_selects_interpreter(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "interp")
-        sim = timing_sim(assemble(LOOP_SOURCE))
-        sim.run(BASELINE)
-        assert sim.last_engine == ENGINE_INTERP
-
-    def test_engines_agree_on_call_return(self, eager):
+    def test_engines_agree_on_call_return(self):
         program = assemble(CALL_SOURCE)
         results = {}
         for engine in (ENGINE_INTERP, ENGINE_TIERED):
@@ -175,10 +143,12 @@ class TestEngineSeam:
             stats = sim.run(BASELINE)
             results[engine] = (stats.to_dict(), list(sim.last_registers))
             assert sim.last_engine == engine
-        assert sim.last_tier["interp_blocks"] == 0
+        assert sim.last_tier["compiled_blocks"] == len(
+            discover_blocks(sim.decoded)
+        )
         assert results[ENGINE_INTERP] == results[ENGINE_TIERED]
 
-    def test_computed_jump_into_block_interior(self, eager):
+    def test_computed_jump_into_block_interior(self):
         # jr lands on pc 6, which is mid-block (5..7 is one straight
         # line): the dispatcher must fall back to the interpreter for
         # the partial block, then resume compiled execution.

@@ -1,21 +1,19 @@
 """Tiered-engine mechanics and the in-process compile memo.
 
 The tiered engine is the timing simulator's.  The equivalence suite
-proves its *results*; these tests pin its *mechanics*: the
-entry-count threshold compiles exactly the hot blocks, short runs
-never pay for codegen, threshold 0 compiles every block before the
-first instruction, and generated code lives only in the process that
-emitted it: nothing reaches the artifact cache, a cleared memo emits
-and validates afresh, and a memo hit reuses both the module and its
-translation-validation verdict.
+proves its *results*; these tests pin its *mechanics*: a run compiles
+one module holding every block of the program before the first
+instruction, even when the run is too short to finish a loop, and
+generated code lives only in the process that emitted it: nothing
+reaches the artifact cache, a cleared memo emits and validates afresh,
+and a memo hit reuses both the module and its translation-validation
+verdict.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 import repro
 from repro.analysis import transval
@@ -24,8 +22,6 @@ from repro.engine import compiler
 from repro.engine.compiler import (
     ENGINE_INTERP,
     ENGINE_TIERED,
-    TIER_ENV,
-    TIER_SLICE,
     clear_compile_memo,
     compile_timing,
     discover_blocks,
@@ -41,9 +37,9 @@ from repro.timing.config import BASELINE, PRE_EXECUTION
 from repro.timing.core import TimingSimulator
 from tests.engine.test_compiler import BASELINE_SHAPE
 
-#: A hot loop (3000 iterations, ~9000 instructions — comfortably past
-#: TIER_SLICE) followed by a cold straight-line tail that runs once.
-#: Block leaders: 0 (entry), 1 (loop target), 4 (loop fallthrough).
+#: A hot loop (3000 iterations, ~9000 instructions) followed by a cold
+#: straight-line tail that runs once.  Block leaders: 0 (entry), 1
+#: (loop target), 4 (loop fallthrough).
 HOT_COLD_SOURCE = """
     addi r1, r0, 3000
 loop:
@@ -54,8 +50,8 @@ loop:
     halt
 """
 
-HOT_LEADER = 1
-COLD_LEADER = 4
+#: Stops inside the hot loop, before the cold tail ever runs.
+SHORT_RUN = 2048
 
 
 def _program(name="tiered_test"):
@@ -93,63 +89,35 @@ def _pthread():
 
 
 class TestTierThreshold:
-    def test_hot_blocks_compile_cold_blocks_stay_interpreted(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv(TIER_ENV, "10")
-        program = _program()
-        sim, result = _run(program, ENGINE_TIERED)
-        assert sim.last_engine == ENGINE_TIERED
-        tier = sim.last_tier
-        assert tier["tier_ups"] >= 1
-        # Exactly the loop block crossed the threshold; the entry and
-        # tail blocks each ran once and stay interpreted.
-        assert tier["hot"] == (HOT_LEADER,)
-        assert tier["compiled_blocks"] == 1
-        assert tier["interp_blocks"] >= 1
-        # And the mixed run still matches the pure interpreter.
-        _sim, ref = _run(program, ENGINE_INTERP)
-        assert result == ref
+    """The one compile policy: the whole program, before the first
+    instruction."""
 
-    def test_short_run_never_compiles(self, monkeypatch):
-        monkeypatch.setenv(TIER_ENV, "10")
+    def test_default_run_compiles_one_whole_program_module(self, fresh_obs):
+        _tracer, registry = fresh_obs
         program = _program()
-        sim, result = _run(
-            program, ENGINE_TIERED, max_instructions=TIER_SLICE // 2
-        )
-        assert sim.last_tier["tier_ups"] == 0
-        assert sim.last_tier["compiled_blocks"] == 0
-        _sim, ref = _run(
-            program, ENGINE_INTERP, max_instructions=TIER_SLICE // 2
-        )
-        assert result == ref
-
-    def test_unreachable_threshold_stays_interpreted(self, monkeypatch):
-        monkeypatch.setenv(TIER_ENV, "1000000")
-        program = _program()
+        clear_compile_memo()
         sim, result = _run(program, ENGINE_TIERED)
-        assert sim.last_tier["tier_ups"] == 0
+        blocks = len(discover_blocks(sim.decoded))
+        assert registry.counter("engine.compile.programs").value == 1
+        assert registry.counter("engine.compile.blocks").value == blocks
+        assert sim.last_tier == {"compiled_blocks": blocks}
         _sim, ref = _run(program, ENGINE_INTERP)
         assert result == ref
 
     def test_zero_threshold_compiles_every_block_up_front(self, monkeypatch):
-        # A run too short to reach the first scan at any positive
-        # threshold still compiles the whole program, in one tier-up.
-        monkeypatch.setenv(TIER_ENV, "0")
+        # A run that ends inside the loop still compiles the cold tail.
         program = _program()
-        limit = TIER_SLICE // 2
-        sim, result = _run(program, ENGINE_TIERED, max_instructions=limit)
-        tier = sim.last_tier
-        assert tier["tier_ups"] == 1
-        assert tier["compiled_blocks"] == len(discover_blocks(sim.decoded))
-        assert tier["interp_blocks"] == 0
-        _sim, ref = _run(program, ENGINE_INTERP, max_instructions=limit)
+        sim, result = _run(program, ENGINE_TIERED, max_instructions=SHORT_RUN)
+        assert sim.last_tier["compiled_blocks"] == len(
+            discover_blocks(sim.decoded)
+        )
+        _sim, ref = _run(program, ENGINE_INTERP, max_instructions=SHORT_RUN)
         assert result == ref
 
         # The module that ran is the one verify-codegen validates: the
         # validation reuses it instead of emitting another.
         def boom(*args, **kwargs):
-            raise AssertionError("eager run compiled a different module")
+            raise AssertionError("tiered run compiled a different module")
 
         monkeypatch.setattr(compiler, "_emit_timing_block", boom)
         assert sim.validate_codegen(
@@ -157,43 +125,33 @@ class TestTierThreshold:
         ).ok
 
     def test_zero_threshold_timing_counts_trigger_leaders(self, monkeypatch):
-        monkeypatch.setenv(TIER_ENV, "0")
         program = _program()
-        limit = TIER_SLICE // 2
         runs = {}
         for engine in (ENGINE_INTERP, ENGINE_TIERED):
             sim = TimingSimulator(
                 program, HierarchyConfig(), pthreads=[_pthread()],
                 engine=engine,
             )
-            stats = sim.run(PRE_EXECUTION, max_instructions=limit)
+            stats = sim.run(PRE_EXECUTION, max_instructions=SHORT_RUN)
             runs[engine] = (stats.to_dict(), list(sim.last_registers))
         blocks = discover_blocks(sim.decoded, extra_leaders=(TRIGGER_PC,))
         assert len(blocks) == len(discover_blocks(sim.decoded)) + 1
-        tier = sim.last_tier
-        assert tier["tier_ups"] == 1
-        assert tier["compiled_blocks"] == len(blocks)
-        assert tier["interp_blocks"] == 0
+        assert sim.last_tier["compiled_blocks"] == len(blocks)
         assert runs[ENGINE_TIERED][0]["pthread_launches"] > 0
         assert runs[ENGINE_TIERED] == runs[ENGINE_INTERP]
 
         def boom(*args, **kwargs):
-            raise AssertionError("eager run compiled a different module")
+            raise AssertionError("tiered run compiled a different module")
 
         monkeypatch.setattr(compiler, "_emit_timing_block", boom)
         assert sim.validate_codegen(
             launching=True, stealing=True, prefetching=False
         ).ok
 
-    def test_negative_threshold_raises(self, monkeypatch):
-        monkeypatch.setenv(TIER_ENV, "-1")
-        with pytest.raises(ValueError, match=TIER_ENV):
-            _run(_program(), ENGINE_TIERED)
-
 
 #: Run in a fresh process: a tiered baseline run and a tiered
 #: pre-execution run, each of which must compile something.
-_EAGER_RUNS = """
+_TIERED_RUNS = """
 from repro.memory import HierarchyConfig
 from repro.timing.config import BASELINE, PRE_EXECUTION
 from repro.timing.core import TimingSimulator
@@ -218,12 +176,11 @@ class TestCompileMemo:
         root = Path(__file__).resolve().parents[2]
         src = Path(repro.__file__).resolve().parents[1]
         env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
-        env[TIER_ENV] = "0"
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, (str(src), str(root), env.get("PYTHONPATH")))
         )
         subprocess.run(
-            [sys.executable, "-c", _EAGER_RUNS],
+            [sys.executable, "-c", _TIERED_RUNS],
             env=env,
             cwd=root,
             check=True,
@@ -260,7 +217,6 @@ class TestCompileMemo:
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv(VERIFY_ENV, "1")
-        monkeypatch.setenv(TIER_ENV, "0")
         checked = []
         real = transval.validate_timing
 

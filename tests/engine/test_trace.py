@@ -7,7 +7,7 @@ from repro.engine.trace import Trace
 
 class TestTrace:
     def test_append_and_record(self):
-        trace = Trace(capacity=2)
+        trace = Trace()
         index = trace.append(pc=5, addr=100, level=3, dep1=0, taken=True)
         assert index == 0
         record = trace.record(0)
@@ -19,14 +19,14 @@ class TestTrace:
         assert record.taken
 
     def test_growth_preserves_data(self):
-        trace = Trace(capacity=16)
+        trace = Trace()
         for i in range(100):
             trace.append(pc=i)
         assert len(trace) == 100
         assert all(trace.record(i).pc == i for i in range(100))
 
     def test_trim_releases_capacity(self):
-        trace = Trace(capacity=1024)
+        trace = Trace()
         trace.append(pc=1)
         trace.trim()
         assert len(trace.pc) == 1

@@ -5,7 +5,7 @@ import pytest
 import repro.fuzz.oracle as oracle_module
 import repro.slicing.slice_tree as slice_tree_module
 import repro.timing.core as timing_module
-from repro.engine.compiler import tier_threshold
+from repro.engine.compiler import ENGINE_TIERED
 from repro.fuzz.generator import generate
 from repro.fuzz.oracle import CHECK_FAMILIES, CheckFailure, run_oracle
 
@@ -43,15 +43,14 @@ class TestCleanRun:
 
 class TestFailureDetection:
     def test_timing_divergence_is_caught(self, monkeypatch):
-        # Inject a one-cycle accounting bug into the eager column only
-        # (the oracle scopes REPRO_TIER_THRESHOLD=0 around its runs);
+        # Inject a one-cycle accounting bug into the tiered column only;
         # the oracle must flag the engine mismatch while still running
         # every family.
         real_run = oracle_module.TimingSimulator.run
 
         def skewed_run(self, *args, **kwargs):
             stats = real_run(self, *args, **kwargs)
-            if tier_threshold() == 0:
+            if self.engine == ENGINE_TIERED:
                 stats.cycles += 1
             return stats
 
@@ -63,24 +62,16 @@ class TestFailureDetection:
         families = {f.family for f in report.failures}
         assert families == {"engine_equivalence"}
         checks = {f.check for f in report.failures}
-        assert "timing_baseline_eager" in checks
-        # The bug was injected into the eager column only; the
-        # default-threshold tiered column must stay clean.
-        assert not any(c.endswith("_tiered") for c in checks)
+        assert checks == {"timing_baseline_tiered", "timing_preexec_tiered"}
         assert report.families_run == list(CHECK_FAMILIES)
 
     def test_eager_compile_fallback_is_caught(self, monkeypatch):
-        # A whole-program compile that silently fails leaves the eager
+        # A whole-program compile that silently fails leaves the tiered
         # runs interpreted: results still agree, so only the
         # every-block-compiled check can see it.
-        real_compile = timing_module.compile_timing
-
-        def no_whole_program(decoded, only_blocks=None, **shape):
-            if only_blocks is None:
-                return None
-            return real_compile(decoded, only_blocks=only_blocks, **shape)
-
-        monkeypatch.setattr(timing_module, "compile_timing", no_whole_program)
+        monkeypatch.setattr(
+            timing_module, "compile_timing", lambda decoded, **shape: None
+        )
         report = run_oracle(generate(3))
         failures = [
             f for f in report.failures
@@ -91,7 +82,7 @@ class TestFailureDetection:
             "timing baseline", "timing pre-execution",
         ], report.render()
         for failure in failures:
-            assert ": eager run compiled 0 of" in failure.message
+            assert ": tiered run compiled 0 of" in failure.message
         assert report.failed_checks() == {
             ("engine_equivalence", "engine_availability")
         }

@@ -256,6 +256,15 @@ class TestConfigurationKnobs:
         )
         assert result.num_regions > 1
 
+    @pytest.mark.parametrize(
+        "ignored", [{"selection_prefix": 1000}, {"effective_latency": True}]
+    )
+    def test_granularity_rejects_fields_region_selection_ignores(
+        self, ignored
+    ):
+        with pytest.raises(ValueError, match="granularity"):
+            ExperimentConfig(workload="pharmacy", granularity=3000, **ignored)
+
     def test_selection_prefix(self, runner):
         result = runner.run(
             ExperimentConfig(workload="pharmacy", selection_prefix=2500)

@@ -3,11 +3,9 @@
 The timing simulator's tiered engine is an optimization, not a second
 model: for every bundled workload it must reproduce the interpreter's
 results bit for bit — every timing-simulator counter, in every
-simulation mode.  It is checked in two columns: ``tiered`` at the
-default threshold, and ``eager`` (``REPRO_TIER_THRESHOLD=0``), which
-compiles the whole program before the first instruction so every
-generated block runs.  These tests are the contract that keeps the
-engines pinned together.
+simulation mode.  It compiles the whole program before the first
+instruction, so every generated block it runs is checked here.  These
+tests are the contract that keeps the engines pinned together.
 
 The functional simulator has one engine (DESIGN.md §6).  It is pinned
 instead to the results its interpreter and its former tiered engine
@@ -19,11 +17,7 @@ import json
 
 import pytest
 
-from repro.engine.compiler import (
-    ENGINE_INTERP,
-    ENGINE_TIERED,
-    TIER_ENV,
-)
+from repro.engine.compiler import ENGINE_INTERP, ENGINE_TIERED
 from repro.engine.functional import FunctionalSimulator
 from repro.model.params import ModelParams
 from repro.selection.program_selector import select_pthreads
@@ -95,28 +89,6 @@ FUNCTIONAL_DIGESTS = {
 }
 
 
-#: (column, engine, REPRO_TIER_THRESHOLD or None for the default).
-COLUMNS = (
-    ("interp", ENGINE_INTERP, None),
-    ("tiered", ENGINE_TIERED, None),
-    ("eager", ENGINE_TIERED, "0"),
-)
-
-
-def _in_column(monkeypatch, engine, threshold):
-    if threshold is None:
-        monkeypatch.delenv(TIER_ENV, raising=False)
-    else:
-        monkeypatch.setenv(TIER_ENV, threshold)
-    return engine
-
-
-def _assert_eager_compiled_everything(sim, column):
-    if column == "eager":
-        assert sim.last_tier["interp_blocks"] == 0
-        assert sim.last_tier["compiled_blocks"] > 0
-
-
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
 def test_functional_results_bit_identical(name):
     workload = _workload(name)
@@ -140,24 +112,22 @@ def test_functional_no_trace_bit_identical(name):
 
 
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
-def test_timing_stats_bit_identical_across_modes(name, monkeypatch):
+def test_timing_stats_bit_identical_across_modes(name):
     workload = _workload(name)
     pthreads = _selected_pthreads(name)
     for mode in MODES:
         stats = {}
-        for column, engine, threshold in COLUMNS:
+        for engine in (ENGINE_INTERP, ENGINE_TIERED):
             sim = TimingSimulator(
                 workload.program,
                 workload.hierarchy,
                 pthreads=pthreads,
-                engine=_in_column(monkeypatch, engine, threshold),
+                engine=engine,
             )
-            stats[column] = sim.run(mode).to_dict()
+            stats[engine] = sim.run(mode).to_dict()
             assert sim.last_engine == engine
-            _assert_eager_compiled_everything(sim, column)
-        for column in ("tiered", "eager"):
-            assert stats["interp"] == stats[column], (
-                mode.name,
-                column,
-                _diff(stats["interp"], stats[column]),
-            )
+        assert sim.last_tier["compiled_blocks"] > 0
+        assert stats[ENGINE_INTERP] == stats[ENGINE_TIERED], (
+            mode.name,
+            _diff(stats[ENGINE_INTERP], stats[ENGINE_TIERED]),
+        )

@@ -117,13 +117,13 @@ def test_validation_resolves_into_one_span_per_simulation(fresh_obs):
     (perfect,) = [
         child for child in experiment.children if child.name == "perfect_l2"
     ]
-    # Exactly three spans per cell; below them only the tiered engine's
-    # compile spans, never one per launch or access.
+    # Exactly three spans per cell and none below them: never one per
+    # launch or access.
     assert [child.name for child in validation.children] == list(
         VALIDATION_STAGES
     )
     for child in validation.children:
-        assert {span.name for span in child.walk()} <= {child.name, "tier_up"}
+        assert [span.name for span in child.walk()] == [child.name]
     assert sum(c.duration for c in validation.children) <= validation.duration
     assert perfect.meta == {"workload": "pharmacy", "input": "train"}
     assert set(result.validation) == set(VALIDATION_STAGES) | {"perfect_l2"}
