@@ -4,7 +4,7 @@ and workload linting.
 Public surface::
 
     from repro.analysis import (
-        ControlFlowGraph, def_use_chains, live_variables,   # dataflow
+        ControlFlowGraph, constant_registers, solve,        # dataflow
         verify_body, verify_pthread, verify_selection,       # verifier
         lint_program, lint_source, lint_workload,            # linter
         Diagnostic, Severity, verification_enabled,          # reporting
@@ -13,15 +13,10 @@ Public surface::
 """
 
 from repro.analysis.dataflow import (
-    ENTRY_DEF,
     ControlFlowGraph,
     DataflowProblem,
     DataflowResult,
-    Direction,
     constant_registers,
-    def_use_chains,
-    live_variables,
-    reaching_definitions,
     solve,
 )
 from repro.analysis.program_lint import (
@@ -58,15 +53,10 @@ from repro.analysis.verifier import (
 )
 
 __all__ = [
-    "ENTRY_DEF",
     "ControlFlowGraph",
     "DataflowProblem",
     "DataflowResult",
-    "Direction",
     "constant_registers",
-    "def_use_chains",
-    "live_variables",
-    "reaching_definitions",
     "solve",
     "lint_program",
     "lint_source",

@@ -6,22 +6,22 @@ Two layers:
   instruction sequence (a full :class:`~repro.isa.program.Program` with
   branches, or a straight-line p-thread body, which degenerates to a
   chain).  Provides reachability, blocked-path queries, and dominators.
-* :func:`solve` — a worklist fixpoint solver for any
-  :class:`DataflowProblem` (forward or backward).  On a chain CFG the
-  worklist converges in one linear scan, which is exactly the paper's
-  observation that control-less p-threads replace "traditional
-  control-flow and iterative data-flow analyses ... by a simple linear
-  scan"; on a full program it is the classic iterative algorithm.
+* :func:`solve` — a worklist fixpoint solver for any forward
+  :class:`DataflowProblem`.  On a chain CFG the worklist converges in
+  one linear scan, which is exactly the paper's observation that
+  control-less p-threads replace "traditional control-flow and
+  iterative data-flow analyses ... by a simple linear scan"; on a full
+  program it is the classic iterative algorithm.
 
-Three problem instances cover everything the verifier and linter need:
-reaching definitions (def-use chains), live variables, and constant
-propagation (used to resolve statically-known load/store addresses
-against the data image).
+One problem instance runs on it: constant propagation, which the
+program linter uses to resolve statically-known load/store addresses
+against the data image.  The p-thread verifier uses only the CFG; a
+body's register and memory dependences come from the linear scan in
+:func:`repro.pthreads.body.analyze_dataflow`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -41,9 +41,6 @@ from repro.isa.program import Program
 from repro.isa.registers import NUM_REGS
 
 T = TypeVar("T")
-
-#: Pseudo definition site: the initial register file (all registers 0).
-ENTRY_DEF = -1
 
 
 class ControlFlowGraph:
@@ -179,27 +176,18 @@ class ControlFlowGraph:
         return a in self.dominators(entry)[b]
 
 
-class Direction(enum.Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
-
-
 class DataflowProblem(Generic[T]):
-    """One dataflow problem: lattice values plus transfer/meet.
+    """One forward dataflow problem: lattice values plus transfer/meet.
 
     Subclasses define:
 
-    * ``direction`` — :data:`Direction.FORWARD` or ``BACKWARD``;
-    * ``boundary()`` — the value at the entry (forward) or exit
-      (backward) of the graph;
+    * ``boundary()`` — the value at the entry of the graph;
     * ``initial()`` — the optimistic starting value for interior
       points (the lattice top);
     * ``transfer(index, inst, value)`` — the per-instruction transfer
       function;
     * ``meet(a, b)`` — the confluence operator.
     """
-
-    direction: Direction = Direction.FORWARD
 
     def boundary(self) -> T:
         raise NotImplementedError
@@ -218,10 +206,8 @@ class DataflowProblem(Generic[T]):
 class DataflowResult(Generic[T]):
     """Fixpoint solution: a value at the entry and exit of each index.
 
-    For a forward problem ``in_values[i]`` is the state before ``i``
-    executes and ``out_values[i]`` after; for a backward problem
-    ``in_values[i]`` is the state *after* ``i`` in program order (the
-    analysis' input) and ``out_values[i]`` before it.
+    ``in_values[i]`` is the state before ``i`` executes and
+    ``out_values[i]`` after.
     """
 
     in_values: List[T]
@@ -231,46 +217,34 @@ class DataflowResult(Generic[T]):
 def solve(
     cfg: ControlFlowGraph, problem: DataflowProblem[T]
 ) -> DataflowResult[T]:
-    """Worklist fixpoint of ``problem`` over ``cfg``.
+    """Worklist fixpoint of ``problem`` over ``cfg``, entry at index 0.
 
     Straight-line chains converge in a single linear pass; cyclic
     graphs iterate to a fixpoint.  Unreachable instructions keep the
     optimistic ``initial()`` value.
     """
     n = len(cfg)
-    forward = problem.direction is Direction.FORWARD
-    edges_in = cfg.preds if forward else cfg.succs
-    edges_out = cfg.succs if forward else cfg.preds
-    boundary_nodes = {0} if forward else set(
-        index for index in range(n) if not cfg.succs[index]
-    )
-    # A backward problem over a graph with no natural exits (e.g. an
-    # infinite loop) still needs a seed.
-    if not boundary_nodes:
-        boundary_nodes = {n - 1}
-
     in_values: List[T] = [problem.initial() for _ in range(n)]
     out_values: List[T] = [problem.initial() for _ in range(n)]
-    # Every node is seeded (not just the boundary): a node whose first
+    # Every node is seeded (not just the entry): a node whose first
     # computed value happens to equal the optimistic initial value
-    # would otherwise never enqueue its neighbours.  Processing in
-    # program order (reverse for backward problems) converges in one
-    # pass on straight-line code.
-    work = list(range(n)) if forward else list(range(n - 1, -1, -1))
+    # would otherwise never enqueue its successors.  Processing in
+    # program order converges in one pass on straight-line code.
+    work = list(range(n))
     pending = set(work)
     first_visit = [True] * n
     while work:
         index = work.pop(0)
         pending.discard(index)
         value: Optional[T] = None
-        for other in edges_in[index]:
+        for other in cfg.preds[index]:
             contribution = out_values[other]
             value = (
                 contribution
                 if value is None
                 else problem.meet(value, contribution)
             )
-        if index in boundary_nodes:
+        if index == 0:
             boundary = problem.boundary()
             value = boundary if value is None else problem.meet(value, boundary)
         if value is None:
@@ -279,116 +253,12 @@ def solve(
         new_out = problem.transfer(index, cfg.instructions[index], value)
         if new_out != out_values[index] or first_visit[index]:
             out_values[index] = new_out
-            for other in edges_out[index]:
+            for other in cfg.succs[index]:
                 if other not in pending:
                     pending.add(other)
                     work.append(other)
         first_visit[index] = False
     return DataflowResult(in_values=in_values, out_values=out_values)
-
-
-# -- reaching definitions -----------------------------------------------
-
-#: Reaching-definitions state: register -> definition sites (indices,
-#: with :data:`ENTRY_DEF` for the initial register file).
-RegDefs = Tuple[Tuple[int, FrozenSet[int]], ...]
-
-
-def _defs_to_dict(state: RegDefs) -> Dict[int, FrozenSet[int]]:
-    return dict(state)
-
-
-class ReachingDefinitions(DataflowProblem[RegDefs]):
-    """Which definition sites can produce each register's value."""
-
-    direction = Direction.FORWARD
-
-    def boundary(self) -> RegDefs:
-        return tuple(
-            (reg, frozenset({ENTRY_DEF})) for reg in range(NUM_REGS)
-        )
-
-    def initial(self) -> RegDefs:
-        return ()
-
-    def transfer(
-        self, index: int, inst: Instruction, value: RegDefs
-    ) -> RegDefs:
-        dest = inst.dest()
-        if dest is None or dest == 0:
-            return value
-        state = _defs_to_dict(value)
-        state[dest] = frozenset({index})
-        return tuple(sorted(state.items()))
-
-    def meet(self, a: RegDefs, b: RegDefs) -> RegDefs:
-        state = _defs_to_dict(a)
-        for reg, defs in b:
-            state[reg] = state.get(reg, frozenset()) | defs
-        return tuple(sorted(state.items()))
-
-
-def reaching_definitions(
-    cfg: ControlFlowGraph,
-) -> List[Dict[int, FrozenSet[int]]]:
-    """Per instruction: register -> reaching definition sites."""
-    result = solve(cfg, ReachingDefinitions())
-    return [_defs_to_dict(value) for value in result.in_values]
-
-
-def def_use_chains(cfg: ControlFlowGraph) -> List[Dict[int, FrozenSet[int]]]:
-    """Per instruction: source register -> its possible producers.
-
-    Producers are instruction indices, or :data:`ENTRY_DEF` when the
-    initial register file (value 0) can reach the use.  Register 0 is
-    the hardwired zero and is never listed.
-    """
-    reaching = reaching_definitions(cfg)
-    chains: List[Dict[int, FrozenSet[int]]] = []
-    for index, inst in enumerate(cfg.instructions):
-        uses: Dict[int, FrozenSet[int]] = {}
-        for src in inst.sources():
-            if src is None or src == 0:
-                continue
-            uses[src] = reaching[index].get(src, frozenset())
-        chains.append(uses)
-    return chains
-
-
-# -- live variables -----------------------------------------------------
-
-Live = FrozenSet[int]
-
-
-class LiveVariables(DataflowProblem[Live]):
-    """Registers whose values may still be read downstream."""
-
-    direction = Direction.BACKWARD
-
-    def boundary(self) -> Live:
-        return frozenset()
-
-    def initial(self) -> Live:
-        return frozenset()
-
-    def transfer(self, index: int, inst: Instruction, value: Live) -> Live:
-        live = set(value)
-        dest = inst.dest()
-        if dest is not None and dest != 0:
-            live.discard(dest)
-        for src in inst.sources():
-            if src is not None and src != 0:
-                live.add(src)
-        return frozenset(live)
-
-    def meet(self, a: Live, b: Live) -> Live:
-        return a | b
-
-
-def live_variables(cfg: ControlFlowGraph) -> List[FrozenSet[int]]:
-    """Per instruction: registers live *before* the instruction."""
-    result = solve(cfg, LiveVariables())
-    return result.out_values
 
 
 # -- constant propagation ----------------------------------------------
@@ -405,8 +275,6 @@ class ConstantPropagation(DataflowProblem[Consts]):
     The entry state knows every register: the register file starts
     zeroed.  Loads and jump-and-link results are non-constant.
     """
-
-    direction = Direction.FORWARD
 
     def boundary(self) -> Consts:
         return tuple((reg, 0) for reg in range(NUM_REGS))

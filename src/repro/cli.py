@@ -614,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("workload", choices=SUITE + ["pharmacy"])
     run_parser.add_argument(
         "--validate", action="store_true",
-        help="also run overhead-only / latency-only / perfect-L2 modes",
+        help="also run the overhead-only and latency-only modes",
     )
     add_common(run_parser, jobs=False)
     run_parser.set_defaults(func=_cmd_run)

@@ -425,10 +425,8 @@ def _compile_guard(key: tuple) -> Iterator[None]:
                 del _inflight[key]
 
 
-def _compile_key(
-    decoded: DecodedProgram, target: str, variant: tuple
-) -> tuple:
-    """Memo key for one compilation: ``(digest, target, variant)``.
+def _compile_key(decoded: DecodedProgram, variant: tuple) -> tuple:
+    """Memo key for one compilation: ``(digest, variant)``.
 
     The program is named by its content digest, not its ``id()``: fuzz
     campaigns stream thousands of programs through the memo, and
@@ -436,7 +434,7 @@ def _compile_key(
     """
     from repro.harness.artifacts import program_digest
 
-    return (program_digest(decoded.program), target, variant)
+    return (program_digest(decoded.program), variant)
 
 
 def _emit_mem_load(rd: int, out: List[str]) -> None:
@@ -498,7 +496,6 @@ def compile_timing(
     filename = "<repro-compiled-timing>"
     key = _compile_key(
         decoded,
-        "timing",
         (
             window,
             bw_seq,

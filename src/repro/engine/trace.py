@@ -6,14 +6,13 @@ traces cheap (a few dozen bytes per record instead of a Python object)
 while letting the slicer walk dependence edges with plain integer
 indexing.
 
-Internally the trace is built as a plain list of record tuples —
+A trace is immutable once built.  The functional simulator records
+once per executed instruction into a plain list of record tuples —
 appending to a Python list is several times faster than seven numpy
-scalar stores, and the functional simulator records once per executed
-instruction, straight into a list it hands over whole — and converted
-to the parallel numpy arrays lazily, the first time a column is read
-(or explicitly via :meth:`Trace.trim`).  The array attributes
-(``trace.pc`` etc.) are properties backed by that materialization, so
-consumers are unaffected by the buffering.
+scalar stores — and hands the list over whole; the trace converts it
+to the parallel numpy arrays lazily, the first time a column is read.
+The array attributes (``trace.pc`` etc.) are properties backed by that
+materialization, so consumers are unaffected by the buffering.
 
 Per-record fields:
 
@@ -50,12 +49,13 @@ class TraceRecord(NamedTuple):
 
 
 class Trace:
-    """Growable record-tuple trace with lazy parallel-array views.
+    """Immutable record-tuple trace with lazy parallel-array views.
 
     Args:
         records: record tuples in :attr:`FIELDS` order, one per
-            dynamic instruction; the trace takes ownership of the list.
-            ``None`` starts an empty trace.
+            dynamic instruction; the trace takes ownership of the list,
+            which no one may change afterwards.  ``None`` is an empty
+            trace.
     """
 
     #: Parallel-array field names, in record/serialization order.
@@ -85,33 +85,6 @@ class Trace:
 
     def __len__(self) -> int:
         return self.length
-
-    def append(
-        self,
-        pc: int,
-        addr: int = -1,
-        level: int = 0,
-        dep1: int = -1,
-        dep2: int = -1,
-        memdep: int = -1,
-        taken: bool = False,
-    ) -> int:
-        """Append one record; returns its dynamic index."""
-        records = self._records
-        if records is None:
-            records = self._reopen()
-        if self._arrays is not None:
-            self._arrays = None
-        records.append((pc, addr, level, dep1, dep2, memdep, taken))
-        return len(records) - 1
-
-    def _reopen(self) -> List[Tuple]:
-        """Rebuild the record buffer from materialized arrays."""
-        records = list(
-            zip(*(self._arrays[name].tolist() for name in self.FIELDS))
-        )
-        self._records = records
-        return records
 
     def _materialize(self) -> Dict[str, np.ndarray]:
         arrays = self._arrays
@@ -162,11 +135,6 @@ class Trace:
     @property
     def taken(self) -> np.ndarray:
         return self._materialize()["taken"]
-
-    def trim(self) -> None:
-        """Materialize the arrays and release the build buffer."""
-        self._materialize()
-        self._records = None
 
     def record(self, i: int) -> TraceRecord:
         """Return record ``i`` as a named tuple."""

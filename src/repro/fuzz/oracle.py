@@ -58,8 +58,7 @@ shrinking can match "the same failure" across candidate reductions:
     (:mod:`repro.timing.eventsim`) against the trace-driven one under
     the pinned cross-model contract of
     :mod:`repro.validation.parity`: identical committed architectural
-    state, instruction/launch/drop counts, and per-level miss counts,
-    with cycles/IPC inside the documented tolerance band, in baseline
+    state and every ``SimStats`` field, cycles included, in baseline
     and pre-execution modes.  Check names are the contract's pinned
     check names prefixed by the mode (``baseline_registers``,
     ``preexec_pthread_launches``, ...); the diverging values live in
@@ -530,10 +529,8 @@ def _check_timing_parity(
     from repro.validation.parity import ParityRun, compare_runs
 
     def as_parity(stats: SimStats, registers, memory_words) -> ParityRun:
-        payload = stats.to_dict()
-        payload["ipc"] = stats.ipc
         return ParityRun(
-            stats=payload,
+            stats=stats.to_dict(),
             registers=list(registers),
             memory_words=dict(memory_words),
         )

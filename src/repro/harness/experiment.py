@@ -70,13 +70,10 @@ class ExperimentConfig:
             instructions of the trace (Figure 7 dynamic scenario).
         granularity: region size for region-specialized selection
             (Figure 6); ``None`` selects over the whole run.  Region
-            selection reads neither ``selection_prefix`` nor
-            ``effective_latency``, so setting either with it raises.
-        effective_latency: refine ``Lmem`` per static load using the
-            exposed-stall measurement from the baseline run — the
-            critical-path extension the paper lists as future work.
-        validate: also run the overhead-only / latency-only /
-            perfect-L2 validation simulations.
+            selection does not read ``selection_prefix``, so setting
+            both raises.
+        validate: also run the overhead-only / latency-only
+            validation simulations.
         verify: statically verify the selection's p-thread invariants
             (PT001–PT006) and fail on any error.  Unlike the
             ``REPRO_VERIFY`` transformation hooks, this also covers
@@ -93,7 +90,6 @@ class ExperimentConfig:
     selection_input: Optional[str] = None
     selection_prefix: Optional[int] = None
     granularity: Optional[int] = None
-    effective_latency: bool = False
     validate: bool = False
     verify: bool = False
 
@@ -107,12 +103,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.granularity is not None:
-            for name in ("selection_prefix", "effective_latency"):
-                if getattr(self, name):
-                    raise ValueError(
-                        f"granularity selects per region and ignores {name}"
-                    )
+        if self.granularity is not None and self.selection_prefix is not None:
+            raise ValueError(
+                "granularity selects per region and ignores selection_prefix"
+            )
 
 
 @dataclass
@@ -411,7 +405,6 @@ class ExperimentRunner:
         params: ModelParams,
         constraints: SelectionConstraints,
         region: Optional[Tuple[int, int]],
-        lmem_overrides: Optional[Dict[int, float]],
     ) -> ProgramSelection:
         """Whole-run p-thread selection, through both cache layers."""
 
@@ -425,7 +418,6 @@ class ExperimentRunner:
                     params,
                     constraints=constraints,
                     region=region,
-                    lmem_overrides=lmem_overrides,
                 )
 
         selection, outcome = self._stage(
@@ -435,7 +427,6 @@ class ExperimentRunner:
             params=params,
             constraints=constraints,
             region=region,
-            lmem_overrides=lmem_overrides,
         )
         _count("selection", outcome)
         return selection
@@ -556,19 +547,12 @@ class ExperimentRunner:
                 region = None
                 if config.selection_prefix is not None:
                     region = (0, config.selection_prefix)
-                lmem_overrides = None
-                if config.effective_latency:
-                    lmem_overrides = {
-                        pc: base.effective_latency(pc, params.mem_latency)
-                        for pc in base.miss_exposure
-                    }
                 selection = self._cached_selection(
                     profile_workload,
                     profile_trace,
                     params,
                     config.constraints,
                     region,
-                    lmem_overrides,
                 )
 
         if config.verify or verification_enabled():
@@ -624,10 +608,6 @@ class ExperimentRunner:
                     hits = hits and outcome == "hits"
                     simulated += _simulated(stats, outcome)
             _count("validation", "hits" if hits else "misses", simulated)
-            # perfect_l2 has its own span and cache.
-            validation["perfect_l2"] = self.perfect_l2(
-                workload, config.machine
-            )
 
         return ExperimentResult(
             config=config,

@@ -15,7 +15,7 @@ and the sweep stays cheap enough for the CI lint job.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.timing.config import (
     BASELINE,
@@ -25,7 +25,7 @@ from repro.timing.config import (
     PRE_EXECUTION,
     SimMode,
 )
-from repro.validation.parity import ParityReport, ParityTolerance, run_parity
+from repro.validation.parity import ParityReport, run_parity
 
 #: Modes every workload is compared under: the unassisted machine, the
 #: full pre-execution machine (launch + execute + steal + hint), and
@@ -48,7 +48,6 @@ def parity_workload(
     name: str,
     input_name: str = "train",
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    tolerance: Optional[ParityTolerance] = None,
 ) -> List[ParityReport]:
     """Parity reports for one workload, one per mode in order."""
     from repro.engine import run_program
@@ -77,7 +76,6 @@ def parity_workload(
                 pthreads=selection.pthreads if mode.launch else None,
                 max_instructions=max_instructions,
                 workload=name,
-                tolerance=tolerance,
             )
         )
     return reports
@@ -87,7 +85,6 @@ def parity_suite(
     names: Sequence[str],
     input_name: str = "train",
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    tolerance: Optional[ParityTolerance] = None,
 ) -> List[ParityReport]:
     """Parity reports for many workloads, flattened in suite order."""
     reports: List[ParityReport] = []
@@ -97,7 +94,6 @@ def parity_suite(
                 name,
                 input_name=input_name,
                 max_instructions=max_instructions,
-                tolerance=tolerance,
             )
         )
     return reports

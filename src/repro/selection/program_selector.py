@@ -212,7 +212,6 @@ def select_pthreads(
     miss_level: int = 3,
     region: Optional[Tuple[int, int]] = None,
     sample_l2_misses: Optional[int] = None,
-    lmem_overrides: Optional[Dict[int, float]] = None,
 ) -> ProgramSelection:
     """Select static p-threads for a traced program sample.
 
@@ -228,12 +227,6 @@ def select_pthreads(
         sample_l2_misses: total problem misses in the sample, for
             coverage fractions; defaults to the count found in the
             region.
-        lmem_overrides: optional per-static-load effective miss latency
-            (``Lmem``), e.g. from
-            :meth:`repro.timing.stats.SimStats.effective_latency`.
-            This is the paper's critical-path future-work refinement:
-            it replaces the serial-latency assumption with the stall
-            each load's misses actually expose.
     """
     constraints = constraints or SelectionConstraints()
     start, end = region if region is not None else (0, None)
@@ -258,21 +251,14 @@ def select_pthreads(
     lt_agg_total = 0.0
     with tracer.span("select_trees"):
         for load_pc in sorted(trees):
-            tree = trees[load_pc]
-            tree_params = params
-            if lmem_overrides is not None and load_pc in lmem_overrides:
-                latency = max(1, round(lmem_overrides[load_pc]))
-                tree_params = params.with_mem_latency(
-                    min(latency, params.mem_latency)
-                )
             selection = select_from_tree(
-                tree, program, dc_trig, tree_params, constraints
+                trees[load_pc], program, dc_trig, params, constraints
             )
             tree_selections[load_pc] = selection
             effective = _effective_coverage(selection.selected)
             for candidate in selection.selected:
                 covered = effective[id(candidate.node)]
-                pthread = _candidate_to_pthread(candidate, covered, tree_params)
+                pthread = _candidate_to_pthread(candidate, covered, params)
                 pthreads.append(pthread)
                 covered_total += pthread.prediction.misses_covered
                 fully_total += pthread.prediction.misses_fully_covered

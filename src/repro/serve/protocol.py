@@ -40,7 +40,6 @@ _SCALAR_KEYS = {
     "selection_input": str,
     "selection_prefix": int,
     "granularity": int,
-    "effective_latency": bool,
     "model_mem_latency": int,
     "model_bw_seq": int,
     "budget_seconds": (int, float),
@@ -142,7 +141,6 @@ def parse_run_request(doc: Any) -> RunRequest:
         "selection_input": doc.get("selection_input"),
         "selection_prefix": doc.get("selection_prefix"),
         "granularity": doc.get("granularity"),
-        "effective_latency": bool(doc.get("effective_latency", False)),
         "model_mem_latency": doc.get("model_mem_latency"),
         "model_bw_seq": doc.get("model_bw_seq"),
     }

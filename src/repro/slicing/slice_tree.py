@@ -204,7 +204,6 @@ class SliceTable:
 
     Attributes:
         scope / depth: the slicer's scope and ``max_length``.
-        length: the trace's length when the table was built.
         roots / offsets / members: the packed slices.
     """
 
@@ -218,7 +217,6 @@ class SliceTable:
             offsets.append(len(members))
         self.scope = scope
         self.depth = depth
-        self.length = len(trace)
         self.roots = roots
         self.offsets = offsets
         self.members = members
@@ -343,11 +341,10 @@ def _slice_table(trace: Trace, miss_level: int, scope: int, depth: int) -> Slice
     outside it, so two threads may both build, and each derives from
     its own table.
     """
-    length = len(trace)
     with _TABLES_LOCK:
         table = _TABLES.get(trace, {}).get(miss_level)
     if table is not None:
-        if table.length == length and table.scope >= scope and table.depth >= depth:
+        if table.scope >= scope and table.depth >= depth:
             return table
         scope = max(scope, table.scope)
         depth = max(depth, table.depth)
@@ -360,10 +357,8 @@ def _slice_table(trace: Trace, miss_level: int, scope: int, depth: int) -> Slice
     with _TABLES_LOCK:
         tables = _TABLES.setdefault(trace, {})
         current = tables.get(miss_level)
-        if (
-            current is None
-            or current.length != table.length
-            or (table.scope >= current.scope and table.depth >= current.depth)
+        if current is None or (
+            table.scope >= current.scope and table.depth >= current.depth
         ):
             tables[miss_level] = table
     return table

@@ -46,11 +46,12 @@ class SimStats:
     #: per-trigger attempt count is the sum of the two.
     launches_by_trigger: Dict[int, int] = field(default_factory=dict)
     drops_by_trigger: Dict[int, int] = field(default_factory=dict)
-    #: Per static load PC: [miss count, exposed stall cycles].  The
-    #: exposed cycles are a critical-path estimate: how far each miss's
-    #: completion reached past the in-order retirement frontier.  Used
-    #: by the effective-latency selection refinement (the paper's
-    #: "critical path model" future-work direction).
+    #: Per static load PC: [miss count, exposed stall cycles]: how far
+    #: each miss's completion reached past the in-order retirement
+    #: frontier.  The planned per-p-thread prediction-vs-measurement
+    #: ledger reads it (a load's baseline exposure minus its
+    #: pre-execution exposure is the latency its p-threads tolerated);
+    #: until then only the parity contract does.
     miss_exposure: Dict[int, list] = field(default_factory=dict)
 
     @property
@@ -94,20 +95,6 @@ class SimStats:
         if not self.branches:
             return 0.0
         return self.mispredictions / self.branches
-
-    def effective_latency(self, pc: int, default: float) -> float:
-        """Average *exposed* miss latency of static load ``pc``.
-
-        Misses that complete behind the retirement frontier (because
-        they overlapped other misses or useful work) expose only part
-        of the memory latency; this is what latency tolerance can
-        actually buy back.  Returns ``default`` for loads with no
-        recorded misses.
-        """
-        entry = self.miss_exposure.get(pc)
-        if not entry or not entry[0]:
-            return default
-        return entry[1] / entry[0]
 
     def speedup_over(self, baseline: "SimStats") -> float:
         """Fractional IPC improvement over a baseline run.

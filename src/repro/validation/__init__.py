@@ -10,7 +10,6 @@ from repro.validation.parity import (
     ParityCheck,
     ParityReport,
     ParityRun,
-    ParityTolerance,
     compare_runs,
     run_parity,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "ParityCheck",
     "ParityReport",
     "ParityRun",
-    "ParityTolerance",
     "compare_runs",
     "correlation_summary",
     "render_validation",

@@ -7,34 +7,33 @@ discrete-event :class:`repro.timing.eventsim.EventSimulator` (a typed
 event heap).  They share the decoded program, the memory hierarchy,
 the branch predictor, and the statistics container — but none of the
 pipeline/scheduling loop code, which is where timing-model bugs live.
-This module pins what the two must agree on.
+This module pins what the two must agree on: everything either one
+observes, exactly.
 
-**Exact checks** (bit-for-bit equality, in a pinned order):
+**Checks**, in a pinned order, each an equality:
 
 - committed architectural state: the register file and every non-zero
   committed memory word,
-- instruction, load, store, and branch counts,
-- branch mispredictions and hint-covered mispredictions,
-- per-level miss counts (L1, original-program L2, fully/partially
-  covered L2 misses), and
-- p-thread launch/drop/instruction counts, per-trigger.
+- every :class:`~repro.timing.stats.SimStats` field in
+  :meth:`~repro.timing.stats.SimStats.to_dict` order — instruction and
+  branch counts, per-level miss counts and their coverage classes,
+  prefetch fates, p-thread launch/drop/instruction counts per trigger,
+  the per-load miss exposure — with ``cycles`` last.
 
 These are exact because both models implement the *same machine
 definition*: fetch consumes bandwidth minus stolen slots at a single
 well-defined cycle, retirement is in program order, p-thread launches
 happen at the trigger's dispatch cycle.  Any formulation of that
 definition — loop or event heap — must produce the same committed
-state and the same event counts; a mismatch is a model bug, never
-noise.  In practice the two models are cycle-identical too, so the
-**band checks** (total cycles and IPC within ``rel`` / ``abs``
-tolerance, default 2% / 16 cycles) exist as documented headroom for
-future models that relax event ordering, not as an escape hatch:
-``--strict`` keeps the band at its defaults rather than widening it.
+state, the same event counts and the same cycle count; a mismatch is a
+model bug, never noise.  The fields come from the payloads themselves,
+so a counter added to ``SimStats`` is under the contract the day it
+exists.  IPC is instructions over cycles, so it is exact once both are.
 
 :class:`ParityReport` keeps every comparison; on failure,
 :attr:`ParityReport.first_divergence` names the first diverging check
-in the pinned order (the earliest observable consequence of the bug,
-e.g. ``registers`` before any derived count).
+in the pinned order (the earliest observable consequence of the bug:
+``registers`` before any count, any count before ``cycles``).
 """
 
 from __future__ import annotations
@@ -44,54 +43,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs import get_registry as obs_registry, get_tracer
 
-#: Default tolerance band for the cycle-level checks.
-DEFAULT_REL_TOL = 0.02
-DEFAULT_ABS_TOL = 16.0
-
-#: Pinned order of the exact SimStats fields (after the architectural
-#: state checks, which always come first).
-EXACT_STAT_FIELDS = (
-    "instructions",
-    "loads",
-    "stores",
-    "branches",
-    "mispredictions",
-    "mispredicts_covered",
-    "l1_misses",
-    "l2_misses",
-    "misses_fully_covered",
-    "misses_partially_covered",
-    "pthread_launches",
-    "pthread_drops",
-    "pthread_instructions",
-    "pthread_l2_misses",
-    "launches_by_trigger",
-    "drops_by_trigger",
-)
-
-#: Cycle-level fields compared within the tolerance band.
-BAND_STAT_FIELDS = ("cycles", "ipc")
-
-
-@dataclass(frozen=True)
-class ParityTolerance:
-    """Tolerance band for the non-exact (cycle-level) checks."""
-
-    rel: float = DEFAULT_REL_TOL
-    abs: float = DEFAULT_ABS_TOL
-
-    def within(self, reference: float, value: float) -> bool:
-        return abs(value - reference) <= max(
-            self.rel * abs(reference), self.abs
-        )
-
-
 @dataclass
 class ParityCheck:
     """One named comparison between the two models."""
 
     name: str
-    kind: str  # "exact" | "band"
     reference: object  # trace-driven model's value
     value: object  # event-driven model's value
     ok: bool
@@ -100,7 +56,6 @@ class ParityCheck:
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
-            "kind": self.kind,
             "reference": _jsonable(self.reference),
             "value": _jsonable(self.value),
             "ok": self.ok,
@@ -110,7 +65,7 @@ class ParityCheck:
     def render(self) -> str:
         status = "ok" if self.ok else "DIVERGED"
         text = (
-            f"{self.name} [{self.kind}] {status}: "
+            f"{self.name} {status}: "
             f"trace={self.reference!r} event={self.value!r}"
         )
         if self.detail:
@@ -141,7 +96,6 @@ class ParityReport:
     workload: str
     mode: str
     engine: str
-    tolerance: ParityTolerance = field(default_factory=ParityTolerance)
     checks: List[ParityCheck] = field(default_factory=list)
 
     @property
@@ -165,7 +119,6 @@ class ParityReport:
             "mode": self.mode,
             "engine": self.engine,
             "ok": self.ok,
-            "tolerance": {"rel": self.tolerance.rel, "abs": self.tolerance.abs},
             "first_divergence": first.name if first else None,
             "checks": [check.to_dict() for check in self.checks],
         }
@@ -213,13 +166,9 @@ def compare_runs(
     workload: str,
     mode: str,
     engine: str,
-    tolerance: Optional[ParityTolerance] = None,
 ) -> ParityReport:
     """Apply the pinned parity contract to two model outcomes."""
-    tolerance = tolerance or ParityTolerance()
-    report = ParityReport(
-        workload=workload, mode=mode, engine=engine, tolerance=tolerance
-    )
+    report = ParityReport(workload=workload, mode=mode, engine=engine)
     checks = report.checks
 
     # 1. Committed architectural state, before any derived count.
@@ -227,7 +176,6 @@ def compare_runs(
     checks.append(
         ParityCheck(
             "registers",
-            "exact",
             len(trace.registers),
             len(event.registers),
             regs_ok,
@@ -241,7 +189,6 @@ def compare_runs(
     checks.append(
         ParityCheck(
             "memory",
-            "exact",
             len(trace.memory_words),
             len(event.memory_words),
             mem_ok,
@@ -251,34 +198,27 @@ def compare_runs(
         )
     )
 
-    # 2. Exact event counts, pinned order.
-    for name in EXACT_STAT_FIELDS:
+    # 2. Every stats field either model reported.  Cycles go last: most
+    # model bugs move them, so a bug that also shows in a count is
+    # reported at the count.
+    names = [
+        name
+        for name in dict.fromkeys([*trace.stats, *event.stats])
+        if name != "cycles"
+    ]
+    for name in names + ["cycles"]:
         left, right = trace.stats.get(name), event.stats.get(name)
-        checks.append(
-            ParityCheck(name, "exact", left, right, left == right)
-        )
-
-    # 3. Cycle-level band.
-    for name in BAND_STAT_FIELDS:
-        left, right = trace.stats.get(name), event.stats.get(name)
-        ok = (
-            isinstance(left, (int, float))
-            and isinstance(right, (int, float))
-            and tolerance.within(float(left), float(right))
-        )
-        checks.append(ParityCheck(name, "band", left, right, ok))
+        checks.append(ParityCheck(name, left, right, left == right))
 
     return report
 
 
 def _capture(sim, mode, max_instructions: int) -> ParityRun:
     stats = sim.run(mode, max_instructions=max_instructions)
-    payload = stats.to_dict()
-    payload["ipc"] = stats.ipc
     memory = sim.last_memory
     words = memory.snapshot() if memory is not None else {}
     return ParityRun(
-        stats=payload,
+        stats=stats.to_dict(),
         registers=list(sim.last_registers),
         memory_words={a: v for a, v in words.items() if v != 0},
     )
@@ -293,7 +233,6 @@ def run_parity(
     engine: Optional[str] = None,
     max_instructions: int = 120_000,
     workload: str = "?",
-    tolerance: Optional[ParityTolerance] = None,
 ) -> ParityReport:
     """Run both timing models on one configuration and compare.
 
@@ -328,7 +267,6 @@ def run_parity(
             workload=workload,
             mode=mode_name,
             engine=str(trace_sim.last_engine),
-            tolerance=tolerance,
         )
     registry = obs_registry()
     registry.counter("parity.comparisons").inc()

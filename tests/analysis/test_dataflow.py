@@ -2,17 +2,11 @@
 
 import pytest
 
-from repro.analysis.dataflow import (
-    ENTRY_DEF,
-    ControlFlowGraph,
-    constant_registers,
-    def_use_chains,
-    live_variables,
-    reaching_definitions,
-)
+from repro.analysis.dataflow import ControlFlowGraph, constant_registers
 from repro.isa import assemble
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
+from repro.isa.registers import NUM_REGS
 
 
 def program(source: str):
@@ -104,58 +98,6 @@ class TestControlFlowGraph:
         assert set(cfg.succs[0]) == {0, 1}
 
 
-class TestReachingDefinitions:
-    def test_entry_definition_reaches_first_use(self):
-        cfg = cfg_of(
-            """
-            add t0, s0, s1
-            halt
-        """
-        )
-        reaching = reaching_definitions(cfg)
-        assert reaching[0][17] == frozenset({ENTRY_DEF})  # s1 = r17
-
-    def test_redefinition_kills(self):
-        cfg = cfg_of(
-            """
-            addi t0, zero, 1
-            addi t0, zero, 2
-            add  t1, t0, t0
-            halt
-        """
-        )
-        chains = def_use_chains(cfg)
-        assert chains[2][8] == frozenset({1})  # t0 = r8, from index 1
-
-    def test_loop_merges_definitions(self):
-        cfg = cfg_of(LOOP)
-        chains = def_use_chains(cfg)
-        # a0 at the loop-head compare may come from the init (0) or
-        # the increment (3).
-        assert chains[2][4] == frozenset({0, 3})
-
-
-class TestLiveVariables:
-    def test_dead_after_last_use(self):
-        cfg = cfg_of(
-            """
-            addi t0, zero, 1
-            add  t1, t0, t0
-            halt
-        """
-        )
-        live = live_variables(cfg)
-        assert 8 in live[1]  # t0 live into its use
-        assert 8 not in live[2]  # dead after it
-
-    def test_loop_carried_liveness(self):
-        cfg = cfg_of(LOOP)
-        live = live_variables(cfg)
-        # a0 is live around the whole loop, including into the back
-        # edge's jump.
-        assert 4 in live[4]
-
-
 class TestConstantPropagation:
     def test_entry_registers_are_zero(self):
         cfg = cfg_of(
@@ -196,23 +138,13 @@ class TestConstantPropagation:
         consts = constant_registers(cfg)
         assert consts[1] is None
 
-
-class TestDefUseChains:
-    def test_zero_register_is_never_listed(self):
-        cfg = cfg_of(
-            """
-            addi t0, zero, 1
-            halt
-        """
-        )
-        chains = def_use_chains(cfg)
-        assert chains[0] == {}
-
     @pytest.mark.parametrize("name", ["pharmacy", "mcf"])
     def test_real_workloads_solve(self, name):
         from repro.workloads import build
 
         workload = build(name, "test" if name == "mcf" else "train")
         cfg = ControlFlowGraph.from_program(workload.program)
-        chains = def_use_chains(cfg)
-        assert len(chains) == len(workload.program)
+        consts = constant_registers(cfg)
+        assert len(consts) == len(workload.program)
+        # The entry sees the zeroed register file.
+        assert consts[0] == {reg: 0 for reg in range(NUM_REGS)}

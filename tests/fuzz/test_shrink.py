@@ -103,7 +103,7 @@ def drifting_oracle(family, marker="lw"):
             )
         elif hits == 1:
             report.failures.append(
-                CheckFailure(family, "preexec_cycles", "band breached")
+                CheckFailure(family, "preexec_cycles", "cycles diverged")
             )
         return report
 

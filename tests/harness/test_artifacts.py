@@ -387,21 +387,21 @@ class TestRunnerIntegration:
 
         cold = small_runner(tmp_path)
         first = cold.run(config)
+        # Table 1's perfect-L2 run, the fourth persisted kind.
+        first_l2 = cold.perfect_l2(first.workload, config.machine)
         for kind in self.CACHED_KINDS:
             assert stage_count(registry, kind, "misses") == 1, kind
 
         registry = reset_registry()
         warm = small_runner(tmp_path)
         second = warm.run(config)
+        second_l2 = warm.perfect_l2(second.workload, config.machine)
         for kind in self.CACHED_KINDS:
             assert stage_count(registry, kind, "misses") == 0, kind
             assert stage_count(registry, kind, "disk_hits") == 1, kind
         assert registry.counter("harness.cache.disk_hits").value == 4
         assert second.summary_row() == first.summary_row()
-        assert (
-            second.validation["perfect_l2"].ipc
-            == first.validation["perfect_l2"].ipc
-        )
+        assert second_l2.ipc == first_l2.ipc
 
     def test_cache_artifacts_are_content_addressed(self, tmp_path):
         runner = small_runner(tmp_path)

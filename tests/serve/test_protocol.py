@@ -79,8 +79,9 @@ def test_full_request_round_trips():
         {"workload": "mcf", "machine": {"bw_seq": 8.5}},
         {"workload": "mcf", "constraints": {"scope": 256.5}},
         {"workload": "mcf", "constraints": {"scope": True}},
-        # Region selection ignores these; three keys for one result.
+        # Region selection ignores the prefix; two keys for one result.
         {"workload": "mcf", "granularity": 3000, "selection_prefix": 1000},
+        # Not a request field: selection has one Lmem.
         {"workload": "mcf", "granularity": 3000, "effective_latency": True},
     ],
 )

@@ -13,8 +13,8 @@ caches, so the tests also check that every index and PC is a plain
 widest scope and depth asked of it, and derives every narrower tree
 from that table.  So the tests also ask for narrower configs and
 regions after a wide table is built, ask narrow first and then wide,
-ask from two threads at once and append to a traced trace, and check
-each result against reference trees built fresh at that config.
+and ask from two threads at once, and check each result against
+reference trees built fresh at that config.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import threading
 import pytest
 
 from repro.engine.functional import run_program
+from repro.engine.trace import Trace
 from repro.fuzz import generate
 from repro.slicing.slice_tree import (
     SliceTree,
@@ -149,8 +150,10 @@ def check_derived(trace, configs) -> None:
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_bundled_program_slices_match_reference(name):
     workload = build(name)
-    trace = run_program(workload.program, workload.hierarchy).trace
-    trace.trim()
+    # A trace as the artifact cache hands it out: arrays, no records.
+    trace = Trace.from_dict(
+        run_program(workload.program, workload.hierarchy).trace.to_dict()
+    )
     roots = trace.miss_indices(3)[:ROOTS_PER_PROGRAM].tolist()
     assert roots
     for scope, max_length in SETTINGS:
@@ -218,21 +221,3 @@ def test_threads_asking_different_configs_get_the_reference_trees():
                 trace, reference_slices(trace, roots, scope, max_length)
             ),
         )
-
-
-def test_record_appended_after_a_build_shows_up():
-    trace = fuzz_trace()
-    build_slice_trees(trace, *WIDEST)
-    # Re-execute the last miss: same PC, same producers, one more root.
-    last = trace.record(int(trace.miss_indices(3)[-1]))
-    trace.append(
-        last.pc, last.addr, last.level, last.dep1, last.dep2, last.memdep
-    )
-    roots = trace.miss_indices(3).tolist()
-    assert roots[-1] == len(trace) - 1
-    got = build_slice_trees(trace, scope=1024, max_length=64)
-    want = reference_trees(trace, reference_slices(trace, roots, 1024, 64))
-    assert_same_trees(got, want)
-    assert got[last.pc].slices_inserted == sum(
-        1 for root in roots if trace.pc[root] == last.pc
-    )

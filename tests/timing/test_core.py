@@ -113,6 +113,19 @@ class TestMemoryTiming:
         slow = TimingSimulator(sum_loop_program, slow_config).run(BASELINE)
         assert slow.cycles > fast.cycles
 
+    def test_baseline_records_miss_exposure(self):
+        from repro.workloads.suite import build
+
+        workload = build(
+            "pharmacy", "train", n_xact=900, n_drugs=16384, hot_drugs=1024
+        )
+        stats = TimingSimulator(workload.program, workload.hierarchy).run(
+            BASELINE
+        )
+        assert stats.miss_exposure
+        for count, cycles in stats.miss_exposure.values():
+            assert count > 0 and cycles >= 0
+
     def test_store_forwarding_fast(self, tiny_hierarchy):
         source = """
             addi r1, r0, 65536

@@ -8,19 +8,17 @@ check — a mutation test over the whole contract surface.
 """
 
 import copy
+import dataclasses
 
 import pytest
 
 from repro.fuzz.generator import generate
 from repro.timing.config import BASELINE, PRE_EXECUTION
-from repro.validation.parity import (
-    BAND_STAT_FIELDS,
-    EXACT_STAT_FIELDS,
-    ParityRun,
-    ParityTolerance,
-    compare_runs,
-    run_parity,
-)
+from repro.timing.stats import SimStats
+from repro.validation.parity import ParityRun, compare_runs, run_parity
+
+#: Every SimStats field, as its payload names it.
+STAT_FIELDS = [field.name for field in dataclasses.fields(SimStats)]
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +29,8 @@ def clean_runs():
     workload = generate(7)
     sim = EventSimulator(workload.program, workload.hierarchy)
     stats = sim.run(BASELINE, max_instructions=60_000)
-    payload = stats.to_dict()
-    payload["ipc"] = stats.ipc
     run = ParityRun(
-        stats=payload,
+        stats=stats.to_dict(),
         registers=list(sim.last_registers),
         memory_words={
             a: v
@@ -61,10 +57,11 @@ class TestCleanComparison:
         assert report.ok
         assert report.first_divergence is None
         assert report.failed_checks() == []
-        # Pinned contract size: state (2) + exact counts + band.
-        assert len(report.checks) == 2 + len(EXACT_STAT_FIELDS) + len(
-            BAND_STAT_FIELDS
-        )
+        # Pinned contract order: state, every stats field, cycles last.
+        names = [check.name for check in report.checks]
+        assert names[:2] == ["registers", "memory"]
+        assert sorted(names[2:]) == sorted(STAT_FIELDS)
+        assert names[-1] == "cycles"
 
     def test_render_and_to_dict(self, clean_runs):
         report = compare(clean_runs, corrupted(clean_runs))
@@ -98,37 +95,36 @@ class TestEveryInvariantFires:
         report = compare(clean_runs, bad)
         assert report.first_divergence.name == "memory"
 
-    @pytest.mark.parametrize("field", EXACT_STAT_FIELDS)
+    @pytest.mark.parametrize("field", STAT_FIELDS)
     def test_exact_count_divergence(self, clean_runs, field):
         bad = corrupted(clean_runs)
         value = bad.stats[field]
         if isinstance(value, dict):
             bad.stats[field] = {**value, "999999": 1}
+        elif isinstance(value, str):
+            bad.stats[field] = value + "?"
         else:
             bad.stats[field] = value + 1
         report = compare(clean_runs, bad)
         assert not report.ok
         assert report.first_divergence.name == field
 
-    @pytest.mark.parametrize("field", BAND_STAT_FIELDS)
-    def test_band_divergence_beyond_tolerance(self, clean_runs, field):
+    def test_one_cycle_skew_diverges(self, clean_runs):
         bad = corrupted(clean_runs)
-        bad.stats[field] = bad.stats[field] * 2 + 1000
+        bad.stats["cycles"] += 1
         report = compare(clean_runs, bad)
-        assert not report.ok
-        assert report.first_divergence.name == field
-        assert report.first_divergence.kind == "band"
+        assert report.failed_checks() == ["cycles"]
 
-    def test_band_tolerates_small_cycle_skew(self, clean_runs):
-        # The band is headroom, not an invariant: a skew inside the
-        # documented tolerance must not fail the contract.
+    def test_miss_exposure_divergence(self, clean_runs):
+        # One load's exposed stall off by a cycle, every count equal.
         bad = corrupted(clean_runs)
-        bad.stats["cycles"] = bad.stats["cycles"] + 10  # < abs tol 16
+        entry = next(iter(bad.stats["miss_exposure"].values()))
+        entry[1] += 1
         report = compare(clean_runs, bad)
-        assert all(c.ok for c in report.checks if c.name == "cycles")
+        assert report.failed_checks() == ["miss_exposure"]
 
     def test_first_divergence_respects_pinned_order(self, clean_runs):
-        # State checks come before counts before the band: a corrupted
+        # State checks come before counts before cycles: a corrupted
         # register wins even when cycles are also wildly off.
         bad = corrupted(clean_runs)
         bad.stats["cycles"] = 10 * bad.stats["cycles"] + 1000
@@ -142,30 +138,9 @@ class TestEveryInvariantFires:
             "cycles",
         }
         assert "DIVERGED at registers" in report.render()
-
-
-class TestTolerance:
-    def test_within_relative(self):
-        tol = ParityTolerance(rel=0.02, abs=0.0)
-        assert tol.within(1000.0, 1019.0)
-        assert not tol.within(1000.0, 1021.0)
-
-    def test_within_absolute_floor(self):
-        tol = ParityTolerance(rel=0.0, abs=16.0)
-        assert tol.within(10.0, 26.0)
-        assert not tol.within(10.0, 27.0)
-
-    def test_strict_tolerance_in_report_payload(self, clean_runs):
-        report = compare_runs(
-            clean_runs,
-            corrupted(clean_runs),
-            workload="t",
-            mode="baseline",
-            engine="interp",
-            tolerance=ParityTolerance(rel=0.0, abs=0.0),
-        )
-        assert report.ok  # identical runs pass even a zero-width band
-        assert report.to_dict()["tolerance"] == {"rel": 0.0, "abs": 0.0}
+        bad.registers[3] ^= 2
+        report = compare(clean_runs, bad)
+        assert report.first_divergence.name == "instructions"
 
 
 class TestRunParity:
