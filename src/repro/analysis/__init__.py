@@ -4,7 +4,7 @@ and workload linting.
 Public surface::
 
     from repro.analysis import (
-        ControlFlowGraph, constant_registers, solve,        # dataflow
+        ControlFlowGraph, constant_registers,               # dataflow
         verify_body, verify_pthread, verify_selection,       # verifier
         lint_program, lint_source, lint_workload,            # linter
         Diagnostic, Severity, verification_enabled,          # reporting
@@ -12,13 +12,7 @@ Public surface::
     )
 """
 
-from repro.analysis.dataflow import (
-    ControlFlowGraph,
-    DataflowProblem,
-    DataflowResult,
-    constant_registers,
-    solve,
-)
+from repro.analysis.dataflow import ControlFlowGraph, constant_registers
 from repro.analysis.program_lint import (
     lint_program,
     lint_source,
@@ -54,10 +48,7 @@ from repro.analysis.verifier import (
 
 __all__ = [
     "ControlFlowGraph",
-    "DataflowProblem",
-    "DataflowResult",
     "constant_registers",
-    "solve",
     "lint_program",
     "lint_source",
     "lint_workload",

@@ -1,46 +1,31 @@
-"""Generic static dataflow analysis over the toy ISA.
+"""Static dataflow analysis over the toy ISA.
 
-Two layers:
+Two pieces:
 
 * :class:`ControlFlowGraph` — an instruction-granular CFG over any
   instruction sequence (a full :class:`~repro.isa.program.Program` with
   branches, or a straight-line p-thread body, which degenerates to a
-  chain).  Provides reachability, blocked-path queries, and dominators.
-* :func:`solve` — a worklist fixpoint solver for any forward
-  :class:`DataflowProblem`.  On a chain CFG the worklist converges in
-  one linear scan, which is exactly the paper's observation that
-  control-less p-threads replace "traditional control-flow and
-  iterative data-flow analyses ... by a simple linear scan"; on a full
-  program it is the classic iterative algorithm.
+  chain).  Provides reachability and blocked-path queries.
+* :func:`constant_registers` — constant propagation, a worklist
+  fixpoint over the CFG, which the program linter uses to resolve
+  statically-known load/store addresses against the data image.
 
-One problem instance runs on it: constant propagation, which the
-program linter uses to resolve statically-known load/store addresses
-against the data image.  The p-thread verifier uses only the CFG; a
-body's register and memory dependences come from the linear scan in
-:func:`repro.pthreads.body.analyze_dataflow`.
+The p-thread verifier uses only the CFG; a body's register and memory
+dependences come from the linear scan in
+:func:`repro.pthreads.body.analyze_dataflow`, the paper's observation
+that control-less p-threads replace "traditional control-flow and
+iterative data-flow analyses ... by a simple linear scan".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Generic,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from collections import deque
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGS
-
-T = TypeVar("T")
 
 
 class ControlFlowGraph:
@@ -103,13 +88,6 @@ class ControlFlowGraph:
     def from_program(cls, program: Program) -> "ControlFlowGraph":
         return cls(program.instructions, labels=program.labels)
 
-    @classmethod
-    def from_instructions(
-        cls, instructions: Sequence[Instruction]
-    ) -> "ControlFlowGraph":
-        """Chain CFG for a straight-line sequence (p-thread body)."""
-        return cls(instructions, labels={})
-
     def __len__(self) -> int:
         return len(self.instructions)
 
@@ -146,181 +124,47 @@ class ControlFlowGraph:
             work.extend(s for s in self.succs[index] if s not in seen)
         return False
 
-    def dominators(self, entry: int = 0) -> List[FrozenSet[int]]:
-        """Per-instruction dominator sets (classic iterative algorithm).
 
-        Unreachable instructions report the full set (vacuous
-        domination), as is conventional.
-        """
-        n = len(self.instructions)
-        everything = frozenset(range(n))
-        dom: List[FrozenSet[int]] = [everything] * n
-        dom[entry] = frozenset({entry})
-        order = sorted(self.reachable(entry) - {entry})
-        changed = True
-        while changed:
-            changed = False
-            for index in order:
-                pred_doms = [dom[p] for p in self.preds[index]]
-                if pred_doms:
-                    new = frozenset.intersection(*pred_doms) | {index}
-                else:
-                    new = frozenset({index})
-                if new != dom[index]:
-                    dom[index] = new
-                    changed = True
-        return dom
-
-    def dominates(self, a: int, b: int, entry: int = 0) -> bool:
-        """True if ``a`` dominates ``b`` (every entry path to b hits a)."""
-        return a in self.dominators(entry)[b]
-
-
-class DataflowProblem(Generic[T]):
-    """One forward dataflow problem: lattice values plus transfer/meet.
-
-    Subclasses define:
-
-    * ``boundary()`` — the value at the entry of the graph;
-    * ``initial()`` — the optimistic starting value for interior
-      points (the lattice top);
-    * ``transfer(index, inst, value)`` — the per-instruction transfer
-      function;
-    * ``meet(a, b)`` — the confluence operator.
-    """
-
-    def boundary(self) -> T:
-        raise NotImplementedError
-
-    def initial(self) -> T:
-        raise NotImplementedError
-
-    def transfer(self, index: int, inst: Instruction, value: T) -> T:
-        raise NotImplementedError
-
-    def meet(self, a: T, b: T) -> T:
-        raise NotImplementedError
-
-
-@dataclass
-class DataflowResult(Generic[T]):
-    """Fixpoint solution: a value at the entry and exit of each index.
-
-    ``in_values[i]`` is the state before ``i`` executes and
-    ``out_values[i]`` after.
-    """
-
-    in_values: List[T]
-    out_values: List[T]
-
-
-def solve(
-    cfg: ControlFlowGraph, problem: DataflowProblem[T]
-) -> DataflowResult[T]:
-    """Worklist fixpoint of ``problem`` over ``cfg``, entry at index 0.
-
-    Straight-line chains converge in a single linear pass; cyclic
-    graphs iterate to a fixpoint.  Unreachable instructions keep the
-    optimistic ``initial()`` value.
-    """
-    n = len(cfg)
-    in_values: List[T] = [problem.initial() for _ in range(n)]
-    out_values: List[T] = [problem.initial() for _ in range(n)]
-    # Every node is seeded (not just the entry): a node whose first
-    # computed value happens to equal the optimistic initial value
-    # would otherwise never enqueue its successors.  Processing in
-    # program order converges in one pass on straight-line code.
-    work = list(range(n))
-    pending = set(work)
-    first_visit = [True] * n
-    while work:
-        index = work.pop(0)
-        pending.discard(index)
-        value: Optional[T] = None
-        for other in cfg.preds[index]:
-            contribution = out_values[other]
-            value = (
-                contribution
-                if value is None
-                else problem.meet(value, contribution)
-            )
-        if index == 0:
-            boundary = problem.boundary()
-            value = boundary if value is None else problem.meet(value, boundary)
-        if value is None:
-            value = problem.initial()
-        in_values[index] = value
-        new_out = problem.transfer(index, cfg.instructions[index], value)
-        if new_out != out_values[index] or first_visit[index]:
-            out_values[index] = new_out
-            for other in cfg.succs[index]:
-                if other not in pending:
-                    pending.add(other)
-                    work.append(other)
-        first_visit[index] = False
-    return DataflowResult(in_values=in_values, out_values=out_values)
-
-
-# -- constant propagation ----------------------------------------------
-
-#: Constant state: register -> known constant.  A register absent from
-#: the mapping is non-constant.  The whole-state value ``None`` is the
-#: optimistic "unreached" top.
+#: Constant state: sorted ``(register, constant)`` pairs.  A register
+#: absent from the state is non-constant.  The whole-state value
+#: ``None`` is the optimistic "unreached" top.
 Consts = Optional[Tuple[Tuple[int, int], ...]]
 
 
-class ConstantPropagation(DataflowProblem[Consts]):
-    """Registers holding statically-known constants.
-
-    The entry state knows every register: the register file starts
-    zeroed.  Loads and jump-and-link results are non-constant.
-    """
-
-    def boundary(self) -> Consts:
-        return tuple((reg, 0) for reg in range(NUM_REGS))
-
-    def initial(self) -> Consts:
+def _transfer(inst: Instruction, value: Consts) -> Consts:
+    """The state after ``inst``: loads and jump-and-link results are
+    non-constant."""
+    if value is None:
         return None
-
-    def transfer(
-        self, index: int, inst: Instruction, value: Consts
-    ) -> Consts:
-        if value is None:
-            return None
-        state = dict(value)
-        dest = inst.dest()
-        if dest is None or dest == 0:
-            return value
-        info = inst.info
-        result: Optional[int] = None
-        if info.alu is not None:
-            a = 0 if inst.rs1 in (None, 0) else state.get(inst.rs1)
-            if inst.rs2 is not None:
-                b: Optional[int] = (
-                    0 if inst.rs2 == 0 else state.get(inst.rs2)
-                )
-            else:
-                b = inst.imm
-            if a is not None and b is not None:
-                result = info.alu(a, b)
-        if result is None:
-            state.pop(dest, None)
+    dest = inst.dest()
+    if dest is None or dest == 0:
+        return value
+    state = dict(value)
+    info = inst.info
+    result: Optional[int] = None
+    if info.alu is not None:
+        a = 0 if inst.rs1 in (None, 0) else state.get(inst.rs1)
+        if inst.rs2 is not None:
+            b: Optional[int] = 0 if inst.rs2 == 0 else state.get(inst.rs2)
         else:
-            state[dest] = result
-        return tuple(sorted(state.items()))
+            b = inst.imm
+        if a is not None and b is not None:
+            result = info.alu(a, b)
+    if result is None:
+        state.pop(dest, None)
+    else:
+        state[dest] = result
+    return tuple(sorted(state.items()))
 
-    def meet(self, a: Consts, b: Consts) -> Consts:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        other = dict(b)
-        merged = tuple(
-            (reg, const)
-            for reg, const in a
-            if other.get(reg) == const
-        )
-        return merged
+
+def _meet(a: Consts, b: Consts) -> Consts:
+    """The constants two states agree on; ``None`` is the identity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    other = dict(b)
+    return tuple((reg, const) for reg, const in a if other.get(reg) == const)
 
 
 def constant_registers(
@@ -328,14 +172,40 @@ def constant_registers(
 ) -> List[Optional[Dict[int, int]]]:
     """Per instruction: known-constant registers before it executes.
 
+    A forward worklist fixpoint with its entry at index 0, where every
+    register is known: the register file starts zeroed.  Straight-line
+    chains converge in one pass in program order; cyclic graphs iterate.
     ``None`` marks instructions the analysis never reached.
     """
-    result = solve(cfg, ConstantPropagation())
-    values: List[Optional[Dict[int, int]]] = []
+    n = len(cfg)
+    entry: Consts = tuple((reg, 0) for reg in range(NUM_REGS))
+    in_values: List[Consts] = [None] * n
+    out_values: List[Consts] = [None] * n
+    # Every node is seeded (not just the entry): a node whose first
+    # computed state happens to equal the optimistic top would otherwise
+    # never enqueue its successors.
+    work = deque(range(n))
+    pending = set(work)
+    visited = [False] * n
+    while work:
+        index = work.popleft()
+        pending.discard(index)
+        value: Consts = None
+        for other in cfg.preds[index]:
+            value = _meet(value, out_values[other])
+        if index == 0:
+            value = _meet(value, entry)
+        in_values[index] = value
+        new_out = _transfer(cfg.instructions[index], value)
+        if new_out != out_values[index] or not visited[index]:
+            out_values[index] = new_out
+            for other in cfg.succs[index]:
+                if other not in pending:
+                    pending.add(other)
+                    work.append(other)
+        visited[index] = True
     reachable = cfg.reachable()
-    for index, value in enumerate(result.in_values):
-        if value is None or index not in reachable:
-            values.append(None)
-        else:
-            values.append(dict(value))
-    return values
+    return [
+        None if value is None or index not in reachable else dict(value)
+        for index, value in enumerate(in_values)
+    ]

@@ -11,10 +11,11 @@ One :class:`ExperimentRunner` reproduces the paper's tool flow:
    latency-only validation modes on request) → measured statistics.
 
 Every stage value is memoized on the key of what produced it — traces
-per program and hierarchy, selections per selection config, timing runs
-per everything the timing model reads — so parameter sweeps (Figures
-4–8) only repeat the stages they vary, and a sweep point that selects
-an earlier point's p-threads simulates nothing.
+per program and hierarchy, selections per selection config and profile
+region (the whole run, a prefix, or one window of a granularity cell),
+timing runs per everything the timing model reads — so parameter sweeps
+(Figures 4–8) only repeat the stages they vary, and a sweep point that
+selects an earlier point's p-threads simulates nothing.
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ from repro.harness.artifacts import ArtifactCache, program_digest, stable_key
 from repro.memory.hierarchy import HierarchyConfig
 from repro.model.params import ModelParams, SelectionConstraints
 from repro.obs import Span, get_registry, get_tracer
-from repro.selection.granularity import select_by_region
-from repro.selection.program_selector import ProgramSelection, select_pthreads
+from repro.selection.program_selector import (
+    ProgramPrediction,
+    ProgramSelection,
+    select_pthreads,
+)
 from repro.timing.config import (
     BASELINE,
     LATENCY_ONLY,
@@ -406,7 +410,8 @@ class ExperimentRunner:
         constraints: SelectionConstraints,
         region: Optional[Tuple[int, int]],
     ) -> ProgramSelection:
-        """Whole-run p-thread selection, through both cache layers."""
+        """P-thread selection over ``region`` of the profile (the whole
+        run when ``None``), through both cache layers."""
 
         def select() -> ProgramSelection:
             with get_tracer().span(
@@ -524,24 +529,31 @@ class ExperimentRunner:
         num_regions = 1
         with tracer.span("selection"):
             if config.granularity is not None:
-                # Region-specialized selection stays uncached: its output
-                # (a per-region activation schedule) is not content-
-                # addressable by the same small key, and Figure 6 is the
-                # only user.
-                _count("selection", "misses")
-                with tracer.span("slice+select", workload=profile_workload.name):
-                    granular = select_by_region(
-                        profile_workload.program,
-                        profile_trace.trace,
+                # One selection per window of the profile, each through
+                # the stage cache like a prefix; the schedule activates
+                # each window's p-threads over its instructions.
+                length = len(profile_trace.trace)
+                windows = [
+                    (start, min(start + config.granularity, length))
+                    for start in range(0, length, config.granularity)
+                ]
+                selections = [
+                    self._cached_selection(
+                        profile_workload,
+                        profile_trace,
                         params,
-                        region_size=config.granularity,
-                        constraints=config.constraints,
+                        config.constraints,
+                        window,
                     )
-                schedule = granular.schedule()
-                num_regions = len(granular.regions)
-                # Report the aggregate of the region selections.
-                selection = _aggregate_regions(
-                    granular, params, config.constraints
+                    for window in windows
+                ]
+                schedule = [
+                    (start, end, chosen.pthreads)
+                    for (start, end), chosen in zip(windows, selections)
+                ]
+                num_regions = len(windows)
+                selection = _aggregate_windows(
+                    selections, params, config.constraints
                 )
             else:
                 region = None
@@ -622,15 +634,17 @@ class ExperimentRunner:
         )
 
 
-def _aggregate_regions(granular, params, constraints) -> ProgramSelection:
-    """Collapse per-region selections into one reportable selection.
+def _aggregate_windows(
+    selections: Sequence[ProgramSelection],
+    params: ModelParams,
+    constraints: SelectionConstraints,
+) -> ProgramSelection:
+    """Collapse per-window selections into one reportable selection.
 
-    The activation schedule keeps the per-region p-thread sets; this
+    The activation schedule keeps the per-window p-thread sets; this
     aggregate only exists so reports have program-level predictions.
+    Its totals add the windows' predictions in window order.
     """
-    from repro.selection.program_selector import ProgramPrediction
-
-    pthreads = [p for region in granular.regions for p in region.pthreads]
     totals = dict(
         launches=0,
         injected_instructions=0,
@@ -641,25 +655,17 @@ def _aggregate_regions(granular, params, constraints) -> ProgramSelection:
         sample_instructions=0,
         sample_l2_misses=0,
     )
-    for region in granular.regions:
-        prediction = region.selection.prediction
-        totals["launches"] += prediction.launches
-        totals["injected_instructions"] += prediction.injected_instructions
-        totals["misses_covered"] += prediction.misses_covered
-        totals["misses_fully_covered"] += prediction.misses_fully_covered
-        totals["lt_agg"] += prediction.lt_agg
-        totals["oh_agg"] += prediction.oh_agg
-        totals["sample_instructions"] += prediction.sample_instructions
-        totals["sample_l2_misses"] += prediction.sample_l2_misses
-    prediction = ProgramPrediction(
-        unassisted_ipc=params.unassisted_ipc,
-        sequencing_width=params.bw_seq,
-        **totals,
-    )
+    for window in selections:
+        for name in totals:
+            totals[name] += getattr(window.prediction, name)
     return ProgramSelection(
-        pthreads=pthreads,
+        pthreads=[p for window in selections for p in window.pthreads],
         tree_selections={},
-        prediction=prediction,
+        prediction=ProgramPrediction(
+            unassisted_ipc=params.unassisted_ipc,
+            sequencing_width=params.bw_seq,
+            **totals,
+        ),
         params=params,
         constraints=constraints,
     )

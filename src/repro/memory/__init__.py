@@ -3,8 +3,6 @@
 from repro.memory.bus import Bus
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.hierarchy import (
-    AccessOutcome,
-    CoverageKind,
     FunctionalHierarchy,
     HierarchyConfig,
     MemoryLevel,
@@ -15,11 +13,9 @@ from repro.memory.mshr import MshrFile
 from repro.memory.prefetcher import StridePrefetcher
 
 __all__ = [
-    "AccessOutcome",
     "Bus",
     "Cache",
     "CacheConfig",
-    "CoverageKind",
     "FunctionalHierarchy",
     "HierarchyConfig",
     "MainMemory",

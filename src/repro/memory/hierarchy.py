@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.memory.bus import Bus
 from repro.memory.cache import Cache, CacheConfig
@@ -119,16 +119,12 @@ class FunctionalHierarchy:
         self.l1 = Cache(config.l1)
         self.l2 = Cache(config.l2)
 
-    def access(self, addr: int, is_write: bool = False) -> MemoryLevel:
-        """Access ``addr``; returns the level that satisfied it."""
-        return MemoryLevel(self.access_fast(addr, is_write))
-
     def access_fast(self, addr: int, is_write: bool = False) -> int:
-        """:meth:`access` returning a plain int level (1/2/3).
+        """Access ``addr``; returns the :class:`MemoryLevel` value (1/2/3)
+        of the level that satisfied it, as a plain int.
 
-        The simulators call this once per dynamic load/store; returning
-        the raw :class:`MemoryLevel` value skips an enum construction
-        per access (the enum API stays for everything that wants it).
+        The trace generator calls this once per dynamic load/store, so
+        it skips an enum construction per access.
         """
         if self.l1.access(addr, is_write):
             return 1
@@ -142,32 +138,6 @@ class FunctionalHierarchy:
         self.l2.fill(addr)
 
 
-class CoverageKind(enum.Enum):
-    """Classification of a main-thread touch of a p-thread-fetched line."""
-
-    FULL = "full"  # line ready before the main thread asked
-    PARTIAL = "partial"  # fill in flight when the main thread asked
-    EVICTED = "evicted"  # prefetched line evicted before use
-
-
-@dataclass
-class AccessOutcome:
-    """Result of a timed access.
-
-    Attributes:
-        level: level that (logically) satisfied the access, *before*
-            any p-thread prefetch is credited — i.e. ``MEM`` means this
-            would have been an L2 miss in the unassisted program.
-        complete: cycle at which the data is available.
-        coverage: set when the access touches a p-thread-prefetched
-            line for the first time.
-    """
-
-    level: MemoryLevel
-    complete: int
-    coverage: Optional[CoverageKind] = None
-
-
 class TimedHierarchy:
     """Two-level hierarchy with latency, MSHRs, busses and coverage.
 
@@ -175,9 +145,13 @@ class TimedHierarchy:
     clock of its own.
 
     The ``*_access_fast`` paths run once per simulated memory access,
-    so each calls every component it touches at most once (``access``
-    or ``probe`` per cache level, one ``Bus.request``) and computes
-    line addresses and latencies inline from constants taken here.
+    so each returns a plain ``(level, complete)`` pair of ints, calls
+    every component it touches at most once (``access`` or ``probe`` per
+    cache level, one ``Bus.request``) and computes line addresses and
+    latencies inline from constants taken here.  A main-thread access
+    classifies its coverage of a p-thread-fetched line only in the
+    counters (``full_covered``, ``partial_covered``,
+    ``evicted_prefetches``).
     """
 
     def __init__(self, config: HierarchyConfig, perfect_l2: bool = False) -> None:
@@ -218,32 +192,20 @@ class TimedHierarchy:
         self.partial_covered = 0
         self.partial_covered_cycles = 0
         self.evicted_prefetches = 0
-        #: Coverage classification of the most recent ``mt_access_fast``
-        #: (``None`` if the access touched no p-thread-fetched line).
-        self.last_coverage: Optional[CoverageKind] = None
 
     # ------------------------------------------------------------------
     # main thread
     # ------------------------------------------------------------------
 
-    def mt_access(self, addr: int, now: int, is_write: bool = False) -> AccessOutcome:
-        """Timed main-thread access at cycle ``now``."""
-        level, complete = self.mt_access_fast(addr, now, is_write)
-        return AccessOutcome(MemoryLevel(level), complete, self.last_coverage)
-
     def mt_access_fast(
         self, addr: int, now: int, is_write: bool = False
     ) -> Tuple[int, int]:
-        """:meth:`mt_access` without the :class:`AccessOutcome` wrapper.
+        """Timed main-thread access at cycle ``now``.
 
-        Returns ``(level, complete)`` as plain ints — the simulators
-        issue millions of these per run and the dataclass allocation
-        per access dominated the memory path.  Coverage classification
-        is published on :attr:`last_coverage` (and the coverage
-        counters update exactly as before).
+        Returns the level that satisfied the access (a line a p-thread
+        fetched is an L2 hit) and the cycle its data is available.
         """
         self.mt_accesses += 1
-        self.last_coverage = None
         line2 = addr & self._l2_line_mask
         stamp = self._pt_lines.pop(line2, None)
 
@@ -267,10 +229,8 @@ class TimedHierarchy:
             if stamp is not None:
                 request_time, ready_time = stamp
                 if ready_time <= now:
-                    self.last_coverage = CoverageKind.FULL
                     self.full_covered += 1
                 else:
-                    self.last_coverage = CoverageKind.PARTIAL
                     self.partial_covered += 1
                     if now > request_time:
                         self.partial_covered_cycles += now - request_time
@@ -283,7 +243,6 @@ class TimedHierarchy:
         if stamp is not None:
             # A p-thread prefetched the line but it was evicted before
             # the main thread got to it: an early (wasted) prefetch.
-            self.last_coverage = CoverageKind.EVICTED
             self.evicted_prefetches += 1
         return 3, self._fetch_line(line2, now)
 
@@ -291,17 +250,12 @@ class TimedHierarchy:
     # p-threads
     # ------------------------------------------------------------------
 
-    def pt_access(self, addr: int, now: int) -> AccessOutcome:
+    def pt_access_fast(self, addr: int, now: int) -> Tuple[int, int]:
         """Timed p-thread load at cycle ``now``.
 
         P-thread loads read the L1 if the line happens to be resident
         (without refreshing LRU state) but fill only the L2.
         """
-        level, complete = self.pt_access_fast(addr, now)
-        return AccessOutcome(MemoryLevel(level), complete)
-
-    def pt_access_fast(self, addr: int, now: int) -> Tuple[int, int]:
-        """:meth:`pt_access` returning a plain ``(level, complete)``."""
         self.pt_accesses += 1
         line2 = addr & self._l2_line_mask
         pending = self._line_ready.get(line2)
@@ -323,19 +277,13 @@ class TimedHierarchy:
         self._pt_lines[line2] = (now, complete)
         return 3, complete
 
-    def phantom_access(self, addr: int, now: int) -> AccessOutcome:
+    def phantom_access_fast(self, addr: int, now: int) -> Tuple[int, int]:
         """Latency of a load that must not disturb any state.
 
         Used by the overhead-only validation runs, where p-threads
         execute "but do not access the data cache (thus do not have the
         pre-execution effect)": timing reflects residency, but no fill,
         LRU update, MSHR, bus, or timestamp activity occurs.
-        """
-        level, complete = self.phantom_access_fast(addr, now)
-        return AccessOutcome(MemoryLevel(level), complete)
-
-    def phantom_access_fast(self, addr: int, now: int) -> Tuple[int, int]:
-        """:meth:`phantom_access` returning a plain ``(level, complete)``.
 
         Like the real access paths, a hit on a line whose fill is still
         in flight cannot complete before the fill does, so the pending

@@ -6,11 +6,6 @@ from repro.selection.branch_selection import (
     profile_branches,
     select_branch_pthreads,
 )
-from repro.selection.granularity import (
-    GranularSelection,
-    RegionSelection,
-    select_by_region,
-)
 from repro.selection.program_selector import (
     ProgramPrediction,
     ProgramSelection,
@@ -26,10 +21,8 @@ from repro.selection.selector import (
 
 __all__ = [
     "BranchProfile",
-    "GranularSelection",
     "ProgramPrediction",
     "ProgramSelection",
-    "RegionSelection",
     "TreeCandidate",
     "TreeSelection",
     "enumerate_candidates",
@@ -37,7 +30,6 @@ __all__ = [
     "problem_branches",
     "profile_branches",
     "select_branch_pthreads",
-    "select_by_region",
     "select_from_tree",
     "select_pthreads",
 ]

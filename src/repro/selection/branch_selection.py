@@ -32,13 +32,11 @@ from repro.isa.program import Program
 from repro.model.params import ModelParams, SelectionConstraints
 from repro.selection.program_selector import (
     ProgramSelection,
-    _candidate_to_pthread,
     _dc_trig_counts,
-    _effective_coverage,
-    ProgramPrediction,
+    _prediction,
+    _select_trees,
     slice_tree_depth,
 )
-from repro.selection.selector import select_from_tree
 from repro.slicing.slice_tree import build_slice_trees_for_roots
 
 
@@ -137,12 +135,14 @@ def select_branch_pthreads(
     """
     constraints = constraints or SelectionConstraints()
     branch_params = params.with_mem_latency(max(1, mispredict_penalty))
-    profiles = profile_branches(trace, program)
-    problems = problem_branches(profiles, min_rate, min_mispredictions)
-    roots: List[int] = []
-    for profile in problems:
-        roots.extend(profile.mispredicted_indices)
-    roots.sort()
+    problems = problem_branches(
+        profile_branches(trace, program), min_rate, min_mispredictions
+    )
+    roots = sorted(
+        index for profile in problems for index in profile.mispredicted_indices
+    )
+    # One tree per problem branch, rooted at its mispredicted instances:
+    # the trees' roots are the sample's problem events.
     trees = build_slice_trees_for_roots(
         trace,
         roots,
@@ -150,45 +150,15 @@ def select_branch_pthreads(
         max_length=slice_tree_depth(constraints),
     )
     dc_trig = _dc_trig_counts(trace, len(program), 0, None)
-
-    pthreads = []
-    tree_selections = {}
-    covered = fully = 0
-    lt_agg_total = 0.0
-    for branch_pc in sorted(trees):
-        tree = trees[branch_pc]
-        selection = select_from_tree(
-            tree, program, dc_trig, branch_params, constraints
-        )
-        tree_selections[branch_pc] = selection
-        effective = _effective_coverage(selection.selected)
-        for candidate in selection.selected:
-            events = effective[id(candidate.node)]
-            pthread = _candidate_to_pthread(candidate, events, branch_params)
-            pthreads.append(pthread)
-            covered += pthread.prediction.misses_covered
-            fully += pthread.prediction.misses_fully_covered
-            lt_agg_total += pthread.prediction.lt_agg
-
-    launches = sum(p.prediction.dc_trig for p in pthreads)
-    injected = sum(p.prediction.injected_instructions for p in pthreads)
-    total_events = sum(p.mispredictions for p in problems)
-    prediction = ProgramPrediction(
-        launches=launches,
-        injected_instructions=injected,
-        misses_covered=covered,
-        misses_fully_covered=fully,
-        lt_agg=lt_agg_total,
-        oh_agg=sum(p.prediction.oh_agg for p in pthreads),
-        sample_instructions=len(trace),
-        sample_l2_misses=total_events,  # here: total mispredictions
-        unassisted_ipc=params.unassisted_ipc,
-        sequencing_width=params.bw_seq,
+    tree_selections, pthreads = _select_trees(
+        trees, program, dc_trig, branch_params, constraints
     )
     return ProgramSelection(
         pthreads=pthreads,
         tree_selections=tree_selections,
-        prediction=prediction,
+        prediction=_prediction(
+            pthreads, pthreads, trees, len(trace), branch_params
+        ),
         params=branch_params,
         constraints=constraints,
     )

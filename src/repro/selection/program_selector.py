@@ -27,7 +27,7 @@ from repro.selection.selector import (
     is_strict_ancestor,
     select_from_tree,
 )
-from repro.slicing.slice_tree import build_slice_trees
+from repro.slicing.slice_tree import SliceTree, build_slice_trees
 
 
 @dataclass(frozen=True)
@@ -204,14 +204,72 @@ def _candidate_to_pthread(
     )
 
 
+def _select_trees(
+    trees: Dict[int, SliceTree],
+    program: Program,
+    dc_trig: Dict[int, int],
+    params: ModelParams,
+    constraints: SelectionConstraints,
+) -> Tuple[Dict[int, TreeSelection], List[StaticPThread]]:
+    """The per-tree loop, in root-PC order: select each tree's
+    candidates, correct their coverage for overlap and convert them to
+    p-threads."""
+    tree_selections: Dict[int, TreeSelection] = {}
+    pthreads: List[StaticPThread] = []
+    for pc in sorted(trees):
+        selection = select_from_tree(
+            trees[pc], program, dc_trig, params, constraints
+        )
+        tree_selections[pc] = selection
+        effective = _effective_coverage(selection.selected)
+        for candidate in selection.selected:
+            covered = effective[id(candidate.node)]
+            pthreads.append(_candidate_to_pthread(candidate, covered, params))
+    return tree_selections, pthreads
+
+
+def _prediction(
+    chosen: Sequence[StaticPThread],
+    pthreads: Sequence[StaticPThread],
+    trees: Dict[int, SliceTree],
+    sample_instructions: int,
+    params: ModelParams,
+) -> ProgramPrediction:
+    """The program-level prediction of one selection.
+
+    Coverage and latency tolerance add up over the p-threads the trees
+    chose (``chosen``); launches, injected instructions and overhead
+    over the ones that run (``pthreads``, after any merge).  The
+    sample's problem events are the trees' roots.
+    """
+    covered = fully = 0
+    lt_agg = 0.0
+    for pthread in chosen:
+        covered += pthread.prediction.misses_covered
+        fully += pthread.prediction.misses_fully_covered
+        lt_agg += pthread.prediction.lt_agg
+    return ProgramPrediction(
+        launches=sum(p.prediction.dc_trig for p in pthreads),
+        injected_instructions=sum(
+            p.prediction.injected_instructions for p in pthreads
+        ),
+        misses_covered=covered,
+        misses_fully_covered=fully,
+        lt_agg=lt_agg,
+        oh_agg=sum(p.prediction.oh_agg for p in pthreads),
+        sample_instructions=sample_instructions,
+        sample_l2_misses=sum(tree.total_misses() for tree in trees.values()),
+        unassisted_ipc=params.unassisted_ipc,
+        sequencing_width=params.bw_seq,
+    )
+
+
 def select_pthreads(
     program: Program,
     trace: Trace,
     params: ModelParams,
     constraints: Optional[SelectionConstraints] = None,
-    miss_level: int = 3,
     region: Optional[Tuple[int, int]] = None,
-    sample_l2_misses: Optional[int] = None,
 ) -> ProgramSelection:
     """Select static p-threads for a traced program sample.
 
@@ -220,13 +278,9 @@ def select_pthreads(
         trace: dynamic trace with miss levels and dependence edges.
         params: model parameters (width, latency, unassisted IPC).
         constraints: p-thread construction constraints.
-        miss_level: minimum memory level that counts as a problem miss.
         region: optional ``(start, end)`` dynamic-index window — the
-            statistical basis is restricted to this region (used by the
-            selection-granularity experiments).
-        sample_l2_misses: total problem misses in the sample, for
-            coverage fractions; defaults to the count found in the
-            region.
+            statistical basis is restricted to this region (a profile
+            prefix, or one window of a granularity cell).
     """
     constraints = constraints or SelectionConstraints()
     start, end = region if region is not None else (0, None)
@@ -238,39 +292,20 @@ def select_pthreads(
             trace,
             scope=constraints.scope,
             max_length=slice_tree_depth(constraints),
-            miss_level=miss_level,
             start=start,
             end=end,
         )
         dc_trig = _dc_trig_counts(trace, len(program), start, end)
 
-    tree_selections: Dict[int, TreeSelection] = {}
-    pthreads: List[StaticPThread] = []
-    covered_total = 0
-    fully_total = 0
-    lt_agg_total = 0.0
     with tracer.span("select_trees"):
-        for load_pc in sorted(trees):
-            selection = select_from_tree(
-                trees[load_pc], program, dc_trig, params, constraints
-            )
-            tree_selections[load_pc] = selection
-            effective = _effective_coverage(selection.selected)
-            for candidate in selection.selected:
-                covered = effective[id(candidate.node)]
-                pthread = _candidate_to_pthread(candidate, covered, params)
-                pthreads.append(pthread)
-                covered_total += pthread.prediction.misses_covered
-                fully_total += pthread.prediction.misses_fully_covered
-                lt_agg_total += pthread.prediction.lt_agg
+        tree_selections, chosen = _select_trees(
+            trees, program, dc_trig, params, constraints
+        )
 
     with tracer.span("merge"):
+        pthreads = chosen
         if constraints.merge:
-            pthreads = merge_pthreads(pthreads, optimize=constraints.optimize)
-
-    launches = sum(p.prediction.dc_trig for p in pthreads)
-    injected = sum(p.prediction.injected_instructions for p in pthreads)
-    oh_agg_total = sum(p.prediction.oh_agg for p in pthreads)
+            pthreads = merge_pthreads(chosen, optimize=constraints.optimize)
 
     # Debug-mode post-pass: the finished selection must satisfy every
     # p-thread invariant (lazy import: repro.analysis imports this
@@ -286,25 +321,10 @@ def select_pthreads(
         )
 
     stop = len(trace) if end is None else min(end, len(trace))
-    region_misses = sum(tree.total_misses() for tree in trees.values())
-    prediction = ProgramPrediction(
-        launches=launches,
-        injected_instructions=injected,
-        misses_covered=covered_total,
-        misses_fully_covered=fully_total,
-        lt_agg=lt_agg_total,
-        oh_agg=oh_agg_total,
-        sample_instructions=stop - start,
-        sample_l2_misses=(
-            sample_l2_misses if sample_l2_misses is not None else region_misses
-        ),
-        unassisted_ipc=params.unassisted_ipc,
-        sequencing_width=params.bw_seq,
-    )
     return ProgramSelection(
         pthreads=pthreads,
         tree_selections=tree_selections,
-        prediction=prediction,
+        prediction=_prediction(chosen, pthreads, trees, stop - start, params),
         params=params,
         constraints=constraints,
     )

@@ -1,11 +1,5 @@
 """Dynamic backward slicing and the slice tree."""
 
-from repro.slicing.serialize import (
-    SliceTreeFile,
-    SliceTreeFormatError,
-    load_slice_trees,
-    save_slice_trees,
-)
 from repro.slicing.slice_tree import (
     SliceNode,
     SliceTree,
@@ -18,11 +12,7 @@ __all__ = [
     "DynamicSlice",
     "SliceNode",
     "SliceTree",
-    "SliceTreeFile",
-    "SliceTreeFormatError",
     "Slicer",
     "build_slice_trees",
     "build_slice_trees_for_roots",
-    "load_slice_trees",
-    "save_slice_trees",
 ]

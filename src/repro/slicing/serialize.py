@@ -1,32 +1,13 @@
-"""Slice-tree file I/O.
+"""A slice tree as a canonical JSON-compatible dict.
 
-The paper's tool flow is file-based: "A functional cache simulator
-generates program traces and constructs backward slices of all dynamic
-L2 misses and collects them into slice trees **which are written out to
-files**.  The p-thread selection tool takes a slice tree file and
-parameters ... and produces a list of static p-threads.  This
-arrangement allows multiple p-thread sets ... to be generated quickly."
-
-This module provides that arrangement: JSON serialization of slice
-trees (plus the trigger-count statistics selection needs), so sweeps
-over pipeline/latency/constraint parameters re-run selection without
-re-tracing.  The schema is versioned and self-describing.
+The fuzz oracle compares trees built two ways (derived from a widened
+slice table and built fresh) by this form: every node annotation, with
+children in PC order.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, IO, Union
-
 from repro.slicing.slice_tree import SliceNode, SliceTree
-
-#: Schema version written into every file.
-FORMAT_VERSION = 1
-
-
-class SliceTreeFormatError(Exception):
-    """Raised when a slice-tree file cannot be parsed."""
 
 
 def _node_to_dict(node: SliceNode) -> dict:
@@ -43,27 +24,6 @@ def _node_to_dict(node: SliceNode) -> dict:
     }
 
 
-def _node_from_dict(
-    data: dict, depth: int, parent: SliceNode = None
-) -> SliceNode:
-    try:
-        node = SliceNode(
-            pc=int(data["pc"]),
-            depth=depth,
-            parent=parent,
-            visits=int(data["visits"]),
-            dist_sum=int(data["dist_sum"]),
-            dep_depths=tuple(int(d) for d in data.get("dep_depths", ())),
-            truncated=int(data.get("truncated", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SliceTreeFormatError(f"malformed node record: {exc}") from exc
-    for child_data in data.get("children", ()):
-        child = _node_from_dict(child_data, depth + 1, node)
-        node.children[child.pc] = child
-    return node
-
-
 def tree_to_dict(tree: SliceTree) -> dict:
     """Serialize one tree to a JSON-compatible dict."""
     return {
@@ -71,92 +31,3 @@ def tree_to_dict(tree: SliceTree) -> dict:
         "slices_inserted": tree.slices_inserted,
         "root": _node_to_dict(tree.root),
     }
-
-
-def tree_from_dict(data: dict) -> SliceTree:
-    """Rebuild a tree from :func:`tree_to_dict` output."""
-    try:
-        tree = SliceTree(int(data["load_pc"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SliceTreeFormatError(f"malformed tree record: {exc}") from exc
-    tree.slices_inserted = int(data.get("slices_inserted", 0))
-    tree.root = _node_from_dict(data["root"], depth=0)
-    return tree
-
-
-def save_slice_trees(
-    path: Union[str, Path, IO[str]],
-    trees: Dict[int, SliceTree],
-    dc_trig: Dict[int, int],
-    program_name: str = "",
-    sample_instructions: int = 0,
-) -> None:
-    """Write a slice-tree file.
-
-    Args:
-        path: file path or open text handle.
-        trees: trees keyed by problem PC (loads or branches).
-        dc_trig: dynamic execution counts of every static PC in the
-            sample — the trigger statistics selection needs.
-        program_name / sample_instructions: provenance metadata.
-    """
-    payload = {
-        "format": "repro-slice-trees",
-        "version": FORMAT_VERSION,
-        "program": program_name,
-        "sample_instructions": sample_instructions,
-        "dc_trig": {str(pc): count for pc, count in dc_trig.items()},
-        "trees": [tree_to_dict(tree) for _, tree in sorted(trees.items())],
-    }
-    if hasattr(path, "write"):
-        json.dump(payload, path)
-    else:
-        Path(path).write_text(json.dumps(payload))
-
-
-def load_slice_trees(
-    path: Union[str, Path, IO[str]],
-) -> "SliceTreeFile":
-    """Read a slice-tree file written by :func:`save_slice_trees`."""
-    if hasattr(path, "read"):
-        payload = json.load(path)
-    else:
-        payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "repro-slice-trees":
-        raise SliceTreeFormatError("not a repro slice-tree file")
-    if payload.get("version") != FORMAT_VERSION:
-        raise SliceTreeFormatError(
-            f"unsupported version {payload.get('version')!r}"
-        )
-    trees = {}
-    for tree_data in payload.get("trees", ()):
-        tree = tree_from_dict(tree_data)
-        trees[tree.load_pc] = tree
-    return SliceTreeFile(
-        trees=trees,
-        dc_trig={
-            int(pc): int(count)
-            for pc, count in payload.get("dc_trig", {}).items()
-        },
-        program_name=payload.get("program", ""),
-        sample_instructions=int(payload.get("sample_instructions", 0)),
-    )
-
-
-class SliceTreeFile:
-    """Contents of a slice-tree file: trees plus selection statistics."""
-
-    def __init__(
-        self,
-        trees: Dict[int, SliceTree],
-        dc_trig: Dict[int, int],
-        program_name: str = "",
-        sample_instructions: int = 0,
-    ) -> None:
-        self.trees = trees
-        self.dc_trig = dc_trig
-        self.program_name = program_name
-        self.sample_instructions = sample_instructions
-
-    def total_misses(self) -> int:
-        return sum(tree.total_misses() for tree in self.trees.values())

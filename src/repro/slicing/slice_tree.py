@@ -326,14 +326,14 @@ def _dep_depths(
     return tuple(sorted(found))
 
 
-#: Slice tables per trace, then per miss level.  Weak keys: a table
-#: lives as long as its trace, and no pickled class gains a field.
-_TABLES: "WeakKeyDictionary[Trace, Dict[int, SliceTable]]" = WeakKeyDictionary()
+#: One slice table per trace.  Weak keys: a table lives as long as its
+#: trace, and no pickled class gains a field.
+_TABLES: "WeakKeyDictionary[Trace, SliceTable]" = WeakKeyDictionary()
 _TABLES_LOCK = threading.Lock()
 
 
-def _slice_table(trace: Trace, miss_level: int, scope: int, depth: int) -> SliceTable:
-    """The trace's table at ``miss_level``, widened to cover the request.
+def _slice_table(trace: Trace, scope: int, depth: int) -> SliceTable:
+    """The trace's table of L2-miss slices, widened to cover the request.
 
     A table is never replaced by a narrower one: a request wider than
     the stored table builds one at the widest scope and depth asked of
@@ -342,25 +342,25 @@ def _slice_table(trace: Trace, miss_level: int, scope: int, depth: int) -> Slice
     its own table.
     """
     with _TABLES_LOCK:
-        table = _TABLES.get(trace, {}).get(miss_level)
+        table = _TABLES.get(trace)
     if table is not None:
         if table.scope >= scope and table.depth >= depth:
             return table
         scope = max(scope, table.scope)
         depth = max(depth, table.depth)
     with get_tracer().span("slice_table", scope=scope, depth=depth) as span:
-        misses = trace.miss_indices(miss_level)
+        # L2 misses: loads served from memory (MemoryLevel.MEM).
+        misses = trace.miss_indices(3)
         roots = array("q", np.ascontiguousarray(misses, dtype=np.int64).tobytes())
         table = SliceTable(trace, roots, scope, depth)
         span.meta["roots"] = len(roots)
         span.meta["members"] = len(table.members)
     with _TABLES_LOCK:
-        tables = _TABLES.setdefault(trace, {})
-        current = tables.get(miss_level)
+        current = _TABLES.get(trace)
         if current is None or (
             table.scope >= current.scope and table.depth >= current.depth
         ):
-            tables[miss_level] = table
+            _TABLES[trace] = table
     return table
 
 
@@ -368,11 +368,10 @@ def build_slice_trees(
     trace: Trace,
     scope: int = 1024,
     max_length: int = 64,
-    miss_level: int = 3,
     start: int = 0,
     end: Optional[int] = None,
 ) -> Dict[int, SliceTree]:
-    """Build slice trees for every static load with misses in a trace.
+    """Build slice trees for every static load with L2 misses in a trace.
 
     This is the paper's "functional cache simulator ... constructs
     backward slices of all dynamic L2 misses and collects them into
@@ -384,17 +383,14 @@ def build_slice_trees(
         trace: the dynamic trace.
         scope: slicing scope (dynamic instructions).
         max_length: maximum slice (tree) depth retained.
-        miss_level: minimum :class:`~repro.memory.hierarchy.MemoryLevel`
-            that counts as a problem miss (3 = served from memory, i.e.
-            an L2 miss).
         start / end: restrict to dynamic indices in ``[start, end)``
-            (used by the selection-granularity experiments).
+            (a prefix or a window of the run).
 
     Returns:
         Mapping from static load PC to its slice tree.
     """
     check_bounds(scope, max_length)
-    table = _slice_table(trace, miss_level, scope, max_length)
+    table = _slice_table(trace, scope, max_length)
     stop = len(trace) if end is None else min(end, len(trace))
     # Miss roots ascend, so a region's roots are one run of the table.
     return table.trees(
@@ -411,8 +407,6 @@ def build_slice_trees_for_roots(
     roots: Iterable[int],
     scope: int = 1024,
     max_length: int = 64,
-    start: int = 0,
-    end: Optional[int] = None,
 ) -> Dict[int, SliceTree]:
     """Build slice trees for arbitrary dynamic root instances.
 
@@ -422,10 +416,5 @@ def build_slice_trees_for_roots(
     *mispredicted branches* as roots (the paper's footnote 1: "all of
     our methods do apply in that scenario").
     """
-    stop = len(trace) if end is None else min(end, len(trace))
-    kept = array("q")
-    for root in roots:
-        root = int(root)
-        if start <= root < stop:
-            kept.append(root)
+    kept = array("q", (int(root) for root in roots))
     return SliceTable(trace, kept, scope, max_length).trees(trace, scope, max_length)

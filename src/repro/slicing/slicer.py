@@ -65,10 +65,8 @@ class Slicer:
     The edge columns are read through zero-copy ``memoryview``s taken
     once, at construction: indexing one yields a plain ``int``, with no
     numpy scalar to box and convert per edge, and no copy of the
-    columns.  The views are of the columns at construction, so build a
-    new slicer after appending to the trace.  The slice tables of
-    :func:`~repro.slicing.slice_tree.build_slice_trees` are tagged with
-    the trace length for the same reason: an append rebuilds them.
+    columns.  A trace is immutable once built, so the views stay valid
+    for the slicer's life.
 
     Args:
         trace: the dynamic trace to slice.

@@ -513,8 +513,10 @@ class TimingSimulator:
         stats.prefetches_evicted = hierarchy.evicted_prefetches
         stats.prefetches_unclaimed = hierarchy.unclaimed_prefetches()
         stats.pthread_l2_misses = hierarchy.pt_l2_misses
-        # Misses the unassisted program would have taken: actual misses
-        # plus misses converted to hits by coverage.
+        # This run's main-thread misses plus the ones coverage turned
+        # into hits.  Misses caused by p-thread fills evicting
+        # main-thread lines count too, so this is not the unassisted
+        # program's count (SimStats.l2_misses).
         stats.l2_misses = (
             hierarchy.mt_l2_misses
             + hierarchy.full_covered

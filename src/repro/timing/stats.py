@@ -26,9 +26,12 @@ class SimStats:
     #: Mispredictions whose redirect penalty a branch p-thread's early
     #: outcome hint suppressed (branch pre-execution).
     mispredicts_covered: int = 0
-    # Main-thread memory behaviour.  ``l2_misses`` counts accesses the
-    # *unassisted* program would have missed — i.e. covered misses are
-    # still counted, then classified below.
+    # Main-thread memory behaviour.  ``l2_misses`` counts this run's
+    # main-thread L2 misses plus the accesses coverage turned into L2
+    # hits (classified below).  That is not the unassisted program's
+    # count: a p-thread fill that evicts a main-thread line adds a miss
+    # the baseline never took, so pre-execution runs usually read more
+    # than their baseline.
     l1_misses: int = 0
     l2_misses: int = 0
     misses_fully_covered: int = 0

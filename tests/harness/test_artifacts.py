@@ -403,6 +403,22 @@ class TestRunnerIntegration:
         assert second.summary_row() == first.summary_row()
         assert second_l2.ipc == first_l2.ipc
 
+    def test_fresh_runner_takes_every_window_from_disk(
+        self, tmp_path, fresh_obs
+    ):
+        config = ExperimentConfig(workload="pharmacy", granularity=2000)
+        _, registry = fresh_obs
+        first = small_runner(tmp_path).run(config)
+        regions = first.num_regions
+        assert regions > 1
+        assert stage_count(registry, "selection", "misses") == regions
+
+        registry = reset_registry()
+        second = small_runner(tmp_path).run(config)
+        assert stage_count(registry, "selection", "misses") == 0
+        assert stage_count(registry, "selection", "disk_hits") == regions
+        assert second.summary_row() == first.summary_row()
+
     def test_cache_artifacts_are_content_addressed(self, tmp_path):
         runner = small_runner(tmp_path)
         runner.run(ExperimentConfig(workload="pharmacy"))

@@ -206,6 +206,34 @@ class TestStageCaching:
         assert not any(thread.is_alive() for thread in threads)
         assert results == [serial] * len(threads)
 
+    def test_granularity_rerun_computes_no_selection(self, fresh_obs):
+        _, registry = fresh_obs
+        runner = fresh_small_runner()
+        config = ExperimentConfig(workload="pharmacy", granularity=3000)
+        first = runner.run(config)
+        regions = first.num_regions
+        assert regions > 1
+        # One cached selection per window, each counted.
+        assert stage_count(registry, "selection", "misses") == regions
+        assert stage_count(registry, "selection", "hits") == 0
+        again = runner.run(config)
+        assert stage_count(registry, "selection", "misses") == regions
+        assert stage_count(registry, "selection", "hits") == regions
+        assert again.summary_row() == first.summary_row()
+
+    def test_prefix_after_granularity_is_a_memo_hit(self, fresh_obs):
+        _, registry = fresh_obs
+        runner = fresh_small_runner()
+        runner.run(ExperimentConfig(workload="pharmacy", granularity=3000))
+        misses = stage_count(registry, "selection", "misses")
+        # The first window is the prefix's region, under the same key.
+        prefix = runner.run(
+            ExperimentConfig(workload="pharmacy", selection_prefix=3000)
+        )
+        assert stage_count(registry, "selection", "misses") == misses
+        assert stage_count(registry, "selection", "hits") == 1
+        assert prefix.selection.prediction.sample_instructions == 3000
+
     def test_timings_recorded_per_stage(self, runner):
         result = runner.run(ExperimentConfig(workload="pharmacy"))
         for stage in ("trace", "baseline", "selection", "timing"):

@@ -16,10 +16,10 @@ of both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.memory.cache import Cache
-from repro.memory.hierarchy import CoverageKind, HierarchyConfig
+from repro.memory.hierarchy import HierarchyConfig
 
 
 class ReferenceBus:
@@ -131,13 +131,11 @@ class ReferenceTimedHierarchy:
         self.partial_covered = 0
         self.partial_covered_cycles = 0
         self.evicted_prefetches = 0
-        self.last_coverage: Optional[CoverageKind] = None
 
     def mt_access_fast(
         self, addr: int, now: int, is_write: bool = False
     ) -> Tuple[int, int]:
         self.mt_accesses += 1
-        self.last_coverage = None
         line2 = self.l2.line_addr(addr)
         stamp = self._pt_lines.pop(line2, None)
 
@@ -155,10 +153,8 @@ class ReferenceTimedHierarchy:
                 complete = pending
             if stamp is not None:
                 if stamp.ready_time <= now:
-                    self.last_coverage = CoverageKind.FULL
                     self.full_covered += 1
                 else:
-                    self.last_coverage = CoverageKind.PARTIAL
                     self.partial_covered += 1
                     saved = max(0, now - stamp.request_time)
                     self.partial_covered_cycles += saved
@@ -168,7 +164,6 @@ class ReferenceTimedHierarchy:
 
         self.mt_l2_misses += 1
         if stamp is not None:
-            self.last_coverage = CoverageKind.EVICTED
             self.evicted_prefetches += 1
         return 3, self._fetch_line(line2, now)
 

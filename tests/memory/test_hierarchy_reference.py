@@ -66,13 +66,22 @@ accesses = st.lists(
 
 
 def run_access(hierarchy, kind: str, addr: int, now: int):
+    """One access, then the coverage counters it may move.  Each access
+    moves at most one of them, so comparing them after every access
+    pins the coverage class of each."""
     if kind == "mt_read":
-        return hierarchy.mt_access_fast(addr, now), hierarchy.last_coverage
-    if kind == "mt_write":
-        return hierarchy.mt_access_fast(addr, now, True), hierarchy.last_coverage
-    if kind == "pt":
-        return hierarchy.pt_access_fast(addr, now), None
-    return hierarchy.phantom_access_fast(addr, now), None
+        result = hierarchy.mt_access_fast(addr, now)
+    elif kind == "mt_write":
+        result = hierarchy.mt_access_fast(addr, now, True)
+    elif kind == "pt":
+        result = hierarchy.pt_access_fast(addr, now)
+    else:
+        result = hierarchy.phantom_access_fast(addr, now)
+    return result, (
+        hierarchy.full_covered,
+        hierarchy.partial_covered,
+        hierarchy.evicted_prefetches,
+    )
 
 
 def cache_state(cache):

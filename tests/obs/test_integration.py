@@ -93,15 +93,21 @@ def test_region_selection_emits_one_span_per_stage_per_region(fresh_obs):
     )
     assert result.num_regions > 1
     (experiment,) = tracer.root.children
-    slice_select = experiment.find("slice+select")
-    # select_by_region calls select_pthreads once per region, and each
-    # call contributes its three stage spans, and nothing else: the
-    # first region slices the trace into a table, the rest derive.
-    names = [child.name for child in slice_select.children]
-    assert names == list(SELECTION_STAGES) * result.num_regions
-    for position, child in enumerate(slice_select.children):
+    selection = experiment.find("selection")
+    # Each window is one cached selection, so one ``slice+select`` per
+    # window, holding its three stage spans and nothing else: the first
+    # window slices the trace into a table, the rest derive.
+    windows = selection.children
+    assert [w.name for w in windows] == ["slice+select"] * result.num_regions
+    for position, window in enumerate(windows):
+        assert [child.name for child in window.children] == list(
+            SELECTION_STAGES
+        )
+        slice_trees, *rest = window.children
         table = ["slice_table"] if position == 0 else []
-        assert [span.name for span in child.children] == table
+        assert [span.name for span in slice_trees.children] == table
+        for child in rest:
+            assert child.children == []
     assert set(result.timings) == set(PIPELINE_STAGES)
 
 

@@ -1,121 +1,38 @@
-"""Tests for slice-tree file I/O (the paper's file-based tool flow)."""
-
-import io
+"""Tests for the canonical dict form of a slice tree (the fuzz oracle's
+``slice_prefix`` comparison)."""
 
 import pytest
 
-from repro.slicing.serialize import (
-    SliceTreeFormatError,
-    load_slice_trees,
-    save_slice_trees,
-    tree_from_dict,
-    tree_to_dict,
-)
+from repro.slicing.serialize import tree_to_dict
 from repro.slicing.slice_tree import build_slice_trees
 
 
 @pytest.fixture(scope="module")
-def pharmacy_trees(pharmacy_small, pharmacy_small_run):
-    trace = pharmacy_small_run.trace
-    trees = build_slice_trees(trace, scope=512, max_length=24)
-    counts = trace.static_counts(len(pharmacy_small))
-    dc_trig = {pc: int(c) for pc, c in enumerate(counts) if c}
-    return trees, dc_trig
+def pharmacy_trees(pharmacy_small_run):
+    return build_slice_trees(pharmacy_small_run.trace, scope=512, max_length=24)
 
 
 class TestRoundTrip:
-    def test_tree_dict_round_trip(self, pharmacy_trees):
-        trees, _ = pharmacy_trees
-        for tree in trees.values():
-            clone = tree_from_dict(tree_to_dict(tree))
-            assert clone.load_pc == tree.load_pc
-            assert clone.total_misses() == tree.total_misses()
-            assert clone.num_nodes() == tree.num_nodes()
-            assert clone.max_depth() == tree.max_depth()
-            clone.check_invariants()
-
     def test_node_annotations_preserved(self, pharmacy_trees):
-        """The canonical (child-sorted) serial form is a fixpoint, so
-        annotation equality reduces to dict equality."""
-        trees, _ = pharmacy_trees
-        tree = next(iter(trees.values()))
-        canonical = tree_to_dict(tree)
-        clone = tree_from_dict(canonical)
-        assert tree_to_dict(clone) == canonical
-
-    def test_file_round_trip(self, pharmacy_trees, tmp_path):
-        trees, dc_trig = pharmacy_trees
-        path = tmp_path / "trees.json"
-        save_slice_trees(path, trees, dc_trig, program_name="pharmacy",
-                         sample_instructions=12345)
-        loaded = load_slice_trees(path)
-        assert loaded.program_name == "pharmacy"
-        assert loaded.sample_instructions == 12345
-        assert set(loaded.trees) == set(trees)
-        assert loaded.dc_trig == dc_trig
-        assert loaded.total_misses() == sum(
-            t.total_misses() for t in trees.values()
-        )
-
-    def test_stream_round_trip(self, pharmacy_trees):
-        trees, dc_trig = pharmacy_trees
-        buffer = io.StringIO()
-        save_slice_trees(buffer, trees, dc_trig)
-        buffer.seek(0)
-        loaded = load_slice_trees(buffer)
-        assert set(loaded.trees) == set(trees)
-
-
-class TestSelectionFromFile:
-    def test_selection_identical_from_file(
-        self, pharmacy_trees, pharmacy_small, tmp_path
-    ):
-        """The paper's point: selection re-runs from the file alone."""
-        from repro.model import ModelParams, SelectionConstraints
-        from repro.selection.selector import select_from_tree
-
-        trees, dc_trig = pharmacy_trees
-        path = tmp_path / "trees.json"
-        save_slice_trees(path, trees, dc_trig)
-        loaded = load_slice_trees(path)
-        params = ModelParams(bw_seq=8, unassisted_ipc=0.8, mem_latency=70,
-                             load_latency=2)
-        constraints = SelectionConstraints()
-        for load_pc, tree in trees.items():
-            direct = select_from_tree(
-                tree, pharmacy_small, dc_trig, params, constraints
-            )
-            from_file = select_from_tree(
-                loaded.trees[load_pc], pharmacy_small, loaded.dc_trig,
-                params, constraints,
-            )
-            assert len(direct.selected) == len(from_file.selected)
-            # Child iteration order differs (file form is pc-sorted),
-            # so compare selections as multisets of (score, body).
-            direct_set = sorted(
-                (round(c.score.adv_agg, 6), c.body.size)
-                for c in direct.selected
-            )
-            file_set = sorted(
-                (round(c.score.adv_agg, 6), c.body.size)
-                for c in from_file.selected
-            )
-            assert direct_set == file_set
-
-
-class TestErrors:
-    def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(SliceTreeFormatError):
-            load_slice_trees(path)
-
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "repro-slice-trees", "version": 99}')
-        with pytest.raises(SliceTreeFormatError):
-            load_slice_trees(path)
-
-    def test_malformed_node_rejected(self):
-        with pytest.raises(SliceTreeFormatError):
-            tree_from_dict({"load_pc": 1, "root": {"visits": "x"}})
+        """Every node appears once, with every annotation, and children
+        in PC order."""
+        for tree in pharmacy_trees.values():
+            record = tree_to_dict(tree)
+            assert record["load_pc"] == tree.load_pc
+            assert record["slices_inserted"] == tree.slices_inserted
+            pending = [(record["root"], tree.root)]
+            seen = 0
+            while pending:
+                data, node = pending.pop()
+                seen += 1
+                assert data["pc"] == node.pc
+                assert data["visits"] == node.visits
+                assert data["dist_sum"] == node.dist_sum
+                assert data["dep_depths"] == list(node.dep_depths)
+                assert data["truncated"] == node.truncated
+                children = sorted(node.children.values(), key=lambda c: c.pc)
+                assert [c["pc"] for c in data["children"]] == [
+                    c.pc for c in children
+                ]
+                pending.extend(zip(data["children"], children))
+            assert seen == tree.num_nodes()

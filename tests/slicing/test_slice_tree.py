@@ -131,11 +131,3 @@ class TestBuildSliceTrees:
             build_slice_trees(trace, scope=0)
         with pytest.raises(ValueError):
             build_slice_trees(trace, max_length=0)
-
-    def test_miss_level_filter(self, pharmacy_small_run):
-        trace = pharmacy_small_run.trace
-        l2_up = build_slice_trees(trace, miss_level=2)
-        mem_only = build_slice_trees(trace, miss_level=3)
-        total_l2 = sum(t.total_misses() for t in l2_up.values())
-        total_mem = sum(t.total_misses() for t in mem_only.values())
-        assert total_l2 >= total_mem

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa import DataImage, assemble
-from repro.timing.config import BASELINE, MachineConfig, PERFECT_L2
+from repro.timing.config import BASELINE, MachineConfig, PERFECT_L2, PRE_EXECUTION
 from repro.timing.core import TimingSimulator, _store_queue_put
 
 
@@ -125,6 +125,32 @@ class TestMemoryTiming:
         assert stats.miss_exposure
         for count, cycles in stats.miss_exposure.values():
             assert count > 0 and cycles >= 0
+
+    def test_l2_misses_are_this_runs_misses_plus_covered(self, fresh_obs):
+        """``l2_misses`` is not the unassisted program's count: p-thread
+        fills that evict main-thread lines add misses, so pre-execution
+        reads more than its baseline."""
+        from repro.harness.experiment import ExperimentConfig, ExperimentRunner
+        from repro.obs import reset_registry
+
+        result = ExperimentRunner().run(ExperimentConfig(workload="pharmacy"))
+        workload = result.workload
+        counts = {}
+        for name, pthreads, mode in (
+            ("baseline", None, BASELINE),
+            ("preexec", result.selection.pthreads, PRE_EXECUTION),
+        ):
+            registry = reset_registry()
+            stats = TimingSimulator(
+                workload.program, workload.hierarchy, pthreads=pthreads
+            ).run(mode)
+            taken = registry.counter("memory.mt.l2_misses").value
+            assert stats.l2_misses == taken + stats.misses_covered, name
+            counts[name] = stats
+        base, pre = counts["baseline"], counts["preexec"]
+        assert base.misses_covered == 0
+        assert pre.l2_misses > base.l2_misses
+        assert pre.misses_covered > base.l2_misses
 
     def test_store_forwarding_fast(self, tiny_hierarchy):
         source = """
