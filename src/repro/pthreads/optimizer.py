@@ -106,12 +106,16 @@ def eliminate_moves(
 def eliminate_store_load_pairs(
     instructions: List[Instruction],
     dataflow: Optional[BodyDataflow] = None,
+    assume_no_alias: bool = True,
 ) -> Tuple[List[Instruction], int]:
     """Replace loads forwarded from body stores with register moves.
 
     A load is rewritten when (a) static dataflow matches it to an
     earlier store at the same base definition + displacement, and
     (b) the stored value's register still holds that value at the load.
+    Without ``assume_no_alias`` a store between the two, which may
+    alias the load at run time, also blocks the rewrite (see
+    :func:`eliminate_dead_code`).
 
     ``dataflow`` is :func:`analyze_dataflow` of ``instructions`` when
     the caller already has it.
@@ -133,6 +137,10 @@ def eliminate_store_load_pairs(
         # The value register must not have been redefined between the
         # store and the load.
         if value_reg in defs[store_pos:position]:
+            continue
+        if not assume_no_alias and any(
+            instructions[k].is_store for k in range(store_pos + 1, position)
+        ):
             continue
         out[position] = Instruction(
             Opcode.MOV, rd=inst.rd, rs1=value_reg, pc=inst.pc
@@ -222,8 +230,10 @@ def eliminate_dead_code(
     targets, and the number of instructions removed.
 
     Stores need care: static store/load matching is a *must*-alias
-    analysis, so a load with no static producer may still be forwarded
-    from an earlier store at run time.  With ``assume_no_alias`` (the
+    analysis, so a load may still be forwarded at run time from an
+    earlier store it was not matched to: any earlier store when it has
+    no static producer, else a store between that producer and the
+    load.  With ``assume_no_alias`` (the
     default) such stores are deleted anyway — the slicer recorded the
     load's dynamic memory producer, so an unmatched load demonstrably
     read program memory in the profiled executions, and p-threads are
@@ -252,18 +262,19 @@ def eliminate_dead_code(
         if work or assume_no_alias:
             continue
         # Conservative mode fixpoint: pull in stores that may alias a
-        # live unknown-source load occurring after them.
-        unknown_loads = [
-            position
-            for position in live
-            if instructions[position].is_load and mem_deps[position] is None
+        # live load occurring after them — any earlier store for an
+        # unknown-source load, else one after its static producer.
+        windows = [
+            (-1 if mem_deps[load] is None else mem_deps[load], load)
+            for load in live
+            if instructions[load].is_load
         ]
-        if unknown_loads:
+        if windows:
             for position, inst in enumerate(instructions):
                 if (
                     position not in live
                     and inst.is_store
-                    and any(position < load for load in unknown_loads)
+                    and any(lo < position < load for lo, load in windows)
                 ):
                     work.append(position)
     keep = sorted(live)
@@ -337,7 +348,7 @@ def optimize_body(
         if n_moves:
             dataflow = analyze_dataflow(instructions)
         instructions, n_pairs = eliminate_store_load_pairs(
-            instructions, dataflow
+            instructions, dataflow, assume_no_alias=assume_no_alias
         )
         pairs += n_pairs
         if n_pairs:

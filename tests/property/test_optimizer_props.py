@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -76,6 +76,16 @@ def reference_memory(addr: int) -> int:
 
 
 @given(instructions=body_instructions(), seed_values=seeds())
+@example(
+    # r2 == r3: the second store overwrites what the load reads.
+    instructions=[
+        Instruction(Opcode.SW, rs2=1, rs1=2, imm=0),
+        Instruction(Opcode.ADD, rd=1, rs1=1, rs2=1),
+        Instruction(Opcode.SW, rs2=1, rs1=3, imm=0),
+        Instruction(Opcode.LW, rd=1, rs1=2, imm=0),
+    ],
+    seed_values={reg: 4 if reg == 1 else 0 for reg in REGS},
+)
 def test_optimizer_preserves_target_semantics(instructions, seed_values):
     body = PThreadBody(instructions)
     optimized = optimize_body(body, assume_no_alias=False)

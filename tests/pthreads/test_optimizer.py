@@ -92,6 +92,20 @@ class TestStoreLoadElimination:
         out, eliminated = eliminate_store_load_pairs(insts)
         assert eliminated == 0
 
+    def test_intervening_store_blocks_elimination_without_no_alias(self):
+        # sw r4, 0(r7) may write 8(r9) at run time.
+        insts = [sw(3, 9, 8), sw(4, 7, 0), lw(5, 9, 8)]
+        _, eliminated = eliminate_store_load_pairs(insts, assume_no_alias=False)
+        assert eliminated == 0
+        _, eliminated = eliminate_store_load_pairs(insts)
+        assert eliminated == 1
+
+    def test_aliasing_store_semantics_preserved_without_no_alias(self):
+        body = PThreadBody([sw(3, 9, 8), sw(4, 7, 0), lw(5, 9, 8)])
+        optimized = optimize_body(body, assume_no_alias=False).body
+        seeds = {3: 1, 4: 2, 7: 108, 9: 100}
+        assert same_semantics(body, optimized, seeds)
+
     def test_full_pipeline_drops_dead_store(self):
         body = PThreadBody([sw(3, 9, 8), lw(4, 9, 8), lw(5, 4, 0)])
         result = optimize_body(body)
@@ -141,6 +155,13 @@ class TestDeadCodeElimination:
         insts = [sw(3, 9, 8), lw(4, 9, 8)]
         out, targets, removed = eliminate_dead_code(insts, [1])
         assert removed == 0
+
+    def test_conservative_mode_keeps_store_between_pair(self):
+        insts = [sw(3, 9, 8), sw(4, 7, 0), lw(5, 9, 8)]
+        _, _, removed = eliminate_dead_code(insts, [2], assume_no_alias=False)
+        assert removed == 0
+        _, _, removed = eliminate_dead_code(insts, [2])
+        assert removed == 1
 
     def test_multiple_targets_all_kept(self):
         insts = [addi(1, 2, 0), lw(3, 1), addi(4, 5, 0), lw(6, 4)]

@@ -66,7 +66,9 @@ def reference_optimize(
         assert_unchanged(instructions, step, n_moves, "eliminate_moves")
         instructions, moves = step, moves + n_moves
 
-        step, n_pairs = eliminate_store_load_pairs(instructions)
+        step, n_pairs = eliminate_store_load_pairs(
+            instructions, assume_no_alias=assume_no_alias
+        )
         assert_unchanged(instructions, step, n_pairs, "eliminate_store_load_pairs")
         instructions, pairs = step, pairs + n_pairs
 
