@@ -17,8 +17,9 @@ The package layers, bottom to top:
 * :mod:`repro.timing` — an SMT timing model with the pre-execution
   runtime (contexts, bursty injection, L2-only prefetch);
 * :mod:`repro.workloads`, :mod:`repro.harness`, :mod:`repro.validation`
-  — the benchmark suite, table/figure regeneration, and the
-  predicted-vs-measured validation methodology.
+  — the benchmark suite, table/figure regeneration (Table 2 sets the
+  framework's predictions beside the measurements), and cross-model
+  parity.
 
 Quickstart::
 

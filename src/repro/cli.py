@@ -137,11 +137,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
     _apply_verify(args)
     runner = ExperimentRunner(artifacts=_artifacts(args))
     result = runner.run(
-        ExperimentConfig(
-            workload=args.workload,
-            validate=args.validate,
-            verify=args.verify,
-        )
+        ExperimentConfig(workload=args.workload, validate=args.validate)
     )
     print(result.selection.describe())
     for pthread in result.selection.pthreads:
@@ -439,15 +435,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig
     from repro.serve.http import run_server
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_size=args.queue_size,
-        max_instructions=args.max_instructions,
-        default_budget_seconds=args.budget,
-        no_cache=getattr(args, "no_cache", False),
-    )
+    try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            queue_size=args.queue_size,
+            max_instructions=args.max_instructions,
+            default_budget_seconds=args.budget,
+            no_cache=getattr(args, "no_cache", False),
+        )
+    except ValueError as error:
+        raise SystemExit(f"error: {error}")
 
     def ready(host: str, port: int) -> None:
         print(f"repro serve listening on http://{host}:{port}", flush=True)

@@ -463,7 +463,7 @@ def run_oracle(
 
     # ---- family 4: slice-tree / advantage-model invariants -----------
     check.start("model_invariants")
-    _check_model(check, selection, params)
+    _check_model(check, selection, func.trace, params, constraints)
     _check_slice_prefix(check, func.trace, constraints)
 
     if expired():
@@ -597,11 +597,23 @@ def _transval_failures(check: _Checker, label: str, result) -> None:
 
 
 def _check_model(
-    check: _Checker, selection: ProgramSelection, params: ModelParams
+    check: _Checker,
+    selection: ProgramSelection,
+    trace: Trace,
+    params: ModelParams,
+    constraints: SelectionConstraints,
 ) -> None:
-    """Slice-tree structure + advantage arithmetic consistency."""
-    for load_pc, tree_selection in selection.tree_selections.items():
-        tree = tree_selection.tree
+    """Slice-tree structure + advantage arithmetic consistency.
+
+    The trees are the ones selection built: the same call, so the
+    trace's slice table answers it without slicing again.
+    """
+    trees = build_slice_trees(
+        trace,
+        scope=constraints.scope,
+        max_length=slice_tree_depth(constraints),
+    )
+    for load_pc, tree in trees.items():
         check.expect_eq(
             tree.root.pc, load_pc, "tree_root", "tree root pc"
         )

@@ -78,10 +78,6 @@ class ExperimentConfig:
             both raises.
         validate: also run the overhead-only / latency-only
             validation simulations.
-        verify: statically verify the selection's p-thread invariants
-            (PT001–PT006) and fail on any error.  Unlike the
-            ``REPRO_VERIFY`` transformation hooks, this also covers
-            selections loaded from the persistent artifact cache.
     """
 
     workload: str
@@ -95,7 +91,6 @@ class ExperimentConfig:
     selection_prefix: Optional[int] = None
     granularity: Optional[int] = None
     validate: bool = False
-    verify: bool = False
 
     def __post_init__(self) -> None:
         for name in (
@@ -567,7 +562,7 @@ class ExperimentRunner:
                     region,
                 )
 
-        if config.verify or verification_enabled():
+        if verification_enabled():
             # Covers cache-loaded selections, which the in-pipeline
             # REPRO_VERIFY hooks never see.
             from repro.analysis.verifier import verify_selection
@@ -660,7 +655,6 @@ def _aggregate_windows(
             totals[name] += getattr(window.prediction, name)
     return ProgramSelection(
         pthreads=[p for window in selections for p in window.pthreads],
-        tree_selections={},
         prediction=ProgramPrediction(
             unassisted_ipc=params.unassisted_ipc,
             sequencing_width=params.bw_seq,

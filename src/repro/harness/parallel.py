@@ -35,10 +35,8 @@ from typing import List, Optional, Sequence, Union
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.experiment import (
     ExperimentConfig,
-    ExperimentDeadlineError,
     ExperimentResult,
     ExperimentRunner,
-    PartialExperimentResult,
 )
 from repro.obs import get_registry, get_tracer, reset_registry, reset_tracer
 
@@ -209,25 +207,6 @@ class SweepExecutor:
         if failures:
             raise SweepError(failures)
         return outcomes  # type: ignore[return-value]
-
-    def run_one(
-        self,
-        config: ExperimentConfig,
-        deadline: Optional[float] = None,
-    ) -> Union[ExperimentResult, PartialExperimentResult]:
-        """Run a single cell on the shared runner with a soft budget.
-
-        This is the serve daemon's entry point: cells execute in-process
-        so the warm runner caches (traces, selections, timing runs, the
-        compile memo behind them) are shared across requests.  A budget
-        that expires between stages returns the
-        :class:`PartialExperimentResult` instead of raising; other
-        exceptions propagate to the caller.
-        """
-        try:
-            return self.runner.run(config, deadline=deadline)
-        except ExperimentDeadlineError as exc:
-            return exc.partial
 
     def _run_serial(
         self, config: ExperimentConfig

@@ -150,12 +150,11 @@ def select_branch_pthreads(
         max_length=slice_tree_depth(constraints),
     )
     dc_trig = _dc_trig_counts(trace, len(program), 0, None)
-    tree_selections, pthreads = _select_trees(
+    pthreads = _select_trees(
         trees, program, dc_trig, branch_params, constraints
     )
     return ProgramSelection(
         pthreads=pthreads,
-        tree_selections=tree_selections,
         prediction=_prediction(
             pthreads, pthreads, trees, len(trace), branch_params
         ),

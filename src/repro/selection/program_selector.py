@@ -23,7 +23,6 @@ from repro.pthreads.merger import merge_pthreads
 from repro.pthreads.pthread import PThreadPrediction, StaticPThread
 from repro.selection.selector import (
     TreeCandidate,
-    TreeSelection,
     is_strict_ancestor,
     select_from_tree,
 )
@@ -110,7 +109,6 @@ class ProgramSelection:
     """Output of :func:`select_pthreads`."""
 
     pthreads: List[StaticPThread]
-    tree_selections: Dict[int, TreeSelection]
     prediction: ProgramPrediction
     params: ModelParams
     constraints: SelectionConstraints
@@ -210,22 +208,20 @@ def _select_trees(
     dc_trig: Dict[int, int],
     params: ModelParams,
     constraints: SelectionConstraints,
-) -> Tuple[Dict[int, TreeSelection], List[StaticPThread]]:
+) -> List[StaticPThread]:
     """The per-tree loop, in root-PC order: select each tree's
     candidates, correct their coverage for overlap and convert them to
     p-threads."""
-    tree_selections: Dict[int, TreeSelection] = {}
     pthreads: List[StaticPThread] = []
     for pc in sorted(trees):
         selection = select_from_tree(
             trees[pc], program, dc_trig, params, constraints
         )
-        tree_selections[pc] = selection
         effective = _effective_coverage(selection.selected)
         for candidate in selection.selected:
             covered = effective[id(candidate.node)]
             pthreads.append(_candidate_to_pthread(candidate, covered, params))
-    return tree_selections, pthreads
+    return pthreads
 
 
 def _prediction(
@@ -298,9 +294,7 @@ def select_pthreads(
         dc_trig = _dc_trig_counts(trace, len(program), start, end)
 
     with tracer.span("select_trees"):
-        tree_selections, chosen = _select_trees(
-            trees, program, dc_trig, params, constraints
-        )
+        chosen = _select_trees(trees, program, dc_trig, params, constraints)
 
     with tracer.span("merge"):
         pthreads = chosen
@@ -323,7 +317,6 @@ def select_pthreads(
     stop = len(trace) if end is None else min(end, len(trace))
     return ProgramSelection(
         pthreads=pthreads,
-        tree_selections=tree_selections,
         prediction=_prediction(chosen, pthreads, trees, stop - start, params),
         params=params,
         constraints=constraints,

@@ -146,7 +146,6 @@ def _adjusted_advantage(
 class TreeSelection:
     """Result of selecting p-threads for one slice tree."""
 
-    tree: SliceTree
     selected: List[TreeCandidate]
     candidates_considered: int
     iterations: int
@@ -229,7 +228,6 @@ def select_from_tree(
             unique.append(chosen)
     unique.sort(key=lambda c: (c.node.depth, c.node.pc))
     return TreeSelection(
-        tree=tree,
         selected=unique,
         candidates_considered=len(candidates),
         iterations=iterations,

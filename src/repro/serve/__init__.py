@@ -8,7 +8,8 @@ artifact cache, runner stage caches) shared across requests.
 Layout:
 
 - :mod:`repro.serve.protocol` — request/response schema;
-- :mod:`repro.serve.state` — warm caches, bounded queue, worker pool;
+- :mod:`repro.serve.state` — warm caches, admission control, the
+  thread pool whose FIFO is the one queue;
 - :mod:`repro.serve.http` — the asyncio HTTP/1.1 front end;
 - :mod:`repro.serve.client` — the minimal client (tests, scripting).
 """

@@ -34,6 +34,10 @@ from repro.serve.state import QueueFullError, ServeConfig, ServerState
 
 _MAX_LINE = 8192
 _MAX_HEADERS = 64
+#: Largest request body the daemon reads; a longer one gets a 413.
+_MAX_BODY_BYTES = 1 << 20
+#: Seconds a shed client is told to wait before it retries.
+_RETRY_AFTER_SECONDS = 1
 
 _STATUS_TEXT = {
     200: "OK",
@@ -68,7 +72,6 @@ class ReproServer:
         return host, port
 
     async def start(self) -> None:
-        self.state.start_workers()
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.state.config.host,
@@ -85,7 +88,7 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.state.close()
+        self.state.close()
 
     # -- connection handling -------------------------------------------
 
@@ -152,7 +155,7 @@ class ReproServer:
                     _json_bytes(error_payload("bad content-length")),
                 )
                 return False
-            if nbytes > self.state.config.max_body_bytes:
+            if nbytes > _MAX_BODY_BYTES:
                 await self._respond(
                     writer, 413,
                     _json_bytes(error_payload("request body too large")),
@@ -242,14 +245,14 @@ class ReproServer:
             )
         try:
             request_id, payload = await self.state.submit(request)
-        except QueueFullError as shed:
+        except QueueFullError:
             return (
                 503,
                 _json_bytes(
                     error_payload("request queue full", status="rejected")
                 ),
                 _JSON_CONTENT_TYPE,
-                {"Retry-After": str(shed.retry_after)},
+                {"Retry-After": str(_RETRY_AFTER_SECONDS)},
             )
         except Exception as error:
             return (

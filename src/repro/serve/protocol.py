@@ -36,7 +36,6 @@ _SCALAR_KEYS = {
     "workload": str,
     "input": str,
     "validate": bool,
-    "verify": bool,
     "selection_input": str,
     "selection_prefix": int,
     "granularity": int,
@@ -92,6 +91,22 @@ def _nested(doc: Dict[str, Any], key: str, cls):
         raise ProtocolError(f"invalid {key}: {error}") from None
 
 
+def check_budget(value: Any, name: str) -> float:
+    """``value`` as a soft budget: a finite, positive number of seconds.
+
+    ``json.loads`` accepts NaN, Infinity and ints no float can hold, and
+    ``argparse`` takes ``nan`` or ``-1`` for a float flag; none of them
+    is a budget.
+    """
+    try:
+        seconds = float(value)
+    except OverflowError:
+        seconds = math.inf
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"{name!r} must be finite and positive")
+    return seconds
+
+
 def parse_run_request(doc: Any) -> RunRequest:
     """Validate a ``POST /v1/run`` JSON body into a :class:`RunRequest`."""
     if not isinstance(doc, dict):
@@ -123,21 +138,16 @@ def parse_run_request(doc: Any) -> RunRequest:
             )
     budget = doc.get("budget_seconds")
     if budget is not None:
-        # json.loads accepts NaN, Infinity and ints no float can hold;
-        # none of them is a budget.
         try:
-            budget = float(budget)
-        except OverflowError:
-            budget = math.inf
-        if not (math.isfinite(budget) and budget > 0):
-            raise ProtocolError("'budget_seconds' must be finite and positive")
+            budget = check_budget(budget, "budget_seconds")
+        except ValueError as error:
+            raise ProtocolError(str(error)) from None
     constraints = _nested(doc, "constraints", SelectionConstraints)
     machine = _nested(doc, "machine", MachineConfig)
     kwargs: Dict[str, Any] = {
         "workload": workload,
         "input_name": doc.get("input", "train"),
         "validate": bool(doc.get("validate", False)),
-        "verify": bool(doc.get("verify", False)),
         "selection_input": doc.get("selection_input"),
         "selection_prefix": doc.get("selection_prefix"),
         "granularity": doc.get("granularity"),

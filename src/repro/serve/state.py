@@ -8,11 +8,12 @@ than one-shot CLI runs:
   runs) and the process-wide compile memo behind it stay warm
   across requests, backed by the persistent
   :class:`~repro.harness.artifacts.ArtifactCache`;
-* a bounded submission queue — when it is full the daemon sheds load
-  (HTTP 503 + ``Retry-After``) instead of queueing without bound;
-* worker coroutines that each take one queued job at a time and
-  execute it through :meth:`SweepExecutor.run_one` on a thread pool, so
-  the event loop never blocks on a simulation;
+* a thread pool of ``workers`` threads whose FIFO is the daemon's one
+  queue: each computed request runs on a pool thread, so the event loop
+  never blocks on a simulation;
+* admission control — once ``workers + queue_size`` requests are
+  admitted and not yet answered, the daemon sheds load (HTTP 503 +
+  ``Retry-After``) instead of queueing without bound;
 * a bounded response cache keyed on the canonical request config, so a
   repeat submission is answered without re-entering the pipeline;
 * a bounded span-tree history backing ``/trace/<id>``.
@@ -31,14 +32,14 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.harness.artifacts import ArtifactCache, publish_cache_gauges
-from repro.harness.experiment import ExperimentResult, ExperimentRunner
-from repro.harness.parallel import SweepExecutor
+from repro.harness.experiment import ExperimentDeadlineError, ExperimentRunner
 from repro.obs import get_registry, get_tracer, snapshot_document
 from repro.serve.protocol import (
     RunRequest,
+    check_budget,
     partial_payload,
     request_cache_key,
     result_payload,
@@ -47,10 +48,15 @@ from repro.serve.protocol import (
 #: Latency buckets in seconds for the serve.request.seconds histogram.
 LATENCY_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10)
 
+#: Payloads the response cache holds, least recently used evicted first.
+RESPONSE_CACHE_SIZE = 256
+#: Completed requests whose ``/trace/<id>`` record is kept.
+TRACE_HISTORY = 256
+
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Daemon knobs (CLI flags map 1:1 onto these)."""
+    """Daemon knobs (the ``repro serve`` flags map 1:1 onto these)."""
 
     host: str = "127.0.0.1"
     port: int = 8421
@@ -58,31 +64,23 @@ class ServeConfig:
     queue_size: int = 32
     max_instructions: int = 10_000_000
     default_budget_seconds: Optional[float] = None
-    response_cache_size: int = 256
-    trace_history: int = 256
-    max_body_bytes: int = 1 << 20
-    retry_after_seconds: int = 1
     no_cache: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("workers", "queue_size", "max_instructions"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.default_budget_seconds is not None:
+            check_budget(self.default_budget_seconds, "default_budget_seconds")
 
 
 class QueueFullError(RuntimeError):
-    """Submission rejected because the bounded queue is at capacity."""
-
-    def __init__(self, retry_after: int) -> None:
-        super().__init__("request queue full")
-        self.retry_after = retry_after
-
-
-@dataclass
-class _Job:
-    request_id: str
-    request: RunRequest
-    future: "asyncio.Future[Dict[str, Any]]"
-    loop: asyncio.AbstractEventLoop
+    """Submission rejected: ``workers + queue_size`` requests are admitted."""
 
 
 class ServerState:
-    """Warm caches, the bounded queue, and the worker pool."""
+    """Warm caches, admission control, and the thread pool."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
@@ -90,23 +88,16 @@ class ServerState:
         self.runner = ExperimentRunner(
             max_instructions=self.config.max_instructions, artifacts=artifacts
         )
-        # jobs=1: cells run in-process on the shared runner, which is
-        # exactly what keeps its caches warm across requests.  The
-        # thread pool below provides the request-level concurrency.
-        self.executor = SweepExecutor(
-            jobs=1, runner=self.runner, artifacts=artifacts
-        )
         self.started = time.monotonic()
         self._seq = 0
         self._seq_lock = threading.Lock()
-        self._queue: "asyncio.Queue[_Job]" = asyncio.Queue(
-            maxsize=max(1, self.config.queue_size)
-        )
+        # Requests admitted and not yet answered.  Only the event-loop
+        # thread reads or writes it, so it needs no lock.
+        self._admitted = 0
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, self.config.workers),
+            max_workers=self.config.workers,
             thread_name_prefix="repro-serve",
         )
-        self._workers: List[asyncio.Task] = []
         self._records: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._records_lock = threading.Lock()
         self._responses: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -139,25 +130,8 @@ class ServerState:
 
     # -- lifecycle ------------------------------------------------------
 
-    def start_workers(self) -> None:
-        if self._workers:
-            return
-        for index in range(max(1, self.config.workers)):
-            self._workers.append(
-                asyncio.get_running_loop().create_task(
-                    self._worker_loop(index), name=f"serve-worker-{index}"
-                )
-            )
-
-    async def close(self) -> None:
-        for task in self._workers:
-            task.cancel()
-        for task in self._workers:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._workers = []
+    def close(self) -> None:
+        """Stop the pool; a handler awaiting a queued request is cancelled."""
         self._pool.shutdown(wait=False, cancel_futures=True)
 
     # -- submission -----------------------------------------------------
@@ -167,12 +141,16 @@ class ServerState:
             self._seq += 1
             return f"r{self._seq:06d}"
 
-    async def submit(self, request: RunRequest) -> Tuple[str, Dict[str, Any]]:
-        """Queue one request; returns ``(request_id, payload)``.
+    def _waiting(self) -> int:
+        """Admitted requests that no pool thread has taken yet."""
+        return max(0, self._admitted - self.config.workers)
 
-        Raises :class:`QueueFullError` when the bounded queue sheds the
-        submission.  A response-cache hit is answered immediately and
-        never touches the queue.
+    async def submit(self, request: RunRequest) -> Tuple[str, Dict[str, Any]]:
+        """Run one request on the pool; returns ``(request_id, payload)``.
+
+        Raises :class:`QueueFullError` when ``workers + queue_size``
+        requests are already admitted.  A response-cache hit is answered
+        immediately and is never admitted.
         """
         request_id = self.next_request_id()
         self._count("serve.requests.total")
@@ -182,57 +160,39 @@ class ServerState:
             self._count("serve.requests.ok")
             self._record(request_id, request, cached, spans=None, cached=True)
             return request_id, cached
-        loop = asyncio.get_running_loop()
-        job = _Job(
-            request_id=request_id,
-            request=request,
-            future=loop.create_future(),
-            loop=loop,
-        )
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
+        if self._admitted >= self.config.workers + self.config.queue_size:
             self._count("serve.requests.rejected")
-            raise QueueFullError(self.config.retry_after_seconds) from None
-        get_registry().gauge("serve.queue.depth").set(self._queue.qsize())
-        return request_id, await job.future
+            raise QueueFullError("request queue full")
+        depth = get_registry().gauge("serve.queue.depth")
+        self._admitted += 1
+        depth.set(self._waiting())
+        try:
+            payload = await asyncio.get_running_loop().run_in_executor(
+                self._pool, self._run_job, request_id, request
+            )
+        finally:
+            self._admitted -= 1
+            depth.set(self._waiting())
+        return request_id, payload
 
-    # -- worker loop ----------------------------------------------------
+    def _run_job(self, request_id: str, request: RunRequest) -> Dict[str, Any]:
+        """Execute one request on the shared runner (pool thread).
 
-    async def _worker_loop(self, index: int) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            job = await self._queue.get()
-            get_registry().gauge("serve.queue.depth").set(self._queue.qsize())
-            try:
-                await loop.run_in_executor(self._pool, self._run_job, job)
-            except Exception as error:  # pool torn down mid-flight
-                if not job.future.done():
-                    job.future.set_exception(error)
-            finally:
-                self._queue.task_done()
-
-    def _run_job(self, job: _Job) -> None:
-        """Execute one job on the shared runner (worker thread).
-
-        The job gets its own ``request`` span; the contextvars-scoped
-        tracer keeps concurrent jobs' spans from nesting under each
-        other.  A failure resolves the job's future with the exception.
+        The request gets its own ``request`` span; the contextvars-scoped
+        tracer keeps concurrent requests' spans from nesting under each
+        other.  A failure counts ``serve.requests.errors`` and raises.
         """
         tracer = get_tracer()
         try:
             with tracer.span(
-                "request",
-                id=job.request_id,
-                workload=job.request.config.workload,
+                "request", id=request_id, workload=request.config.workload
             ) as span:
-                payload = self._execute(job.request)
+                payload = self._execute(request)
             spans = span.to_dict()
             tracer.root.children.remove(span)
-        except Exception as error:
+        except Exception:
             self._count("serve.requests.errors")
-            job.loop.call_soon_threadsafe(_resolve, job.future, None, error)
-            return
+            raise
         registry = get_registry()
         registry.histogram(
             "serve.request.seconds", buckets=LATENCY_BUCKETS
@@ -241,8 +201,8 @@ class ServerState:
             self._count("serve.requests.ok")
         else:
             self._count("serve.requests.budget_exceeded")
-        self._record(job.request_id, job.request, payload, spans)
-        job.loop.call_soon_threadsafe(_resolve, job.future, payload, None)
+        self._record(request_id, request, payload, spans)
+        return payload
 
     def _execute(self, request: RunRequest) -> Dict[str, Any]:
         budget = (
@@ -251,12 +211,13 @@ class ServerState:
             else self.config.default_budget_seconds
         )
         deadline = time.monotonic() + budget if budget is not None else None
-        outcome = self.executor.run_one(request.config, deadline=deadline)
-        if isinstance(outcome, ExperimentResult):
-            payload = result_payload(outcome)
-            self._response_put(request_cache_key(request), payload)
-            return payload
-        return partial_payload(outcome)
+        try:
+            result = self.runner.run(request.config, deadline=deadline)
+        except ExperimentDeadlineError as expired:
+            return partial_payload(expired.partial)
+        payload = result_payload(result)
+        self._response_put(request_cache_key(request), payload)
+        return payload
 
     # -- response cache -------------------------------------------------
 
@@ -271,7 +232,7 @@ class ServerState:
         with self._responses_lock:
             self._responses[key] = payload
             self._responses.move_to_end(key)
-            while len(self._responses) > self.config.response_cache_size:
+            while len(self._responses) > RESPONSE_CACHE_SIZE:
                 self._responses.popitem(last=False)
 
     # -- trace records --------------------------------------------------
@@ -294,7 +255,7 @@ class ServerState:
         }
         with self._records_lock:
             self._records[request_id] = record
-            while len(self._records) > self.config.trace_history:
+            while len(self._records) > TRACE_HISTORY:
                 self._records.popitem(last=False)
 
     def trace_record(self, request_id: str) -> Optional[Dict[str, Any]]:
@@ -309,18 +270,10 @@ class ServerState:
         return {
             "status": "ok",
             "uptime_seconds": round(time.monotonic() - self.started, 3),
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": self._waiting(),
             "queue_size": self.config.queue_size,
             "workers": self.config.workers,
             "requests_total": registry.counter("serve.requests.total").value,
             "cache_enabled": self.runner.artifacts is not None,
         }
 
-
-def _resolve(future: "asyncio.Future", payload, error) -> None:
-    if future.done():
-        return
-    if error is not None:
-        future.set_exception(error)
-    else:
-        future.set_result(payload)

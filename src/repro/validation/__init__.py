@@ -1,11 +1,5 @@
 """Model validation utilities."""
 
-from repro.validation.diagnostics import (
-    Diagnostic,
-    correlation_summary,
-    render_validation,
-    validate_result,
-)
 from repro.validation.parity import (
     ParityCheck,
     ParityReport,
@@ -15,13 +9,9 @@ from repro.validation.parity import (
 )
 
 __all__ = [
-    "Diagnostic",
     "ParityCheck",
     "ParityReport",
     "ParityRun",
     "compare_runs",
-    "correlation_summary",
-    "render_validation",
     "run_parity",
-    "validate_result",
 ]

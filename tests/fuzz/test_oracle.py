@@ -8,6 +8,7 @@ import repro.timing.core as timing_module
 from repro.engine.compiler import ENGINE_TIERED
 from repro.fuzz.generator import generate
 from repro.fuzz.oracle import CHECK_FAMILIES, CheckFailure, run_oracle
+from repro.model.params import SelectionConstraints
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,27 @@ class TestFailureDetection:
         report = run_oracle(generate(3))
         assert {(f.family, f.check) for f in report.failures} == {
             ("model_invariants", "slice_prefix")
+        }
+        assert report.families_run == list(CHECK_FAMILIES)
+
+    def test_slice_tree_invariant_violation_is_caught(self, monkeypatch):
+        # One root visit too many breaks the parent/child DCpt-cm
+        # invariant.  Only the trees the model family checks (the
+        # selection's scope) are corrupted, so slice_prefix stays clean.
+        real_build = oracle_module.build_slice_trees
+        selection_scope = SelectionConstraints().scope
+
+        def corrupted(trace, scope, max_length):
+            trees = real_build(trace, scope=scope, max_length=max_length)
+            if scope == selection_scope:
+                for tree in trees.values():
+                    tree.root.visits += 1
+            return trees
+
+        monkeypatch.setattr(oracle_module, "build_slice_trees", corrupted)
+        report = run_oracle(generate(3))
+        assert {(f.family, f.check) for f in report.failures} == {
+            ("model_invariants", "tree_dcptcm")
         }
         assert report.families_run == list(CHECK_FAMILIES)
 

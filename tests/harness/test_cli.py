@@ -356,3 +356,21 @@ class TestCacheCommand:
         monkeypatch.setenv("REPRO_CACHE_DIR", "off")
         assert main(["cache", "info"]) == 0
         assert "disabled" in capsys.readouterr().out
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize(
+        "flags", [["--workers", "0"], ["--budget", "nan"]]
+    )
+    def test_out_of_range_flag_exits_before_the_daemon_starts(
+        self, flags, monkeypatch
+    ):
+        import asyncio
+
+        def no_daemon(coroutine):
+            coroutine.close()
+            raise AssertionError("the daemon started")
+
+        monkeypatch.setattr(asyncio, "run", no_daemon)
+        with pytest.raises(SystemExit, match="^error: "):
+            main(["serve", *flags])

@@ -33,6 +33,11 @@ class TestTable1:
 
 
 class TestTable2:
+    @pytest.fixture(scope="class")
+    def row(self, runner):
+        (row,) = table2(runner, workloads=["pharmacy"])
+        return row
+
     def test_rows_and_rendering(self, runner):
         rows = table2(runner, workloads=["pharmacy"])
         row = rows[0]
@@ -42,6 +47,22 @@ class TestTable2:
         assert row.pred_launches >= row.launches  # drops only reduce
         text = render_table2(rows)
         assert "measured" in text and "predicted" in text
+
+    def test_launch_prediction_close(self, row):
+        """Launch counts are the paper's most reliable diagnostic:
+        predictions only err through dropped launches."""
+        assert row.launches <= row.pred_launches
+        assert row.launches / row.pred_launches > 0.5
+
+    def test_pthread_length_self_fulfilling(self, row):
+        """The paper: 'Predictions of average p-thread length are
+        self-fulfilling.'"""
+        ratio = row.insns_per_pthread / row.pred_insns_per_pthread
+        assert ratio == pytest.approx(1.0, abs=0.01)
+
+    def test_overhead_ipc_accurate(self, row):
+        ratio = row.overhead_sequence_ipc / row.pred_overhead_ipc
+        assert ratio == pytest.approx(1.0, abs=0.25)
 
 
 class TestFigures:

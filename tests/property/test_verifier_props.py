@@ -206,5 +206,5 @@ class TestHooksFire:
             hot_drugs=512,
         )
         runner._workloads[("pharmacy", "train", small.hierarchy)] = small
-        result = runner.run(ExperimentConfig(workload="pharmacy", verify=True))
+        result = runner.run(ExperimentConfig(workload="pharmacy"))
         assert result.selection.pthreads

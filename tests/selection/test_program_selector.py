@@ -1,5 +1,7 @@
 """Tests for whole-program selection and predictions."""
 
+import pickle
+
 import pytest
 
 from repro.model.params import ModelParams, SelectionConstraints
@@ -54,6 +56,13 @@ class TestSelectPthreads:
     def test_describe_runs(self, selection):
         text = selection.describe()
         assert "p-thread" in text
+
+    def test_pickles_without_slice_trees(self, selection):
+        """The runner memoizes and persists every selection, so it keeps
+        only what reports and the timing run read: no slice tree."""
+        data = pickle.dumps(selection, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"SliceNode" not in data
+        assert b"SliceTree" not in data
 
 
 class TestRegionRestriction:

@@ -8,12 +8,13 @@ payloads are compared bit-for-bit against the offline
 The same daemon then answers a repeat request from the response cache,
 a budget-starved request with a truncated-but-well-formed payload, and
 a metrics scrape that passes the ``repro obs check`` catalog gate.
-Backpressure (503 + ``Retry-After``) is pinned in a second, stalled
-daemon whose queue holds a single entry.
+Backpressure (503 + ``Retry-After``) is pinned in a second daemon
+with one worker thread, stalled, and one queue slot.
 """
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -158,6 +159,44 @@ def test_daemon_end_to_end():
     assert registry.get("serve.requests.budget_exceeded").value >= 1
 
 
+def _stall(state):
+    """Hold each request on its pool thread until ``release`` is set.
+
+    Returns ``(running, release)``; ``running`` is set once a request
+    waits on its thread.
+    """
+    running, release = threading.Event(), threading.Event()
+    execute = state._execute
+
+    def stalled(request):
+        running.set()
+        release.wait()
+        return execute(request)
+
+    state._execute = stalled
+    return running, release
+
+
+async def _queue_depth(client):
+    status, health = await client.get_json("/healthz")
+    assert status == 200
+    return health["queue_depth"]
+
+
+async def _fill(server, running, probe, doc):
+    """Fill a one-worker, one-slot daemon with two submissions of
+    ``doc``: the first waits on the stalled thread, the second in the
+    queue.  Returns the clients and their pending responses."""
+    clients = [ServeClient(*server.address) for _ in range(2)]
+    held = [asyncio.create_task(clients[0].post_json("/v1/run", doc))]
+    while not running.is_set():
+        await asyncio.sleep(0.01)
+    held.append(asyncio.create_task(clients[1].post_json("/v1/run", doc)))
+    while await _queue_depth(probe) != 1:
+        await asyncio.sleep(0.01)
+    return clients, held
+
+
 def test_backpressure_sheds_with_503_and_retry_after():
     reset_registry()
     config = ServeConfig(
@@ -169,48 +208,116 @@ def test_backpressure_sheds_with_503_and_retry_after():
     )
 
     async def scenario():
-        state = ServerState(config)
-        state.start_workers = lambda: None  # stall: nothing drains the queue
-        server = ReproServer(state)
-        await server.start()
-        blocked = None
+        state, server = await _start_daemon(config)
+        running, release = _stall(state)
+        held = []
         try:
-            host, port = server.address
-            first = ServeClient(host, port)
-            second = ServeClient(host, port)
-
-            # First submission fills the one-slot queue and never
-            # completes (no workers); it must not be shed.
-            blocked = asyncio.create_task(
-                first.post_json("/v1/run", {"workload": "mcf"})
+            probe = ServeClient(*server.address)
+            clients, held = await _fill(
+                server, running, probe, {"workload": "mcf"}
             )
-            while state._queue.qsize() == 0:
-                await asyncio.sleep(0.01)
 
-            status, headers, payload = await second.post_json(
+            # One request runs and one waits: the daemon is full.
+            status, headers, payload = await probe.post_json(
                 "/v1/run", {"workload": "mcf"}
             )
             assert status == 503
-            assert headers["retry-after"] == str(config.retry_after_seconds)
+            assert headers["retry-after"] == "1"
             assert payload["status"] == "rejected"
             assert payload["error"] == "request queue full"
 
             # Malformed documents are a 400, not a shed.
-            status, _, payload = await second.post_json(
+            status, _, payload = await probe.post_json(
                 "/v1/run", {"workload": "not-a-benchmark"}
             )
             assert status == 400
             assert payload["status"] == "error"
 
-            await second.close()
-            await first.close()
+            release.set()
+            for status, _, payload in await asyncio.gather(*held):
+                assert status == 200, payload
+                assert payload["status"] == "ok"
+            for client in clients + [probe]:
+                await client.close()
         finally:
-            if blocked is not None:
-                blocked.cancel()
-                await asyncio.gather(blocked, return_exceptions=True)
+            release.set()
+            await asyncio.gather(*held, return_exceptions=True)
             await server.close()
 
     asyncio.run(scenario())
+
+
+def test_failed_request_answers_500_and_frees_its_slot():
+    registry = reset_registry()
+    config = ServeConfig(
+        port=0,
+        workers=1,
+        queue_size=1,
+        no_cache=True,
+        max_instructions=MAX_INSTRUCTIONS,
+    )
+
+    async def scenario():
+        state, server = await _start_daemon(config)
+        run = state.runner.run
+
+        def failing_run(config, deadline=None):
+            if config.workload == "twolf":
+                raise RuntimeError("pipeline failed")
+            return run(config, deadline=deadline)
+
+        state.runner.run = failing_run
+        release = threading.Event()
+        held = []
+        try:
+            probe = ServeClient(*server.address)
+            status, _, payload = await probe.post_json(
+                "/v1/run", {"workload": "twolf"}
+            )
+            assert status == 500
+            assert payload["error"] == "experiment failed: pipeline failed"
+            assert await _queue_depth(probe) == 0
+
+            # Both slots are free again: two submissions are admitted
+            # and the third is shed.  A starved budget answers as soon
+            # as the thread is released.
+            running, release = _stall(state)
+            starved = {"workload": "mcf", "budget_seconds": 1e-9}
+            clients, held = await _fill(server, running, probe, starved)
+            status, _, _ = await probe.post_json("/v1/run", starved)
+            assert status == 503
+
+            release.set()
+            for status, _, payload in await asyncio.gather(*held):
+                assert status == 200, payload
+                assert payload["status"] == "budget_exceeded"
+            for client in clients + [probe]:
+                await client.close()
+        finally:
+            release.set()
+            await asyncio.gather(*held, return_exceptions=True)
+            await server.close()
+
+    asyncio.run(scenario())
+    assert registry.get("serve.requests.errors").value == 1
+    assert registry.get("serve.requests.rejected").value == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"workers": 0},
+        {"queue_size": -3},
+        {"max_instructions": 0},
+        {"default_budget_seconds": -1},
+        {"default_budget_seconds": 0},
+        {"default_budget_seconds": float("nan")},
+        {"default_budget_seconds": float("inf")},
+    ],
+)
+def test_serve_config_rejects_out_of_range_values(kwargs):
+    with pytest.raises(ValueError):
+        ServeConfig(**kwargs)
 
 
 @pytest.mark.parametrize("length", ["-1", "ten"])

@@ -83,6 +83,8 @@ def test_full_request_round_trips():
         {"workload": "mcf", "granularity": 3000, "selection_prefix": 1000},
         # Not a request field: selection has one Lmem.
         {"workload": "mcf", "granularity": 3000, "effective_latency": True},
+        # Not a request field: REPRO_VERIFY is the one verification switch.
+        {"workload": "mcf", "verify": True},
     ],
 )
 def test_malformed_requests_raise(doc):
