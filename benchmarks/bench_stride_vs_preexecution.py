@@ -22,7 +22,7 @@ def measure(runner, workloads):
     rows = []
     for name in workloads:
         result = runner.run(ExperimentConfig(workload=name))
-        workload = result.workload
+        workload = runner.workload(name, "train")
         stride = TimingSimulator(
             workload.program,
             workload.hierarchy,

@@ -110,11 +110,15 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """Everything one experiment cell produced."""
+    """What one experiment cell measured and selected.
+
+    The cell's inputs (its workload and functional trace) stay in the
+    runner's memo and the artifact store, where
+    :meth:`ExperimentRunner.workload` and :meth:`ExperimentRunner.trace`
+    hand them out, so a parallel cell ships only its outputs.
+    """
 
     config: ExperimentConfig
-    workload: Workload
-    functional: FunctionalResult
     baseline: SimStats
     selection: ProgramSelection
     preexec: SimStats
@@ -618,8 +622,6 @@ class ExperimentRunner:
 
         return ExperimentResult(
             config=config,
-            workload=workload,
-            functional=functional,
             baseline=base,
             selection=selection,
             preexec=preexec,

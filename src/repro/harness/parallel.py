@@ -135,11 +135,9 @@ class SweepExecutor:
             ``os.cpu_count()``.
         runner: shared runner for the serial path and for callers that
             pre-compute stages (figure 6/7 config builders); created on
-            demand.
+            demand.  Workers take its instruction cap.
         artifacts: persistent cache handed to every worker; defaults to
             the runner's.
-        max_instructions: per-cell instruction budget for runners this
-            executor creates.
     """
 
     def __init__(
@@ -147,15 +145,12 @@ class SweepExecutor:
         jobs: Optional[int] = None,
         runner: Optional[ExperimentRunner] = None,
         artifacts: Optional[ArtifactCache] = None,
-        max_instructions: int = 10_000_000,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         if artifacts is None and runner is not None:
             artifacts = runner.artifacts
         self.artifacts = artifacts
-        self.runner = runner or ExperimentRunner(
-            max_instructions=max_instructions, artifacts=artifacts
-        )
+        self.runner = runner or ExperimentRunner(artifacts=artifacts)
 
     def map(
         self, configs: Sequence[ExperimentConfig]

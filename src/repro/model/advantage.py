@@ -79,11 +79,6 @@ class CandidateScore:
     def adv_agg(self) -> float:
         return self.lt_agg - self.oh_agg
 
-    @property
-    def fully_tolerates(self) -> bool:
-        """True if the candidate hides the entire miss latency."""
-        return self.lt > 0 and self.scdh_mt - self.scdh_pt >= self.lt
-
     def describe(self) -> str:
         return (
             f"trigger=#{self.trigger_pc:04d} depth={self.depth} "

@@ -11,7 +11,7 @@ not need telemetry objects threaded through their signatures:
 
 Worker processes install fresh instances per cell (``reset_tracer`` /
 ``reset_registry``), then ship ``Tracer.to_dict()`` spans and a registry
-snapshot diff back to the coordinator, which ``attach``es the spans and
+snapshot back to the coordinator, which ``attach``es the spans and
 ``merge_snapshot``s the metrics.  Export formats: JSON (both), flat
 Prometheus-style text, and a fixed-width report (metrics).
 """

@@ -127,7 +127,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Registry of named instruments with snapshot / diff / merge."""
+    """Registry of named instruments with snapshot / merge."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Any] = {}
@@ -174,39 +174,8 @@ class MetricsRegistry:
             items = sorted(self._metrics.items())
         return {name: metric.to_dict() for name, metric in items}
 
-    @staticmethod
-    def diff(
-        before: Dict[str, Dict[str, Any]], after: Dict[str, Dict[str, Any]]
-    ) -> Dict[str, Dict[str, Any]]:
-        """Counter/histogram deltas between two snapshots.
-
-        Gauges are point-in-time: the diff carries the ``after`` value.
-        Metrics absent from ``before`` diff against zero.
-        """
-        out: Dict[str, Dict[str, Any]] = {}
-        for name, entry in after.items():
-            prior = before.get(name)
-            kind = entry["type"]
-            if kind == "counter":
-                base = prior["value"] if prior else 0
-                out[name] = {"type": kind, "value": entry["value"] - base}
-            elif kind == "gauge":
-                out[name] = {"type": kind, "value": entry["value"]}
-            else:  # histogram
-                base_counts = prior["counts"] if prior else [0] * len(entry["counts"])
-                base_count = prior["count"] if prior else 0
-                base_sum = prior["sum"] if prior else 0.0
-                out[name] = {
-                    "type": kind,
-                    "buckets": list(entry["buckets"]),
-                    "counts": [c - b for c, b in zip(entry["counts"], base_counts)],
-                    "count": entry["count"] - base_count,
-                    "sum": entry["sum"] - base_sum,
-                }
-        return out
-
     def merge_snapshot(self, snapshot: Dict[str, Dict[str, Any]]) -> None:
-        """Fold a snapshot (typically a worker's diff) into this registry.
+        """Fold a snapshot (typically a worker cell's) into this registry.
 
         Counters and histograms accumulate; gauges take the incoming value.
         """
@@ -231,7 +200,8 @@ class MetricsRegistry:
 
 # Process-global registry, mirroring the tracer: instrumented subsystems
 # publish into get_registry() so call signatures stay unchanged, and
-# worker processes reset it per cell to compute clean diffs.
+# worker processes reset it per cell, so each cell's snapshot holds only
+# that cell's counts.
 _REGISTRY = MetricsRegistry()
 
 

@@ -147,7 +147,6 @@ class TreeSelection:
     """Result of selecting p-threads for one slice tree."""
 
     selected: List[TreeCandidate]
-    candidates_considered: int
     iterations: int
 
     def total_corrected_advantage(self) -> float:
@@ -227,8 +226,4 @@ def select_from_tree(
             seen_nodes.add(id(chosen.node))
             unique.append(chosen)
     unique.sort(key=lambda c: (c.node.depth, c.node.pc))
-    return TreeSelection(
-        selected=unique,
-        candidates_considered=len(candidates),
-        iterations=iterations,
-    )
+    return TreeSelection(selected=unique, iterations=iterations)

@@ -95,18 +95,27 @@ class ReproServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        # Cancellation (the loop's teardown cancelling an idle keep-alive
+        # handler) ends the handler like a dropped connection and is not
+        # re-raised: nothing awaits this task, and one that ends
+        # cancelled makes Python < 3.12's StreamReaderProtocol log an
+        # error from its done callback.
         try:
             while True:
                 keep_alive = await self._handle_one(reader, writer)
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except (
+            ConnectionError,
+            asyncio.IncompleteReadError,
+            asyncio.CancelledError,
+        ):
             pass
         finally:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
     async def _handle_one(

@@ -181,18 +181,21 @@ class ServerState:
         The request gets its own ``request`` span; the contextvars-scoped
         tracer keeps concurrent requests' spans from nesting under each
         other.  A failure counts ``serve.requests.errors`` and raises.
+        Either way the span leaves the process tracer, so a long-lived
+        daemon keeps only the bounded ``/trace/<id>`` history.
         """
         tracer = get_tracer()
-        try:
-            with tracer.span(
-                "request", id=request_id, workload=request.config.workload
-            ) as span:
+        with tracer.span(
+            "request", id=request_id, workload=request.config.workload
+        ) as span:
+            try:
                 payload = self._execute(request)
-            spans = span.to_dict()
-            tracer.root.children.remove(span)
-        except Exception:
-            self._count("serve.requests.errors")
-            raise
+            except Exception:
+                self._count("serve.requests.errors")
+                raise
+            finally:
+                tracer.root.children.remove(span)
+        spans = span.to_dict()
         registry = get_registry()
         registry.histogram(
             "serve.request.seconds", buckets=LATENCY_BUCKETS

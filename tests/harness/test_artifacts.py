@@ -388,14 +388,18 @@ class TestRunnerIntegration:
         cold = small_runner(tmp_path)
         first = cold.run(config)
         # Table 1's perfect-L2 run, the fourth persisted kind.
-        first_l2 = cold.perfect_l2(first.workload, config.machine)
+        first_l2 = cold.perfect_l2(
+            cold.workload(config.workload, config.input_name), config.machine
+        )
         for kind in self.CACHED_KINDS:
             assert stage_count(registry, kind, "misses") == 1, kind
 
         registry = reset_registry()
         warm = small_runner(tmp_path)
         second = warm.run(config)
-        second_l2 = warm.perfect_l2(second.workload, config.machine)
+        second_l2 = warm.perfect_l2(
+            warm.workload(config.workload, config.input_name), config.machine
+        )
         for kind in self.CACHED_KINDS:
             assert stage_count(registry, kind, "misses") == 0, kind
             assert stage_count(registry, kind, "disk_hits") == 1, kind

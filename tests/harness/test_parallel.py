@@ -5,6 +5,8 @@ documents: a sweep run with worker processes produces exactly the same
 results as the jobs=1 serial path.
 """
 
+import pickle
+
 import pytest
 
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
@@ -17,6 +19,7 @@ from repro.harness.parallel import (
 )
 from repro.model.params import SelectionConstraints
 from repro.obs import reset_registry
+from repro.serve.protocol import result_payload
 from repro.workloads.suite import build
 
 SMALL_PHARMACY = dict(
@@ -46,6 +49,22 @@ TWO_CELLS = [
         constraints=SelectionConstraints(max_pthread_length=16),
     ),
 ]
+
+#: Modules of a cell's inputs (trace arrays, memory image, workload),
+#: which a shipped result must not name.
+INPUT_MODULES = (
+    "repro.engine.trace",
+    "repro.memory.main_memory",
+    "repro.workloads.suite",
+    "numpy",
+)
+
+
+def measured(result):
+    """Everything a result reports except wall-clock timings."""
+    payload = result_payload(result)
+    payload.pop("timings")
+    return payload
 
 
 class TestResolveJobs:
@@ -107,12 +126,18 @@ class TestSerialPath:
 class TestParallelPath:
     def test_parallel_matches_serial(self, small_inputs, tmp_path):
         serial = SweepExecutor(jobs=1, runner=seeded_runner())
-        expected = [r.summary_row() for r in serial.run(TWO_CELLS)]
+        expected = [measured(r) for r in serial.run(TWO_CELLS)]
 
         parallel = SweepExecutor(jobs=2, artifacts=ArtifactCache(tmp_path))
         results = parallel.run(TWO_CELLS)
         assert [r.config for r in results] == TWO_CELLS
-        assert [r.summary_row() for r in results] == expected
+        assert [measured(r) for r in results] == expected
+        # A worker ships a cell's outputs, not its trace or workload.
+        for result in results:
+            shipped = pickle.dumps(result)
+            assert len(shipped) < 16 * 1024
+            for module in INPUT_MODULES:
+                assert module.encode() not in shipped, module
 
     def test_parallel_counts_match_serial(
         self, small_inputs, fresh_obs, monkeypatch

@@ -1,4 +1,4 @@
-"""Metrics registry: instruments, snapshot/diff, worker-merge semantics."""
+"""Metrics registry: instruments, snapshot, worker-merge semantics."""
 
 import pytest
 
@@ -75,33 +75,6 @@ def test_snapshot_shape():
         "count": 1,
         "sum": 1.0,
     }
-
-
-def test_diff_counters_histograms_delta_gauges_point_in_time():
-    registry = MetricsRegistry()
-    counter = registry.counter("c")
-    gauge = registry.gauge("g")
-    hist = registry.histogram("h", buckets=(2,))
-    counter.inc(5)
-    gauge.set(100)
-    hist.observe(1)
-    before = registry.snapshot()
-    counter.inc(2)
-    gauge.set(7)
-    hist.observe(3)
-    delta = MetricsRegistry.diff(before, registry.snapshot())
-    assert delta["c"]["value"] == 2
-    assert delta["g"]["value"] == 7  # gauges report the after value
-    assert delta["h"]["counts"] == [0, 1]
-    assert delta["h"]["count"] == 1
-    assert delta["h"]["sum"] == 3.0
-
-
-def test_diff_handles_metric_absent_from_before():
-    registry = MetricsRegistry()
-    registry.counter("new").inc(4)
-    delta = MetricsRegistry.diff({}, registry.snapshot())
-    assert delta["new"]["value"] == 4
 
 
 def test_merge_snapshot_accumulates_worker_payloads():

@@ -131,7 +131,7 @@ def test_histogram_observe_is_atomic_under_forced_preemption():
 
 
 def test_merge_snapshot_races_with_increments():
-    """Worker-diff merges interleaved with live increments stay exact."""
+    """Worker-snapshot merges interleaved with live increments stay exact."""
     registry = MetricsRegistry()
     counter = registry.counter("race.merged")
     delta = {"race.merged": {"type": "counter", "value": 1}}

@@ -14,6 +14,7 @@ with one worker thread, stalled, and one queue slot.
 
 import asyncio
 import json
+import logging
 import threading
 
 import pytest
@@ -45,6 +46,15 @@ def _without_timings(payload):
     return clone
 
 
+def _asyncio_errors(caplog):
+    """ERROR records the ``asyncio`` logger emitted during the test."""
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+
+
 async def _start_daemon(config):
     state = ServerState(config)
     server = ReproServer(state)
@@ -52,7 +62,7 @@ async def _start_daemon(config):
     return state, server
 
 
-def test_daemon_end_to_end():
+def test_daemon_end_to_end(caplog):
     registry = reset_registry()
     config = ServeConfig(
         port=0,
@@ -137,6 +147,9 @@ def test_daemon_end_to_end():
         return state
 
     state = asyncio.run(scenario())
+    # The loop's teardown cancels idle keep-alive handlers; they end
+    # like dropped connections, with nothing logged.
+    assert _asyncio_errors(caplog) == []
 
     # Offline equivalence: the same configs through a fresh offline
     # runner yield bit-for-bit the served payloads, minus wall-clock.
@@ -303,6 +316,27 @@ def test_failed_request_answers_500_and_frees_its_slot():
     assert registry.get("serve.requests.rejected").value == 1
 
 
+def test_failed_requests_leave_no_span_behind(fresh_obs):
+    """A request whose pipeline raises counts an error and takes its
+    span off the process tracer, as a finished one does."""
+    tracer, registry = fresh_obs
+    state = ServerState(ServeConfig(no_cache=True))
+
+    def failing_run(config, deadline=None):
+        raise RuntimeError("pipeline failed")
+
+    state.runner.run = failing_run
+    request = parse_run_request({"workload": "mcf"})
+    try:
+        for index in range(3):
+            with pytest.raises(RuntimeError, match="pipeline failed"):
+                state._run_job(f"r{index}", request)
+    finally:
+        state.close()
+    assert registry.counter("serve.requests.errors").value == 3
+    assert [span.name for span in tracer.root.children] == []
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -351,7 +385,7 @@ def test_bad_content_length_gets_400(length):
     assert json.loads(body)["error"] == "bad content-length"
 
 
-def test_served_metrics_count_each_stage_once(fresh_obs):
+def test_served_metrics_count_each_stage_once(fresh_obs, caplog):
     """Three mcf requests at three scopes: the first computes the trace,
     baseline, selection and timing stages; the next two hit the trace
     and baseline in memory and compute selection and timing.  The
@@ -381,6 +415,7 @@ def test_served_metrics_count_each_stage_once(fresh_obs):
         return state, snapshots
 
     state, snapshots = asyncio.run(scenario())
+    assert _asyncio_errors(caplog) == []
     assert check_snapshot(snapshots[0]) == []
     metrics = snapshots[-1]["metrics"]
     assert metrics["harness.cache.misses"]["value"] == 8

@@ -133,8 +133,9 @@ class TestMemoryTiming:
         from repro.harness.experiment import ExperimentConfig, ExperimentRunner
         from repro.obs import reset_registry
 
-        result = ExperimentRunner().run(ExperimentConfig(workload="pharmacy"))
-        workload = result.workload
+        runner = ExperimentRunner()
+        result = runner.run(ExperimentConfig(workload="pharmacy"))
+        workload = runner.workload("pharmacy", "train")
         counts = {}
         for name, pthreads, mode in (
             ("baseline", None, BASELINE),
