@@ -188,8 +188,15 @@ def _first_at_or_below(values: Sequence[int], lo: int, hi: int, bound: int) -> i
     return lo
 
 
+#: Slices cut per numpy pass of :meth:`SliceTable.trees`.  A pass holds
+#: a few 8-byte temporaries per member of its slices, so this bounds
+#: them at about 130 KiB each at depth 64.
+_CUT_CHUNK = 256
+
+
 class SliceTable:
-    """Every root's slice at one (scope, depth), packed flat.
+    """Every root's slice at one (scope, depth), packed flat and grouped
+    by path.
 
     Root ``roots[k]``'s slice is ``members[offsets[k]:offsets[k + 1]]``,
     in the descending order :meth:`Slicer.members` grows it.  Both of
@@ -197,14 +204,22 @@ class SliceTable:
     depth no wider than the table's is a prefix of the stored one, and
     :meth:`trees` derives the narrower trees exactly.
 
-    Members are 4-byte ``array('i')`` entries and roots and offsets
-    8-byte ``array('q')`` ones: no per-member Python object is kept.
-    The table holds no reference to its trace, so it can live in a weak
-    map keyed on the trace.
+    Slices whose members have the same static PCs follow one root-to-leaf
+    *path* of the slice tree, so :meth:`trees` walks each path once.
+    Overlapping miss computations share paths: gap's 9,620 slices at
+    (1024, 64) follow 104.  Slice ``k`` follows path ``g = path_of[k]``,
+    whose PCs are ``path_pcs[path_base[g]:path_base[g + 1]]``; an index
+    into ``path_pcs`` is a *slot*, one per position of each path.
+
+    Members are 4-byte ``array('i')`` entries, roots and offsets 8-byte
+    ``array('q')`` ones, path ids and path PCs 4-byte ones: no
+    per-member Python object is kept.  The table holds no reference to
+    its trace, so it can live in a weak map keyed on the trace.
 
     Attributes:
         scope / depth: the slicer's scope and ``max_length``.
         roots / offsets / members: the packed slices.
+        num_paths / path_of / path_pcs / path_base: the paths.
     """
 
     def __init__(self, trace: Trace, roots: array, scope: int, depth: int) -> None:
@@ -220,6 +235,22 @@ class SliceTable:
         self.roots = roots
         self.offsets = offsets
         self.members = members
+
+        # Group the slices by their members' PCs.
+        trace_pcs = trace.pc
+        slices = np.frombuffer(members, dtype=np.int32)
+        ids: Dict[bytes, int] = {}
+        distinct: List[np.ndarray] = []
+        self.path_of = array("i")
+        for k in range(len(roots)):
+            pcs = trace_pcs[slices[offsets[k]:offsets[k + 1]]]
+            path = ids.setdefault(pcs.tobytes(), len(ids))
+            if path == len(distinct):
+                distinct.append(pcs)
+            self.path_of.append(path)
+        self.num_paths = len(distinct)
+        self.path_pcs = np.concatenate(distinct or [trace_pcs[:0]])
+        self.path_base = np.cumsum([0] + [len(pcs) for pcs in distinct])
 
         # Debug-mode post-pass: every stored slice passes SL001 (lazy
         # import: repro.analysis imports us).
@@ -244,56 +275,68 @@ class SliceTable:
     ) -> Dict[int, SliceTree]:
         """Slice trees of ``roots[lo:hi]`` at ``scope`` and ``depth``.
 
-        Neither may exceed the table's.  Each stored slice is cut at its
-        first member ``<= root - scope`` or after ``depth + 1`` members,
-        and the cut paths are inserted in root order.  Static PCs are
-        read through a zero-copy ``memoryview`` of the trace's ``pc``
-        column, which yields plain ``int``s: a numpy integer would key
-        ``children`` and fill ``SliceNode.pc`` with a value that pickles
-        differently.
+        Neither may exceed the table's.  :meth:`_cut` cuts the slices and
+        counts, per path position, what the cut slices add there.  Then
+        each path is walked once, in stretches taken in root order: a
+        node is created by the first slice in root order whose cut
+        reaches it, with ``dep_depths`` from that slice's cut, and takes
+        its path's counts.  So nodes, ``children`` order and tree order
+        are what inserting each cut slice in root order would give.
         """
+        if hi is None:
+            hi = len(self.roots)
+        counts, stretches = self._cut(scope, depth, lo, hi)
         members = memoryview(self.members)
         offsets = self.offsets
-        roots = self.roots
-        pcs = memoryview(trace.pc)
+        path_pcs = self.path_pcs
+        path_base = self.path_base.tolist()
         edges = (
             memoryview(trace.dep1),
             memoryview(trace.dep2),
             memoryview(trace.memdep),
         )
-        limit = depth + 1
         trees: Dict[int, SliceTree] = {}
-        for k in range(lo, len(roots) if hi is None else hi):
-            root = roots[k]
+        # The deepest node walked so far on each path.
+        reached: Dict[int, SliceNode] = {}
+        for k, path, begin, cut in stretches:
+            # ``tolist`` gives plain ints: a numpy integer would key
+            # ``children`` and fill ``SliceNode.pc`` with a value that
+            # pickles differently.
+            slots = slice(path_base[path] + begin, path_base[path] + cut)
+            stretch = zip(
+                range(begin, cut),
+                path_pcs[slots].tolist(),
+                counts[slots].tolist(),
+            )
+            if begin == 0:
+                _, root_pc, (visits, _, ends) = next(stretch)
+                tree = trees.get(root_pc)
+                if tree is None:
+                    tree = trees[root_pc] = SliceTree(root_pc)
+                tree.slices_inserted += visits
+                node = tree.root
+                node.visits += visits
+                node.truncated += ends
+            else:
+                node = reached[path]
             base = offsets[k]
-            end = min(offsets[k + 1], base + limit)
-            floor = root - scope
-            if members[end - 1] <= floor:
-                end = _first_at_or_below(members, base + 1, end - 1, floor)
-            root_pc = pcs[root]
-            tree = trees.get(root_pc)
-            if tree is None:
-                tree = trees[root_pc] = SliceTree(root_pc)
-            tree.slices_inserted += 1
-            node = tree.root
-            node.visits += 1
-            position = 0
-            for idx in members[base + 1:end]:
-                position += 1
-                pc = pcs[idx]
+            for position, pc, (visits, dist_sum, ends) in stretch:
                 child = node.children.get(pc)
                 if child is None:
                     child = SliceNode(
                         pc=pc,
                         depth=position,
                         parent=node,
-                        dep_depths=_dep_depths(members, base, end, position, edges),
+                        dep_depths=_dep_depths(
+                            members, base, base + cut, position, edges
+                        ),
                     )
                     node.children[pc] = child
-                child.visits += 1
-                child.dist_sum += root - idx
+                child.visits += visits
+                child.dist_sum += dist_sum
+                child.truncated += ends
                 node = child
-            node.truncated += 1
+            reached[path] = node
 
         from repro.analysis.report import verification_enabled
 
@@ -301,6 +344,51 @@ class SliceTable:
             for tree in trees.values():
                 tree.check_invariants()
         return trees
+
+    def _cut(
+        self, scope: int, depth: int, lo: int, hi: int
+    ) -> Tuple[np.ndarray, List[Tuple[int, int, int, int]]]:
+        """Cut the slices of ``roots[lo:hi]`` at ``scope`` and ``depth``.
+
+        Slice ``k`` keeps its members up to the first ``<= root - scope``
+        and at most ``depth + 1``: its *cut*.  Row ``s`` of the returned
+        counts holds how many cut slices reach slot ``s``, the sum of
+        their ``root - member`` distances there and how many end there.
+        Also returned are the stretches ``(k, g, begin, cut)``, in root
+        order: slice ``k`` is the first whose cut reaches positions
+        ``[begin, cut)`` of its path ``g``.  Distances are computed here,
+        per chunk of slices, and never stored.
+        """
+        members = np.frombuffer(self.members, dtype=np.int32)
+        offsets = np.frombuffer(self.offsets, dtype=np.int64)
+        roots = np.frombuffer(self.roots, dtype=np.int64)
+        path_of = np.frombuffer(self.path_of, dtype=np.int32)
+        size = len(self.path_pcs)
+        counts = np.zeros((size, 3), dtype=np.int64)
+        reached = [0] * self.num_paths
+        stretches: List[Tuple[int, int, int, int]] = []
+        for a in range(lo, hi, _CUT_CHUNK):
+            b = min(a + _CUT_CHUNK, hi)
+            begin = offsets[a:b]
+            lengths = offsets[a + 1:b + 1] - begin
+            first, stop = offsets[a], offsets[b]
+            dist = np.repeat(roots[a:b], lengths) - members[first:stop]
+            position = np.arange(first, stop) - np.repeat(begin, lengths)
+            kept = (dist < scope) & (position <= depth)
+            # Distances ascend along a slice, so what is kept is a prefix.
+            cuts = np.add.reduceat(kept, begin - first)
+            bases = self.path_base[path_of[a:b]]
+            at = (np.repeat(bases, lengths) + position)[kept]
+            counts[:, 0] += np.bincount(at, minlength=size)
+            np.add.at(counts[:, 1], at, dist[kept])
+            counts[:, 2] += np.bincount(bases + cuts - 1, minlength=size)
+            for k, path, cut in zip(
+                range(a, b), path_of[a:b].tolist(), cuts.tolist()
+            ):
+                if cut > reached[path]:
+                    stretches.append((k, path, reached[path], cut))
+                    reached[path] = cut
+        return counts, stretches
 
 
 def _dep_depths(
@@ -355,6 +443,7 @@ def _slice_table(trace: Trace, scope: int, depth: int) -> SliceTable:
         table = SliceTable(trace, roots, scope, depth)
         span.meta["roots"] = len(roots)
         span.meta["members"] = len(table.members)
+        span.meta["paths"] = table.num_paths
     with _TABLES_LOCK:
         current = _TABLES.get(trace)
         if current is None or (

@@ -65,7 +65,7 @@ from repro.engine.decode import (
     K_STORE,
 )
 from repro.frontend.branch_predictor import HybridPredictor
-from repro.isa.opcodes import Format
+from repro.isa.opcodes import WORD_SIZE, Format
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGS
 from repro.memory.hierarchy import HierarchyConfig, TimedHierarchy
@@ -106,32 +106,20 @@ class _DecodedBody:
 
     Registers are renamed to dense slots (slot 0 is the zero register),
     so a launch keeps values and ready times in two short lists seeded
-    from ``seeds``.  ``ready_floor[j]`` is op ``j``'s injection cycle
-    offset plus one: no operand is ready before the cycle after its
-    burst is injected.
+    from ``seeds``.  Each op is one tuple ``(kind, rd, rs1, rs2, imm,
+    fn, latency, floor, pc)``: ``fn`` is the ALU function, or the
+    outcome predicate of a terminal branch, whose ``imm`` is instead
+    how many instances past the next one its fetch hint resolves.
+    ``floor`` is the op's injection cycle offset plus one: no operand
+    is ready before the cycle after its burst is injected.
     """
 
-    __slots__ = (
-        "size",
-        "kind",
-        "rd",
-        "rs1",
-        "rs2",
-        "imm",
-        "alu",
-        "branch",
-        "pcs",
-        "latency",
-        "slots",
-        "seeds",
-        "ready_floor",
-        "bursts",
-        "busy_cycles",
-    )
+    __slots__ = ("trigger", "size", "ops", "slots", "seeds", "bursts", "busy_cycles")
 
     def __init__(self, pthread: StaticPThread, machine: MachineConfig) -> None:
         body = pthread.body
         n = body.size
+        self.trigger = pthread.trigger_pc
         self.size = n
         slot_of: Dict[int, int] = {0: 0}
 
@@ -146,41 +134,45 @@ class _DecodedBody:
             index = slot(reg)
             if reg < NUM_REGS:  # a virtual register has no seed: reads zero
                 self.seeds.append((index, reg))
-        self.kind: List[int] = []
-        self.rd: List[int] = []
-        self.rs1: List[int] = []
-        self.rs2: List[int] = []
-        self.imm: List[int] = []
-        self.alu: List[Optional[Callable[[int, int], int]]] = []
-        self.branch: List[Optional[Callable[[int, int], bool]]] = []
-        self.pcs: List[int] = []
-        self.latency: List[int] = []
-        for inst in body.instructions:
-            fmt = inst.info.fmt
-            if fmt is Format.R:
-                self.kind.append(K_ALU_R)
-            elif fmt is Format.I:
-                self.kind.append(K_ALU_I)
-            elif fmt is Format.LOAD:
-                self.kind.append(K_LOAD)
-            elif fmt is Format.BRANCH:
-                # Terminal branch of a branch-pre-execution body: its
-                # early outcome is posted as a fetch hint.
-                self.kind.append(K_BRANCH)
-            else:  # store
-                self.kind.append(K_STORE)
-            self.rd.append(slot(inst.rd))
-            self.rs1.append(slot(inst.rs1))
-            self.rs2.append(slot(inst.rs2))
-            self.imm.append(inst.imm)
-            self.alu.append(inst.info.alu)
-            self.branch.append(inst.info.branch)
-            self.pcs.append(inst.pc)
-            self.latency.append(inst.info.latency)
-        self.slots = len(slot_of)
         # Injection: ``burst`` instructions every ``period`` cycles.
         burst, period = machine.pthread_burst, machine.pthread_burst_period
-        self.ready_floor = [(j // burst) * period + 1 for j in range(n)]
+        self.ops: List[tuple] = []
+        for j, inst in enumerate(body.instructions):
+            info = inst.info
+            fn = info.alu
+            imm = inst.imm
+            if info.fmt is Format.R:
+                kind = K_ALU_R
+            elif info.fmt is Format.I:
+                kind = K_ALU_I
+            elif info.fmt is Format.LOAD:
+                kind = K_LOAD
+            elif info.fmt is Format.BRANCH:
+                # Terminal branch of a branch-pre-execution body: its
+                # early outcome is posted as a fetch hint for the
+                # instance ``instances_ahead`` trigger iterations from
+                # now (minus one when the trigger sits after the branch
+                # in loop order, because that instance already ran).
+                kind = K_BRANCH
+                fn = info.branch
+                ahead = pthread.instances_ahead
+                imm = max(0, ahead - 1 if pthread.trigger_pc > inst.pc else ahead)
+            else:  # store
+                kind = K_STORE
+            self.ops.append(
+                (
+                    kind,
+                    slot(inst.rd),
+                    slot(inst.rs1),
+                    slot(inst.rs2),
+                    imm,
+                    fn,
+                    info.latency,
+                    (j // burst) * period + 1,
+                    inst.pc,
+                )
+            )
+        self.slots = len(slot_of)
         #: (cycle offset, instructions) per injection burst.
         self.bursts: List[Tuple[int, int]] = [
             (first // burst * period, min(burst, n - first))
@@ -211,13 +203,13 @@ def schedule_key(
     region of the normalized schedule the key holds ``(start, end)``,
     then per p-thread in list order its trigger PC, ``instances_ahead``
     and each body instruction's ``(op, rd, rs1, rs2, imm, pc)``: all
-    that :class:`_DecodedBody` and :meth:`TimingSimulator._launch`
-    read.  Predictions, merge components, the unoptimized body and the
-    target load PCs are never read, so p-threads that differ only there
-    key equal, and a p-thread list keys equal to its one-region
-    schedule.  Runs of one program, hierarchy, machine, mode and
-    instruction cap whose keys are equal produce equal
-    :class:`SimStats`.
+    that :class:`_DecodedBody` and the launch function of
+    :meth:`TimingSimulator._launcher` read.  Predictions, merge
+    components, the unoptimized body and the target load PCs are never
+    read, so p-threads that differ only there key equal, and a p-thread
+    list keys equal to its one-region schedule.  Runs of one program,
+    hierarchy, machine, mode and instruction cap whose keys are equal
+    produce equal :class:`SimStats`.
     """
     return tuple(
         (
@@ -269,6 +261,7 @@ class _TimingState:
         "branch_counts",
         "hinted_pcs",
         "launching",
+        "launch",
         "mode",
         "stats",
         "predictor",
@@ -365,10 +358,13 @@ class TimingSimulator:
 
     def _triggers_for(
         self, region: Tuple[int, int, List[StaticPThread]]
-    ) -> Dict[int, List[StaticPThread]]:
-        triggers: Dict[int, List[StaticPThread]] = {}
+    ) -> Dict[int, List[_DecodedBody]]:
+        """The region's p-thread bodies, by trigger PC, in list order."""
+        triggers: Dict[int, List[_DecodedBody]] = {}
         for pthread in region[2]:
-            triggers.setdefault(pthread.trigger_pc, []).append(pthread)
+            triggers.setdefault(pthread.trigger_pc, []).append(
+                self._decoded_bodies[id(pthread)]
+            )
         return triggers
 
     def _tiered_variant(
@@ -493,6 +489,7 @@ class TimingSimulator:
         # writes `stats` directly): [l1 misses, mispredictions,
         # mispredicts covered by hints].
         st.tallies = [0, 0, 0]
+        st.launch = self._launcher(st)
 
         register_engine_metrics()
         if self.engine == ENGINE_TIERED:
@@ -620,6 +617,7 @@ class TimingSimulator:
         branch_counts = st.branch_counts
         hinted_pcs = st.hinted_pcs
         launching = st.launching
+        launch = st.launch
         trig = st.trig
         schedule = self.schedule
 
@@ -838,8 +836,7 @@ class TimingSimulator:
             if launching:
                 waiting = triggers.get(pc)
                 if waiting is not None:
-                    for pthread in waiting:
-                        self._launch(pthread, disp, st)
+                    launch(waiting, disp)
             # Periodically drop stale stolen-slot entries (in place:
             # the dict is closed over by compiled blocks and p-thread
             # launches, so it must never be rebound).
@@ -873,9 +870,11 @@ class TimingSimulator:
         boundary and before the run limit; the interpreter carries
         execution across those edges and across computed-jump entries
         that land mid-block, and runs the whole program when the
-        compiler refuses it.  Static per-block load/store/branch counts
-        fold in from block execution counts.  Cycle counts are
-        bit-identical to the interpreter.
+        compiler refuses it.  Between hand-offs the run state lives in
+        local variables, and ``st`` holds it while the interpreter runs.
+        Static per-block load/store/branch counts fold in from block
+        execution counts.  Cycle counts are bit-identical to the
+        interpreter.
         """
         launching = st.launching
         compiled = self._tiered_variant(
@@ -890,12 +889,6 @@ class TimingSimulator:
         stolen = st.stolen
         regs = st.regs
         rdy = st.reg_ready
-        launch_one = self._launch
-
-        def launch(waiting: List[StaticPThread], disp: int) -> None:
-            for pthread in waiting:
-                launch_one(pthread, disp, st)
-
         table = compiled.bind(
             {
                 "ring": st.retire_ring,
@@ -911,7 +904,7 @@ class TimingSimulator:
                 "tallies": st.tallies,
                 "stolen": stolen,
                 "trig": st.trig,
-                "launch": launch,
+                "launch": st.launch,
                 "branch_hints": st.branch_hints,
                 "branch_counts": st.branch_counts,
                 "observe": (
@@ -927,8 +920,13 @@ class TimingSimulator:
         last_region = len(self.schedule) - 1
         cleanup_mark = 0
 
-        while not st.halted and st.executed < limit:
-            executed = st.executed
+        pc = st.pc
+        executed = st.executed
+        fetch_cycle = st.fetch_cycle
+        cap_used = st.cap_used
+        last_retire = st.last_retire
+        halted = st.halted
+        while not halted and executed < limit:
             if (
                 launching
                 and executed >= st.region_end
@@ -942,45 +940,55 @@ class TimingSimulator:
                 and st.region_end < cap
             ):
                 cap = st.region_end
-            if executed > cap - max_len:
+            # Blocks run while a whole one fits before the cap.
+            floor = cap - max_len
+            while executed <= floor:
+                entry = table_get(pc)
+                if entry is None:
+                    break
+                fn, _, index = entry
+                pc, executed, fetch_cycle, cap_used, last_retire = fn(
+                    executed, fetch_cycle, cap_used, last_retire, regs, rdy
+                )
+                counts[index] += 1
+                if pc == -1:
+                    halted = True
+                    break
+                # Periodic stale stolen-slot cleanup, mirroring the
+                # interpreter's (cleanup timing is unobservable: fetch
+                # cycles are monotonic).
+                if executed - cleanup_mark >= 0x10000:
+                    cleanup_mark = executed
+                    if stolen:
+                        for cycle in [c for c in stolen if c < fetch_cycle]:
+                            del stolen[cycle]
+            if halted:
+                break
+            st.pc = pc
+            st.executed = executed
+            st.fetch_cycle = fetch_cycle
+            st.cap_used = cap_used
+            st.last_retire = last_retire
+            if executed > floor:
                 # Approaching the region boundary or the run limit:
                 # single-step across it exactly.
                 self._interp(st, cap)
-                continue
-            entry = table_get(st.pc)
-            if entry is None:
+            else:
                 # A computed jump landed mid-block: interpret up to the
                 # next block leader.
                 self._interp(st, limit, stop_pcs=table)
-                continue
-            fn, length, index = entry
-            (
-                st.pc,
-                st.executed,
-                st.fetch_cycle,
-                st.cap_used,
-                st.last_retire,
-            ) = fn(
-                executed,
-                st.fetch_cycle,
-                st.cap_used,
-                st.last_retire,
-                regs,
-                rdy,
-            )
-            counts[index] += 1
-            if st.pc == -1:
-                st.halted = True
-                break
-            # Periodic stale stolen-slot cleanup, mirroring the
-            # interpreter's (cleanup timing is unobservable: fetch
-            # cycles are monotonic).
-            if st.executed - cleanup_mark >= 0x10000:
-                cleanup_mark = st.executed
-                if stolen:
-                    fc = st.fetch_cycle
-                    for cycle in [c for c in stolen if c < fc]:
-                        del stolen[cycle]
+            pc = st.pc
+            executed = st.executed
+            fetch_cycle = st.fetch_cycle
+            cap_used = st.cap_used
+            last_retire = st.last_retire
+            halted = st.halted
+        st.pc = pc
+        st.executed = executed
+        st.fetch_cycle = fetch_cycle
+        st.cap_used = cap_used
+        st.last_retire = last_retire
+        st.halted = halted
 
         compiled.fold_counts(counts, st.stats)
         obs_registry().counter("engine.tier.compiled_blocks").inc(
@@ -990,136 +998,134 @@ class TimingSimulator:
 
     # ------------------------------------------------------------------
 
-    def _launch(
-        self, pthread: StaticPThread, launch_time: int, st: _TimingState
-    ) -> None:
-        """Launch one dynamic p-thread at ``launch_time``."""
-        body = self._decoded_bodies[id(pthread)]
-        trigger = pthread.trigger_pc
+    def _launcher(
+        self, st: _TimingState
+    ) -> Callable[[List[_DecodedBody], int], None]:
+        """The run's launch function: ``launch(waiting, launch_time)``
+        launches each p-thread body of ``waiting`` at ``launch_time``.
+
+        What a launch reads of the run is bound here, once per run.
+        A body load reads an aligned word straight from the memory's
+        dict, as compiled blocks do, and calls the checked
+        :meth:`MainMemory.load` only for a misaligned address, which
+        raises.  It consults the store buffer only once a body store has
+        filled it, so a body without stores never does.
+        """
         mode = st.mode
+        steal = mode.steal
+        execute = mode.execute
+        prefetch = mode.prefetch
         contexts = st.contexts
         stats = st.stats
-
-        # Context allocation: drop the launch if none is free.
-        slot = -1
-        for index, busy_until in enumerate(contexts):
-            if busy_until <= launch_time:
-                slot = index
-                break
-        if slot < 0:
-            stats.pthread_drops += 1
-            stats.drops_by_trigger[trigger] = (
-                stats.drops_by_trigger.get(trigger, 0) + 1
-            )
-            return
-        contexts[slot] = launch_time + body.busy_cycles
-        stats.pthread_launches += 1
-        stats.launches_by_trigger[trigger] = (
-            stats.launches_by_trigger.get(trigger, 0) + 1
-        )
-        stats.pthread_instructions += body.size
-
-        if mode.steal:
-            stolen = st.stolen
-            for offset, count in body.bursts:
-                cycle = launch_time + offset
-                stolen[cycle] = stolen.get(cycle, 0) + count
-        if not mode.execute:
-            return
-
-        # Seed the body's live-ins from the architectural state at the
-        # trigger; availability follows the producer's completion.
+        launches_by_trigger = stats.launches_by_trigger
+        drops_by_trigger = stats.drops_by_trigger
+        stolen = st.stolen
         main_regs = st.regs
         main_ready = st.reg_ready
-        values = [0] * body.slots
-        ready = [0] * body.slots
-        for index, reg in body.seeds:
-            values[index] = main_regs[reg]
-            ready[index] = main_ready[reg]
-
-        store_buffer: Dict[int, Tuple[int, int]] = {}
-        kind = body.kind
-        rd_arr = body.rd
-        rs1_arr = body.rs1
-        rs2_arr = body.rs2
-        imm_arr = body.imm
-        alu_arr = body.alu
-        lat_arr = body.latency
-        floor_arr = body.ready_floor
+        branch_counts = st.branch_counts
+        branch_hints = st.branch_hints
         forward_latency = self.machine.store_forward_latency
         mem_load = st.mem_load
+        words_get = st.memory.raw_words().get
         # Prefetching loads fill the L2; the overhead-only modes time
         # them against the phantom lookup, which leaves no state.
-        hierarchy = st.hierarchy
-        if mode.prefetch:
-            access = hierarchy.pt_access_fast
+        if prefetch:
+            access = st.hierarchy.pt_access_fast
         else:
-            access = hierarchy.phantom_access_fast
+            access = st.hierarchy.phantom_access_fast
 
-        for j in range(body.size):
-            k = kind[j]
-            rs1 = rs1_arr[j]
-            in_ready = ready[rs1]
-            floor = launch_time + floor_arr[j]
-            if floor > in_ready:
-                in_ready = floor
-            if k == K_ALU_I:
-                value = alu_arr[j](values[rs1], imm_arr[j])
-                complete = in_ready + lat_arr[j]
-            elif k == K_ALU_R:
-                rs2 = rs2_arr[j]
-                r2 = ready[rs2]
-                if r2 > in_ready:
-                    in_ready = r2
-                value = alu_arr[j](values[rs1], values[rs2])
-                complete = in_ready + lat_arr[j]
-            elif k == K_LOAD:
-                addr = values[rs1] + imm_arr[j]
-                issue = in_ready + 1
-                buffered = store_buffer.get(addr)
-                if buffered is not None:
-                    data_ready, value = buffered
-                    complete = max(issue, data_ready) + forward_latency
+        def launch(waiting: List[_DecodedBody], launch_time: int) -> None:
+            for body in waiting:
+                trigger = body.trigger
+                # Context allocation: drop the launch if none is free.
+                for slot, busy_until in enumerate(contexts):
+                    if busy_until <= launch_time:
+                        break
                 else:
-                    value = mem_load(addr)
-                    complete = access(addr, issue)[1]
-            elif k == K_BRANCH:
-                # Terminal branch: compute the outcome and post it as a
-                # fetch hint tagged with the dynamic instance it
-                # resolves — `instances_ahead` trigger iterations from
-                # now (minus one when the trigger sits after the branch
-                # in loop order, because that instance already ran).
-                rs2 = rs2_arr[j]
-                r2 = ready[rs2]
-                if r2 > in_ready:
-                    in_ready = r2
-                taken = body.branch[j](values[rs1], values[rs2])
-                if mode.prefetch:
-                    branch_pc = body.pcs[j]
-                    seen = st.branch_counts.get(branch_pc, 0)
-                    offset = pthread.instances_ahead
-                    if pthread.trigger_pc > branch_pc:
-                        offset -= 1
-                    per_pc = st.branch_hints.setdefault(branch_pc, {})
-                    per_pc[seen + max(0, offset)] = (
-                        in_ready + 1,
-                        int(taken),
-                    )
-                    if len(per_pc) > 64:
-                        for stale in [
-                            key for key in per_pc if key < seen
-                        ]:
-                            del per_pc[stale]
-                continue
-            else:  # K_STORE: private buffer only; never commits
-                rs2 = rs2_arr[j]
-                r2 = ready[rs2]
-                if r2 > in_ready:
-                    in_ready = r2
-                addr = values[rs1] + imm_arr[j]
-                store_buffer[addr] = (in_ready + 1, values[rs2])
-                continue
-            rd = rd_arr[j]
-            if rd:
-                values[rd] = value
-                ready[rd] = complete
+                    stats.pthread_drops += 1
+                    drops_by_trigger[trigger] = drops_by_trigger.get(trigger, 0) + 1
+                    continue
+                contexts[slot] = launch_time + body.busy_cycles
+                stats.pthread_launches += 1
+                launches_by_trigger[trigger] = (
+                    launches_by_trigger.get(trigger, 0) + 1
+                )
+                stats.pthread_instructions += body.size
+
+                if steal:
+                    for offset, count in body.bursts:
+                        cycle = launch_time + offset
+                        stolen[cycle] = stolen.get(cycle, 0) + count
+                if not execute:
+                    continue
+
+                # Seed the body's live-ins from the architectural state
+                # at the trigger; availability follows the producer's
+                # completion.
+                values = [0] * body.slots
+                ready = [0] * body.slots
+                for index, reg in body.seeds:
+                    values[index] = main_regs[reg]
+                    ready[index] = main_ready[reg]
+
+                store_buffer: Dict[int, Tuple[int, int]] = {}
+                for kind, rd, rs1, rs2, imm, fn, latency, floor, pc in body.ops:
+                    in_ready = ready[rs1]
+                    floor += launch_time
+                    if floor > in_ready:
+                        in_ready = floor
+                    if kind == K_ALU_I:
+                        value = fn(values[rs1], imm)
+                        complete = in_ready + latency
+                    elif kind == K_ALU_R:
+                        r2 = ready[rs2]
+                        if r2 > in_ready:
+                            in_ready = r2
+                        value = fn(values[rs1], values[rs2])
+                        complete = in_ready + latency
+                    elif kind == K_LOAD:
+                        addr = values[rs1] + imm
+                        issue = in_ready + 1
+                        buffered = store_buffer.get(addr) if store_buffer else None
+                        if buffered is not None:
+                            data_ready, value = buffered
+                            if issue < data_ready:
+                                issue = data_ready
+                            complete = issue + forward_latency
+                        else:
+                            if addr % WORD_SIZE:
+                                mem_load(addr)  # raises MemoryAlignmentError
+                            value = words_get(addr, 0)
+                            complete = access(addr, issue)[1]
+                    elif kind == K_BRANCH:
+                        # Terminal branch: post the outcome as a fetch
+                        # hint tagged with the dynamic instance it
+                        # resolves.
+                        r2 = ready[rs2]
+                        if r2 > in_ready:
+                            in_ready = r2
+                        taken = fn(values[rs1], values[rs2])
+                        if prefetch:
+                            seen = branch_counts.get(pc, 0)
+                            per_pc = branch_hints.setdefault(pc, {})
+                            per_pc[seen + imm] = (in_ready + 1, int(taken))
+                            if len(per_pc) > 64:
+                                for stale in [
+                                    key for key in per_pc if key < seen
+                                ]:
+                                    del per_pc[stale]
+                        continue
+                    else:  # K_STORE: private buffer only; never commits
+                        r2 = ready[rs2]
+                        if r2 > in_ready:
+                            in_ready = r2
+                        store_buffer[values[rs1] + imm] = (
+                            in_ready + 1,
+                            values[rs2],
+                        )
+                        continue
+                    if rd:
+                        values[rd] = value
+                        ready[rd] = complete
+
+        return launch

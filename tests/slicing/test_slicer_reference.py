@@ -15,19 +15,31 @@ from that table.  So the tests also ask for narrower configs and
 regions after a wide table is built, ask narrow first and then wide,
 and ask from two threads at once, and check each result against
 reference trees built fresh at that config.
+
+A table groups its slices by path (their members' static PCs) and
+walks each path once per request.  The 300-root windows above hold
+small groups, so the whole trace of parser (1,749 slices in 20 paths at
+(1024, 64)) is checked too, with regions whose boundaries split a path
+and with shuffled roots.
 """
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.engine.functional import run_program
 from repro.engine.trace import Trace
 from repro.fuzz import generate
 from repro.slicing.slice_tree import (
+    _TABLES,
     SliceTree,
     build_slice_trees,
     build_slice_trees_for_roots,
@@ -221,3 +233,80 @@ def test_threads_asking_different_configs_get_the_reference_trees():
                 trace, reference_slices(trace, roots, scope, max_length)
             ),
         )
+
+
+@pytest.fixture(scope="module")
+def parser_run():
+    """parser's trace, its miss roots, and their reference slices per
+    setting.  The trace's table is ``WIDEST``, so every setting cuts."""
+    workload = build("parser")
+    trace = run_program(workload.program, workload.hierarchy).trace
+    roots = trace.miss_indices(3).tolist()
+    build_slice_trees(trace, *WIDEST)
+    slices = {
+        setting: dict(zip(roots, reference_slices(trace, roots, *setting)))
+        for setting in SETTINGS
+    }
+    return trace, roots, slices
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_whole_parser_trace_matches_reference(parser_run, setting):
+    trace, roots, slices = parser_run
+    got = build_slice_trees(trace, *setting)
+    table = _TABLES[trace]
+    # Few paths, so each holds many slices.
+    assert 10 * table.num_paths < len(table.roots)
+    want = reference_trees(trace, [slices[setting][root] for root in roots])
+    assert_same_trees(got, want)
+
+
+def test_region_boundaries_inside_a_path(parser_run):
+    trace, roots, slices = parser_run
+    path_of = _TABLES[trace].path_of
+
+    def split_after(k):
+        """The first slice from ``k`` on whose path its predecessor follows."""
+        return next(j for j in range(k, len(roots)) if path_of[j - 1] == path_of[j])
+
+    lo = split_after(len(roots) // 3)
+    hi = split_after(2 * len(roots) // 3)
+    for setting in SETTINGS:
+        got = build_slice_trees(trace, *setting, start=roots[lo], end=roots[hi])
+        want = reference_trees(trace, [slices[setting][root] for root in roots[lo:hi]])
+        assert_same_trees(got, want)
+
+
+def test_shuffled_roots_match_reference(parser_run):
+    trace, roots, slices = parser_run
+    shuffled = list(roots)
+    random.Random(5).shuffle(shuffled)
+    for setting in SETTINGS:
+        got = build_slice_trees_for_roots(trace, shuffled, *setting)
+        want = reference_trees(trace, [slices[setting][root] for root in shuffled])
+        assert_same_trees(got, want)
+
+
+_DROP_TRACE = """
+import gc
+from repro.engine.functional import run_program
+from repro.fuzz import generate
+from repro.slicing import slice_tree
+
+workload = generate(3)
+trace = run_program(workload.program, workload.hierarchy).trace
+slice_tree.build_slice_trees(trace)
+assert len(slice_tree._TABLES) == 1
+del trace
+gc.collect()
+assert len(slice_tree._TABLES) == 0, "the table kept its trace alive"
+"""
+
+
+def test_a_table_keeps_no_reference_to_its_trace():
+    # In a fresh process, where no other trace holds a table.
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c", _DROP_TRACE], env=env, check=True, timeout=120
+    )

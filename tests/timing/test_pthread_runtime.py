@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa import DataImage, assemble
 from repro.memory import CacheConfig, HierarchyConfig
+from repro.memory.main_memory import MemoryAlignmentError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.pthreads.body import PThreadBody
@@ -41,10 +42,30 @@ TRIGGER_PC = 6
 
 
 def stride_pthread(unroll=4):
-    instructions = [
-        Instruction(Opcode.ADDI, rd=16, rs1=16, imm=256 * unroll, pc=6),
-        Instruction(Opcode.LW, rd=8, rs1=16, imm=0, pc=LOAD_PC),
-    ]
+    return pthread_of(
+        [
+            Instruction(Opcode.ADDI, rd=16, rs1=16, imm=256 * unroll, pc=6),
+            Instruction(Opcode.LW, rd=8, rs1=16, imm=0, pc=LOAD_PC),
+        ]
+    )
+
+
+def forwarding_pthread(unroll=4):
+    """``stride_pthread`` with its load address passed through memory:
+    the body stores it to word 64, which memory holds as 0, and loads
+    it back, which only store-to-load forwarding in the body's store
+    buffer gets right."""
+    return pthread_of(
+        [
+            Instruction(Opcode.ADDI, rd=16, rs1=16, imm=256 * unroll, pc=6),
+            Instruction(Opcode.SW, rs1=0, rs2=16, imm=64, pc=5),
+            Instruction(Opcode.LW, rd=9, rs1=0, imm=64, pc=LOAD_PC),
+            Instruction(Opcode.LW, rd=8, rs1=9, imm=0, pc=LOAD_PC),
+        ]
+    )
+
+
+def pthread_of(instructions):
     body = PThreadBody(instructions)
     prediction = PThreadPrediction(
         dc_trig=400,
@@ -231,6 +252,55 @@ class TestOverheadModes:
         )
         assert execute.l2_misses == sequence.l2_misses
         assert abs(execute.cycles - sequence.cycles) <= 0.05 * sequence.cycles
+
+
+#: The modes whose runs execute p-thread bodies.
+EXECUTING = (PRE_EXECUTION, LATENCY_ONLY, OVERHEAD_EXECUTE)
+
+
+class TestLaunchLoop:
+    """Body loads read memory's words directly, check alignment only
+    off the store buffer, and skip the buffer while it is empty."""
+
+    @pytest.mark.parametrize("engine", ["interp", "tiered"])
+    @pytest.mark.parametrize("mode", EXECUTING, ids=lambda mode: mode.name)
+    def test_misaligned_body_load_raises(
+        self, program, tiny_hierarchy, mode, engine
+    ):
+        misaligned = pthread_of(
+            [
+                Instruction(Opcode.ADDI, rd=16, rs1=16, imm=258, pc=6),
+                Instruction(Opcode.LW, rd=8, rs1=16, imm=0, pc=LOAD_PC),
+            ]
+        )
+        sim = TimingSimulator(
+            program, tiny_hierarchy, pthreads=[misaligned], engine=engine
+        )
+        with pytest.raises(MemoryAlignmentError):
+            sim.run(mode)
+
+    @pytest.mark.parametrize(
+        "make", [forwarding_pthread, stride_pthread], ids=["forwarding", "no_stores"]
+    )
+    @pytest.mark.parametrize("mode", EXECUTING, ids=lambda mode: mode.name)
+    def test_engines_agree(self, program, rich_hierarchy, mode, make):
+        interp, tiered = (
+            TimingSimulator(
+                program, rich_hierarchy, pthreads=[make()], engine=engine
+            ).run(mode)
+            for engine in ("interp", "tiered")
+        )
+        assert interp.pthread_launches > 0
+        assert interp.to_dict() == tiered.to_dict()
+
+    def test_forwarded_value_reaches_the_next_load(
+        self, program, rich_hierarchy
+    ):
+        # Read from memory, the address would be 0 and cover nothing.
+        stats = run(
+            program, rich_hierarchy, PRE_EXECUTION, [forwarding_pthread()]
+        )
+        assert stats.misses_covered > 0.5 * stats.l2_misses
 
 
 class TestSchedules:
