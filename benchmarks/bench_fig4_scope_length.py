@@ -13,11 +13,11 @@ from repro.harness.figures import figure4_scope_length
 COMBOS = ((256, 8), (512, 16), (1024, 32), (2048, 64))
 
 
-def test_fig4_scope_length(benchmark, runner, executor, workloads, save_report):
+def test_fig4_scope_length(benchmark, runner, workloads, save_report):
     figure = run_once(
         benchmark,
         lambda: figure4_scope_length(
-            runner, workloads=workloads, combos=COMBOS, executor=executor
+            runner, workloads=workloads, combos=COMBOS
         ),
     )
     save_report("fig4_scope_length", figure.render())

@@ -12,12 +12,10 @@ from repro.harness.figures import figure5_opt_merge
 NONE, OPT, MERGE, BOTH = 0, 1, 2, 3
 
 
-def test_fig5_opt_merge(benchmark, runner, executor, workloads, save_report):
+def test_fig5_opt_merge(benchmark, runner, workloads, save_report):
     figure = run_once(
         benchmark,
-        lambda: figure5_opt_merge(
-            runner, workloads=workloads, executor=executor
-        ),
+        lambda: figure5_opt_merge(runner, workloads=workloads),
     )
     save_report("fig5_opt_merge", figure.render())
 

@@ -14,11 +14,11 @@ from repro.harness.figures import figure6_granularity
 DIVISORS = (1, 8, 32, 128)
 
 
-def test_fig6_granularity(benchmark, runner, executor, workloads, save_report):
+def test_fig6_granularity(benchmark, runner, workloads, save_report):
     figure = run_once(
         benchmark,
         lambda: figure6_granularity(
-            runner, workloads=workloads, divisors=DIVISORS, executor=executor
+            runner, workloads=workloads, divisors=DIVISORS
         ),
     )
     save_report("fig6_granularity", figure.render())

@@ -16,12 +16,10 @@ from repro.harness.figures import figure7_input_sets
 PERFECT, DYNAMIC, STATIC = 0, 1, 2
 
 
-def test_fig7_input_sets(benchmark, runner, executor, workloads, save_report):
+def test_fig7_input_sets(benchmark, runner, workloads, save_report):
     figure = run_once(
         benchmark,
-        lambda: figure7_input_sets(
-            runner, workloads=workloads, executor=executor
-        ),
+        lambda: figure7_input_sets(runner, workloads=workloads),
     )
     save_report("fig7_input_sets", figure.render())
 

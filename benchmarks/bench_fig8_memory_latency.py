@@ -16,12 +16,10 @@ from repro.harness.figures import figure8_memory_latency
 P140_T70, P140_T140, P70_T70, P70_T140 = 0, 1, 2, 3
 
 
-def test_fig8_memory_latency(benchmark, runner, executor, workloads, save_report):
+def test_fig8_memory_latency(benchmark, runner, workloads, save_report):
     figure = run_once(
         benchmark,
-        lambda: figure8_memory_latency(
-            runner, workloads=workloads, executor=executor
-        ),
+        lambda: figure8_memory_latency(runner, workloads=workloads),
     )
     save_report("fig8_memory_latency", figure.render())
 

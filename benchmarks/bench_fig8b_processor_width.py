@@ -17,12 +17,10 @@ from repro.harness.figures import figure8b_processor_width
 P8_T4, P8_T8, P4_T4, P4_T8 = 0, 1, 2, 3
 
 
-def test_fig8b_processor_width(benchmark, runner, executor, workloads, save_report):
+def test_fig8b_processor_width(benchmark, runner, workloads, save_report):
     figure = run_once(
         benchmark,
-        lambda: figure8b_processor_width(
-            runner, workloads=workloads, executor=executor
-        ),
+        lambda: figure8b_processor_width(runner, workloads=workloads),
     )
     save_report("fig8b_processor_width", figure.render())
 

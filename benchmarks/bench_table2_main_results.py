@@ -18,9 +18,9 @@ from benchmarks.conftest import run_once
 from repro.harness.tables import render_table2, table2
 
 
-def test_table2_main_results(benchmark, runner, executor, workloads, save_report):
+def test_table2_main_results(benchmark, runner, workloads, save_report):
     rows = run_once(
-        benchmark, lambda: table2(runner, workloads=workloads, executor=executor)
+        benchmark, lambda: table2(runner, workloads=workloads)
     )
     save_report("table2_main_results", render_table2(rows))
     by_name = {row.name: row for row in rows}

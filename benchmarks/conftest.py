@@ -2,13 +2,13 @@
 
 One :class:`~repro.harness.experiment.ExperimentRunner` is shared by
 every bench module so traces and baselines are computed once per
-(workload, input, hierarchy, machine) across the whole session, and one
-:class:`~repro.harness.parallel.SweepExecutor` fans sweep cells out
-over worker processes.  The persistent artifact cache (default
-``~/.cache/repro``) makes stage outputs survive across sessions and
-lets parallel workers share work; after the session a stage-timing /
-cache-effectiveness report is written to ``results/perf_harness.txt``
-from the session's spans and metrics.
+(workload, input, hierarchy, machine) across the whole session, and its
+``run_all`` fans sweep cells out over ``REPRO_JOBS`` worker processes
+(Table 1 runs its stages on the runner itself).  The persistent
+artifact cache (default ``~/.cache/repro``) makes stage outputs survive
+across sessions and lets parallel workers share work; after the session
+a stage-timing / cache-effectiveness report is written to
+``results/perf_harness.txt`` from the session's spans and metrics.
 
 Environment knobs:
     REPRO_BENCH_WORKLOADS  comma-separated subset of the suite (default
@@ -27,7 +27,7 @@ import pytest
 
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.parallel import SweepExecutor
+from repro.harness.parallel import resolve_jobs
 from repro.harness.report import render_perf
 from repro.obs import get_registry, get_tracer
 from repro.workloads.suite import SUITE
@@ -42,12 +42,7 @@ def artifacts():
 
 @pytest.fixture(scope="session")
 def runner(artifacts) -> ExperimentRunner:
-    return ExperimentRunner(artifacts=artifacts)
-
-
-@pytest.fixture(scope="session")
-def executor(runner) -> SweepExecutor:
-    return SweepExecutor(runner=runner)
+    return ExperimentRunner(artifacts=artifacts, jobs=resolve_jobs())
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -34,7 +34,6 @@ from repro.harness.experiment import (
     ExperimentResult,
     ExperimentRunner,
 )
-from repro.harness.parallel import SweepExecutor
 from repro.model.params import ModelParams, SelectionConstraints
 from repro.pthreads.pthread import StaticPThread
 from repro.selection.program_selector import ProgramSelection, select_pthreads
@@ -56,7 +55,6 @@ __all__ = [
     "SimStats",
     "SliceTree",
     "StaticPThread",
-    "SweepExecutor",
     "__version__",
     "build_slice_trees",
     "select_pthreads",

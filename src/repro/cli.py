@@ -4,7 +4,7 @@ Commands mirror the paper's artifacts::
 
     python -m repro run pharmacy          # full pipeline on one workload
     python -m repro table1                # benchmark characterization
-    python -m repro table2 --workloads mcf,vpr.r
+    python -m repro table2 --workloads mcf,vpr.r -j 2
     python -m repro figure 4              # scope x length sweep
     python -m repro figure 4 -j 4         # ... across 4 processes
     python -m repro branches vpr.p        # branch pre-execution
@@ -19,11 +19,14 @@ Commands mirror the paper's artifacts::
     python -m repro obs report            # metrics registry report
     python -m repro obs check --input results/metrics_snapshot.json
 
-Sweeps accept ``--workloads`` to restrict the suite, ``--jobs/-j`` to
-fan cells out over worker processes (default ``REPRO_JOBS``, then the
-CPU count), ``--no-cache`` to skip the persistent artifact cache, and
-``--perf`` to append a stage-timing / cache-effectiveness report (span
-seconds and the registry's stage counters).
+Tables and figures accept ``--workloads`` to restrict the suite,
+``--no-cache`` to skip the persistent artifact cache, and ``--perf`` to
+append a stage-timing / cache-effectiveness report (span seconds and
+the registry's stage counters).  ``table2`` and ``figure`` run their
+cells through one runner's ``ExperimentRunner.run_all``, and their
+``--jobs/-j`` sets its worker processes (default ``REPRO_JOBS``, then
+the CPU count).  ``table1`` takes no ``-j``: it runs its trace, baseline
+and perfect-L2 stages one workload after another.
 Every pipeline command also takes ``--trace PATH`` (write the
 invocation's nested span tree as JSON) and ``--metrics PATH`` (write a
 metrics snapshot as JSON) — see DESIGN.md's Observability section.
@@ -50,7 +53,7 @@ from repro.harness.figures import (
     figure8_memory_latency,
     figure8b_processor_width,
 )
-from repro.harness.parallel import SweepExecutor
+from repro.harness.parallel import resolve_jobs
 from repro.harness.report import render_perf
 from repro.harness.tables import render_table1, render_table2, table1, table2
 from repro.obs import (
@@ -93,11 +96,14 @@ def _artifacts(args: argparse.Namespace) -> Optional[ArtifactCache]:
     return ArtifactCache.from_env()
 
 
-def _executor(args: argparse.Namespace) -> SweepExecutor:
+def _runner(args: argparse.Namespace) -> ExperimentRunner:
+    """The invocation's one runner, with ``-j`` worker processes on the
+    commands that take it."""
     try:
-        return SweepExecutor(jobs=args.jobs, artifacts=_artifacts(args))
+        jobs = resolve_jobs(args.jobs) if "jobs" in args else 1
     except ValueError as error:
         raise SystemExit(f"error: {error}")
+    return ExperimentRunner(artifacts=_artifacts(args), jobs=jobs)
 
 
 def _print_perf(args: argparse.Namespace) -> None:
@@ -135,8 +141,7 @@ def _apply_verify(args: argparse.Namespace) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> None:
     _apply_verify(args)
-    runner = ExperimentRunner(artifacts=_artifacts(args))
-    result = runner.run(
+    result = _runner(args).run(
         ExperimentConfig(workload=args.workload, validate=args.validate)
     )
     print(result.selection.describe())
@@ -157,25 +162,25 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 def _cmd_table(args: argparse.Namespace) -> None:
     _apply_verify(args)
-    executor = _executor(args)
+    runner = _runner(args)
     workloads = _parse_workloads(args.workloads)
     if args.which == "1":
-        print(render_table1(table1(workloads=workloads, executor=executor)))
+        print(render_table1(table1(runner, workloads=workloads)))
     else:
-        print(render_table2(table2(workloads=workloads, executor=executor)))
+        print(render_table2(table2(runner, workloads=workloads)))
     _print_perf(args)
 
 
 def _cmd_figure(args: argparse.Namespace) -> None:
     _apply_verify(args)
-    executor = _executor(args)
+    runner = _runner(args)
     workloads = _parse_workloads(args.workloads)
     figure_fn = _FIGURES.get(args.which)
     if figure_fn is None:
         raise SystemExit(
             f"unknown figure {args.which!r}; known: {sorted(_FIGURES)}"
         )
-    print(figure_fn(workloads=workloads, executor=executor).render())
+    print(figure_fn(runner, workloads=workloads).render())
     _print_perf(args)
 
 
@@ -201,41 +206,14 @@ def _cmd_cache(args: argparse.Namespace) -> None:
     print(f"  total size  {cache.size_bytes() / 1024.0:.1f} KiB")
 
 
-def _select_for(name: str, input_name: str):
-    """Trace + select p-threads for ``name`` with a fixed unassisted IPC.
-
-    The fixed IPC skips the expensive baseline timing simulation: both
-    callers (p-thread verification, pre-exec codegen validation) need a
-    structurally representative selection, not the model's tuned one.
-    Returns ``(workload, constraints, selection)``.
-    """
-    from repro.engine import run_program
-    from repro.model import ModelParams, SelectionConstraints
-    from repro.selection import select_pthreads
-    from repro.workloads import build
-
-    workload = build(name, input_name)
-    trace = run_program(workload.program, workload.hierarchy)
-    params = ModelParams(
-        bw_seq=8,
-        unassisted_ipc=1.0,
-        mem_latency=workload.hierarchy.mem_latency,
-        load_latency=workload.hierarchy.l1.hit_latency,
-    )
-    constraints = SelectionConstraints()
-    selection = select_pthreads(
-        workload.program, trace.trace, params, constraints
-    )
-    return workload, constraints, selection
-
-
 def _pthread_diagnostics(name: str, input_name: str):
     """Trace + select ``name`` and verify the resulting p-threads."""
     from repro.analysis.verifier import verify_selection
+    from repro.harness.parity import fixed_ipc_selection
 
-    workload, constraints, selection = _select_for(name, input_name)
+    workload, selection = fixed_ipc_selection(name, input_name)
     return verify_selection(
-        workload.program, selection.pthreads, constraints
+        workload.program, selection.pthreads, selection.constraints
     )
 
 
@@ -320,6 +298,7 @@ _CODEGEN_TIMING_SHAPES = {
 
 def _cmd_verify_codegen(args: argparse.Namespace) -> int:
     from repro.analysis import Severity
+    from repro.harness.parity import fixed_ipc_selection
     from repro.timing import TimingSimulator
     from repro.workloads import build
 
@@ -336,7 +315,7 @@ def _cmd_verify_codegen(args: argparse.Namespace) -> int:
         workload = build(name, args.input)
         for variant in variants:
             if variant == "pre-exec":
-                _, _, selection = _select_for(name, args.input)
+                _, selection = fixed_ipc_selection(name, args.input)
                 tsim = TimingSimulator(
                     workload.program,
                     workload.hierarchy,
@@ -521,7 +500,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     else:
         # No snapshot given: run a small pipeline so the report shows
         # live numbers from every registered subsystem.
-        runner = ExperimentRunner(artifacts=_artifacts(args))
+        runner = _runner(args)
         runner.run(ExperimentConfig(workload=args.workload))
         publish_cache_gauges(runner.artifacts)
         doc = snapshot_document(get_registry())
@@ -623,7 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
             f"table{which}", help=f"regenerate Table {which}"
         )
         table_parser.add_argument("--workloads", default=None)
-        add_common(table_parser)
+        # Table 1 runs its stages on one runner, so only Table 2 fans
+        # out over -j workers.
+        add_common(table_parser, jobs=which == "2")
         table_parser.set_defaults(func=_cmd_table, which=which)
 
     figure_parser = sub.add_parser("figure", help="regenerate a figure")

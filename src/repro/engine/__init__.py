@@ -14,7 +14,7 @@ from repro.engine.functional import (
     FunctionalSimulator,
     run_program,
 )
-from repro.engine.trace import Trace, TraceRecord
+from repro.engine.trace import Trace
 
 __all__ = [
     "CompiledBlocks",
@@ -24,7 +24,6 @@ __all__ = [
     "FunctionalResult",
     "FunctionalSimulator",
     "Trace",
-    "TraceRecord",
     "compile_timing",
     "discover_blocks",
     "resolve_engine",

@@ -30,22 +30,9 @@ Per-record fields:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-
-class TraceRecord(NamedTuple):
-    """A single dynamic instruction record (convenience view)."""
-
-    index: int
-    pc: int
-    addr: int
-    level: int
-    dep1: int
-    dep2: int
-    memdep: int
-    taken: bool
 
 
 class Trace:
@@ -135,36 +122,6 @@ class Trace:
     @property
     def taken(self) -> np.ndarray:
         return self._materialize()["taken"]
-
-    def record(self, i: int) -> TraceRecord:
-        """Return record ``i`` as a named tuple."""
-        if not 0 <= i < self.length:
-            raise IndexError(f"trace index out of range: {i}")
-        if self._records is not None:
-            pc, addr, level, dep1, dep2, memdep, taken = self._records[i]
-        else:
-            arrays = self._arrays
-            pc, addr, level, dep1, dep2, memdep, taken = (
-                arrays[name][i] for name in self.FIELDS
-            )
-        return TraceRecord(
-            index=i,
-            pc=int(pc),
-            addr=int(addr),
-            level=int(level),
-            dep1=int(dep1),
-            dep2=int(dep2),
-            memdep=int(memdep),
-            taken=bool(taken),
-        )
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        for i in range(self.length):
-            yield self.record(i)
-
-    def static_counts(self, num_static: int) -> np.ndarray:
-        """Dynamic execution count of every static PC."""
-        return np.bincount(self.pc, minlength=num_static).astype(np.int64)
 
     def miss_indices(self, min_level: int) -> np.ndarray:
         """Dynamic indices of loads that missed to ``min_level`` or beyond."""

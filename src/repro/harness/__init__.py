@@ -16,12 +16,7 @@ from repro.harness.figures import (
     figure8_memory_latency,
     figure8b_processor_width,
 )
-from repro.harness.parallel import (
-    CellError,
-    SweepError,
-    SweepExecutor,
-    resolve_jobs,
-)
+from repro.harness.parallel import CellError, SweepError, resolve_jobs
 from repro.harness.parity import (
     PARITY_MODES,
     parity_suite,
@@ -48,7 +43,6 @@ __all__ = [
     "FigureData",
     "PARITY_MODES",
     "SweepError",
-    "SweepExecutor",
     "Table1Row",
     "Table2Row",
     "figure4_scope_length",

@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.report import assert_clean, verification_enabled
 from repro.engine.functional import FunctionalResult, run_program
 from repro.harness.artifacts import ArtifactCache, program_digest, stable_key
+from repro.harness.parallel import CellError, SweepError, run_cell, run_pool
 from repro.memory.hierarchy import HierarchyConfig
 from repro.model.params import ModelParams, SelectionConstraints
 from repro.obs import Span, get_registry, get_tracer
@@ -249,15 +250,22 @@ class ExperimentRunner:
     stage method times itself in a span named by its kind and counts how
     it was satisfied in the metrics registry (``harness.cache.*`` and
     ``harness.stage.<kind>.*``).
+
+    :meth:`run_all` runs a list of cells, over ``jobs`` worker processes
+    when there is more than one job and more than one cell.
     """
 
     def __init__(
         self,
         max_instructions: int = 10_000_000,
         artifacts: Optional[ArtifactCache] = None,
+        jobs: int = 1,
     ) -> None:
+        if jobs < 1:
+            raise ValueError(f"job count must be >= 1, got {jobs}")
         self.max_instructions = max_instructions
         self.artifacts = artifacts
+        self.jobs = jobs
         # Registered up front so a snapshot carries every count, zeros
         # included.
         registry = get_registry()
@@ -474,6 +482,33 @@ class ExperimentRunner:
             "experiment", workload=config.workload, input=config.input_name
         ) as experiment:
             return self._run_traced(config, experiment, tracer, deadline)
+
+    def run_all(
+        self, configs: Sequence[ExperimentConfig]
+    ) -> List[ExperimentResult]:
+        """Run every cell; results come back in input order.
+
+        With one job or one cell, the cells run one after another on
+        this runner, so they share its memo and nest their spans under
+        the coordinator's; otherwise they fan out over a pool of
+        ``jobs`` worker processes (:func:`~repro.harness.parallel.run_pool`).
+        A failed cell does not stop the others: once every cell has run,
+        one :class:`~repro.harness.parallel.SweepError` names each failed
+        cell with its config and traceback.
+        """
+        configs = list(configs)
+        if not configs:
+            return []
+        jobs = min(self.jobs, len(configs))
+        with get_tracer().span("sweep", cells=len(configs), jobs=jobs):
+            if jobs == 1:
+                outcomes = [run_cell(self, config) for config in configs]
+            else:
+                outcomes = run_pool(self, configs, jobs)
+        failures = [o for o in outcomes if isinstance(o, CellError)]
+        if failures:
+            raise SweepError(failures)
+        return outcomes
 
     @staticmethod
     def _check_deadline(

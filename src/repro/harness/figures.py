@@ -10,16 +10,13 @@ length, and percent speedup over the common base configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
     ExperimentRunner,
 )
-
-if TYPE_CHECKING:  # import cycle: parallel imports experiment only
-    from repro.harness.parallel import SweepExecutor
 from repro.harness.report import render_series
 from repro.model.params import SelectionConstraints
 from repro.timing.config import MachineConfig
@@ -64,55 +61,36 @@ class FigureData:
         return self.data[benchmark][metric]
 
 
-def _resolve_runner(
-    runner: Optional[ExperimentRunner],
-    executor: Optional["SweepExecutor"],
-) -> ExperimentRunner:
-    if runner is not None:
-        return runner
-    if executor is not None:
-        return executor.runner
-    return ExperimentRunner()
-
-
 def _sweep(
     title: str,
     bar_labels: Sequence[str],
     config_for: Callable[[str, int], ExperimentConfig],
-    runner: Optional[ExperimentRunner],
+    runner: ExperimentRunner,
     workloads: Sequence[str],
-    executor: Optional["SweepExecutor"] = None,
 ) -> FigureData:
-    """Run a (workload x bar) sweep, serially or through an executor.
+    """Run a (workload x bar) sweep through :meth:`ExperimentRunner.run_all`.
 
-    With an executor, all cells are materialized up front and fanned
-    out; results are folded back in deterministic (workload, bar)
-    order, so the rendered figure is byte-identical to a serial run.  A
-    failed cell raises :class:`~repro.harness.parallel.SweepError` with
-    its config and traceback.
+    All cells are materialized up front; results are folded back in
+    deterministic (workload, bar) order, so the rendered figure is
+    byte-identical whatever the runner's job count.  A failed cell
+    raises :class:`~repro.harness.parallel.SweepError` with its config
+    and traceback.
     """
-    runner = _resolve_runner(runner, executor)
     figure = FigureData(title=title, bar_labels=list(bar_labels))
-    cells = [
-        (name, config_for(name, bar_index))
+    configs = [
+        config_for(name, bar_index)
         for name in workloads
         for bar_index in range(len(bar_labels))
     ]
-    if executor is not None:
-        results = executor.run([config for _, config in cells])
-        for (name, _), result in zip(cells, results):
-            figure.add(name, result)
-    else:
-        for name, config in cells:
-            figure.add(name, runner.run(config))
+    for result in runner.run_all(configs):
+        figure.add(result.config.workload, result)
     return figure
 
 
 def figure4_scope_length(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     workloads: Sequence[str] = tuple(SUITE),
     combos: Sequence = ((256, 8), (512, 16), (1024, 32), (2048, 64)),
-    executor: Optional["SweepExecutor"] = None,
 ) -> FigureData:
     """Figure 4: combined impact of slicing scope and p-thread length."""
 
@@ -131,14 +109,12 @@ def figure4_scope_length(
         config_for,
         runner,
         workloads,
-        executor=executor,
     )
 
 
 def figure5_opt_merge(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     workloads: Sequence[str] = tuple(SUITE),
-    executor: Optional["SweepExecutor"] = None,
 ) -> FigureData:
     """Figure 5: impact of p-thread optimization and merging."""
     variants = [
@@ -161,15 +137,13 @@ def figure5_opt_merge(
         config_for,
         runner,
         workloads,
-        executor=executor,
     )
 
 
 def figure6_granularity(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     workloads: Sequence[str] = tuple(SUITE),
     divisors: Sequence[int] = (1, 8, 32, 128),
-    executor: Optional["SweepExecutor"] = None,
 ) -> FigureData:
     """Figure 6: p-thread selection granularity.
 
@@ -177,7 +151,6 @@ def figure6_granularity(
     runs; we scale proportionally — the whole run divided by 8, 32 and
     128 — preserving the regions-per-run ratios.
     """
-    runner = _resolve_runner(runner, executor)
 
     def config_for(name: str, bar: int) -> ExperimentConfig:
         divisor = divisors[bar]
@@ -195,15 +168,13 @@ def figure6_granularity(
         config_for,
         runner,
         workloads,
-        executor=executor,
     )
 
 
 def figure7_input_sets(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     workloads: Sequence[str] = tuple(SUITE),
     profile_fraction: float = 0.15,
-    executor: Optional["SweepExecutor"] = None,
 ) -> FigureData:
     """Figure 7: p-thread selection input data set.
 
@@ -212,7 +183,6 @@ def figure7_input_sets(
     scenario), and *static* (select on the test input — the
     profile-driven static compiler scenario).
     """
-    runner = _resolve_runner(runner, executor)
 
     def config_for(name: str, bar: int) -> ExperimentConfig:
         if bar == 0:
@@ -232,15 +202,13 @@ def figure7_input_sets(
         config_for,
         runner,
         workloads,
-        executor=executor,
     )
 
 
 def figure8_memory_latency(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     workloads: Sequence[str] = tuple(SUITE),
     latencies: Sequence[int] = (70, 140),
-    executor: Optional["SweepExecutor"] = None,
 ) -> FigureData:
     """Figure 8: response to memory-latency variation (cross-validation).
 
@@ -270,15 +238,13 @@ def figure8_memory_latency(
         config_for,
         runner,
         workloads,
-        executor=executor,
     )
 
 
 def figure8b_processor_width(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     workloads: Sequence[str] = tuple(SUITE),
     widths: Sequence[int] = (4, 8),
-    executor: Optional["SweepExecutor"] = None,
 ) -> FigureData:
     """Processor-width cross-validation (paper §4.5, results-similar).
 
@@ -308,5 +274,4 @@ def figure8b_processor_width(
         config_for,
         runner,
         workloads,
-        executor=executor,
     )

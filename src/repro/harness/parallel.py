@@ -1,27 +1,30 @@
-"""Parallel sweep execution.
+"""Running sweep cells: the worker count, failures and the process pool.
 
 Sweep cells (one :class:`ExperimentConfig` each) are embarrassingly
 parallel: they share read-only inputs and never communicate.
-:class:`SweepExecutor` maps a list of cells over a
-``ProcessPoolExecutor``, with:
+:meth:`ExperimentRunner.run_all
+<repro.harness.experiment.ExperimentRunner.run_all>` is the one way to
+run a list of them.  With one job or one cell it runs them serially on
+the runner itself; otherwise it hands them to :func:`run_pool`, which
+maps them over a ``ProcessPoolExecutor``.  Either way:
 
-* worker count from ``REPRO_JOBS`` (default ``os.cpu_count()``);
-* deterministic result ordering — results come back in input order no
-  matter which worker finished first;
-* per-cell exception capture — a failed cell reports its config and
-  full traceback as a :class:`CellError` instead of killing the sweep;
-* a serial fallback used when the job count is 1, which runs every
-  cell in-process on the shared runner.  Cells are deterministic, so
-  the two paths produce identical results (the serial/parallel
-  equivalence guarantee README.md documents and the tests pin down).
+* results come back in input order, no matter which worker finished
+  first;
+* a failed cell becomes a :class:`CellError` carrying its config and
+  full traceback instead of stopping the sweep, and the runner raises
+  one :class:`SweepError` listing every failure once all cells ran.
+
+Cells are deterministic, so the two paths produce identical results
+(the serial/parallel equivalence guarantee README.md documents and the
+tests pin down).
 
 Worker processes each hold their own :class:`ExperimentRunner`; the
 persistent :class:`~repro.harness.artifacts.ArtifactCache` (when
 enabled) is what lets them share traces and baselines instead of
 re-computing them per process.  Workers ship each cell's span subtree
-and metrics snapshot back with its result; the executor attaches the
-spans and merges the metrics into the coordinator's tracer and
-registry, so one trace and one snapshot cover the whole sweep.
+and metrics snapshot back with its result; the pool attaches the spans
+and merges the metrics into the coordinator's tracer and registry, so
+one trace and one snapshot cover the whole sweep.
 """
 
 from __future__ import annotations
@@ -30,15 +33,17 @@ import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.harness.artifacts import ArtifactCache
-from repro.harness.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    ExperimentRunner,
-)
 from repro.obs import get_registry, get_tracer, reset_registry, reset_tracer
+
+if TYPE_CHECKING:  # import cycle: the runner's run_all calls this module
+    from repro.harness.experiment import (
+        ExperimentConfig,
+        ExperimentResult,
+        ExperimentRunner,
+    )
 
 
 @dataclass
@@ -53,7 +58,7 @@ class CellError:
 
 
 class SweepError(RuntimeError):
-    """Raised by :meth:`SweepExecutor.run` when any cell failed."""
+    """Raised by :meth:`ExperimentRunner.run_all` when any cell failed."""
 
     def __init__(self, failures: Sequence[CellError]) -> None:
         self.failures = list(failures)
@@ -81,6 +86,16 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
+def run_cell(
+    runner: ExperimentRunner, config: ExperimentConfig
+) -> Union[ExperimentResult, CellError]:
+    """``runner.run(config)``, or the :class:`CellError` it raised."""
+    try:
+        return runner.run(config)
+    except Exception:
+        return CellError(config=config, error=traceback.format_exc())
+
+
 # Per-worker state, installed by the pool initializer.  One runner per
 # worker process gives each worker in-memory caching across the cells
 # it happens to execute; the shared on-disk cache covers the rest.
@@ -88,6 +103,8 @@ _WORKER_RUNNER: Optional[ExperimentRunner] = None
 
 
 def _init_worker(max_instructions: int, cache_root: Optional[str]) -> None:
+    from repro.harness.experiment import ExperimentRunner
+
     global _WORKER_RUNNER
     artifacts = ArtifactCache(cache_root) if cache_root else None
     _WORKER_RUNNER = ExperimentRunner(
@@ -95,18 +112,17 @@ def _init_worker(max_instructions: int, cache_root: Optional[str]) -> None:
     )
 
 
-def _run_cell(indexed_config):
+def _run_in_worker(config: ExperimentConfig):
     """Execute one cell in a worker; never raises.
 
-    Returns ``(index, result_or_None, traceback_or_None, obs_payload)``.
-    ``obs_payload`` carries the cell's span subtree (durations only, so
-    no cross-process clock alignment is needed) and the cell's metrics,
-    stage counts included; the executor attaches/merges both so the
-    coordinator's telemetry covers every worker.
-    Exceptions are formatted in the worker so unpicklable exception
-    types cannot poison the pool.
+    Returns ``(outcome, obs_payload)``: the cell's result or
+    :class:`CellError`, and its span subtree (durations only, so no
+    cross-process clock alignment is needed) and metrics, stage counts
+    included, which :func:`run_pool` attaches and merges so the
+    coordinator's telemetry covers every worker.  Exceptions are
+    formatted in the worker so unpicklable exception types cannot poison
+    the pool.
     """
-    index, config = indexed_config
     runner = _WORKER_RUNNER
     if runner is None:  # direct call outside a pool (tests)
         raise RuntimeError("worker runner not initialized")
@@ -114,99 +130,40 @@ def _run_cell(indexed_config):
     # cell ships back must not include earlier cells this worker ran.
     tracer = reset_tracer()
     registry = reset_registry()
-    try:
-        result = runner.run(config)
-        error = None
-    except Exception:
-        result = None
-        error = traceback.format_exc()
+    outcome = run_cell(runner, config)
     obs_payload = {
         "spans": tracer.to_dict()["spans"],
         "metrics": registry.snapshot(),
     }
-    return index, result, error, obs_payload
+    return outcome, obs_payload
 
 
-class SweepExecutor:
-    """Maps experiment cells over processes (or serially for 1 job).
+def run_pool(
+    runner: ExperimentRunner,
+    configs: Sequence[ExperimentConfig],
+    jobs: int,
+) -> List[Union[ExperimentResult, CellError]]:
+    """Run ``configs`` over ``jobs`` worker processes, in input order.
 
-    Args:
-        jobs: worker count; ``None`` resolves ``REPRO_JOBS`` then
-            ``os.cpu_count()``.
-        runner: shared runner for the serial path and for callers that
-            pre-compute stages (figure 6/7 config builders); created on
-            demand.  Workers take its instruction cap.
-        artifacts: persistent cache handed to every worker; defaults to
-            the runner's.
+    Each worker builds its own runner with ``runner``'s instruction cap
+    and artifact cache.
     """
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        runner: Optional[ExperimentRunner] = None,
-        artifacts: Optional[ArtifactCache] = None,
-    ) -> None:
-        self.jobs = resolve_jobs(jobs)
-        if artifacts is None and runner is not None:
-            artifacts = runner.artifacts
-        self.artifacts = artifacts
-        self.runner = runner or ExperimentRunner(artifacts=artifacts)
-
-    def map(
-        self, configs: Sequence[ExperimentConfig]
-    ) -> List[Union[ExperimentResult, CellError]]:
-        """Run every cell; failures come back as :class:`CellError`.
-
-        The output list is index-aligned with ``configs`` regardless of
-        completion order or worker assignment.
-        """
-        configs = list(configs)
-        if not configs:
-            return []
-        if self.jobs == 1 or len(configs) == 1:
-            # Serial cells run on the shared runner, so their spans nest
-            # under the coordinator's tracer directly.
-            with get_tracer().span("sweep", cells=len(configs), jobs=1):
-                return [self._run_serial(config) for config in configs]
-        outcomes: List[Union[ExperimentResult, CellError]] = [None] * len(configs)  # type: ignore[list-item]
-        cache_root = str(self.artifacts.root) if self.artifacts else None
-        tracer = get_tracer()
-        registry = get_registry()
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(configs)),
-            initializer=_init_worker,
-            initargs=(self.runner.max_instructions, cache_root),
-        ) as pool, tracer.span(
-            "sweep", cells=len(configs), jobs=min(self.jobs, len(configs))
+    cache_root = str(runner.artifacts.root) if runner.artifacts else None
+    tracer = get_tracer()
+    registry = get_registry()
+    outcomes: List[Union[ExperimentResult, CellError]] = []
+    with ProcessPoolExecutor(
+        max_workers=jobs,
+        initializer=_init_worker,
+        initargs=(runner.max_instructions, cache_root),
+    ) as pool:
+        # pool.map yields in input order, so attached cell spans are
+        # deterministic no matter which worker finished first.
+        for index, (outcome, obs_payload) in enumerate(
+            pool.map(_run_in_worker, configs)
         ):
-            # pool.map yields in input order, so attached cell spans are
-            # deterministic no matter which worker finished first.
-            for index, result, error, obs_payload in pool.map(
-                _run_cell, enumerate(configs)
-            ):
-                for span in tracer.attach(obs_payload):
-                    span.meta.setdefault("cell", index)
-                registry.merge_snapshot(obs_payload["metrics"])
-                if error is not None:
-                    outcomes[index] = CellError(config=configs[index], error=error)
-                else:
-                    outcomes[index] = result
-        return outcomes
-
-    def run(
-        self, configs: Sequence[ExperimentConfig]
-    ) -> List[ExperimentResult]:
-        """Like :meth:`map` but raises :class:`SweepError` on failures."""
-        outcomes = self.map(configs)
-        failures = [o for o in outcomes if isinstance(o, CellError)]
-        if failures:
-            raise SweepError(failures)
-        return outcomes  # type: ignore[return-value]
-
-    def _run_serial(
-        self, config: ExperimentConfig
-    ) -> Union[ExperimentResult, CellError]:
-        try:
-            return self.runner.run(config)
-        except Exception:
-            return CellError(config=config, error=traceback.format_exc())
+            for span in tracer.attach(obs_payload):
+                span.meta.setdefault("cell", index)
+            registry.merge_snapshot(obs_payload["metrics"])
+            outcomes.append(outcome)
+    return outcomes

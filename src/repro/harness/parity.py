@@ -3,10 +3,10 @@
 Drives the dual timing models (:mod:`repro.timing.core` vs
 :mod:`repro.timing.eventsim`) through the pinned contract of
 :mod:`repro.validation.parity` for every requested workload, in the
-baseline mode and every p-thread mode.  The p-thread selection
-uses the same fixed-IPC shortcut as the lint/verify-codegen drivers: a
-structurally representative selection is what parity needs, not the
-model's tuned one.
+baseline mode and every p-thread mode.  The p-thread selection comes
+from :func:`fixed_ipc_selection`, which the lint and verify-codegen
+drivers share: a structurally representative selection is what parity
+needs, not the model's tuned one.
 
 Both models run under one shared instruction cap so the committed
 state being compared is well-defined regardless of workload length,
@@ -15,8 +15,11 @@ and the sweep stays cheap enough for the CI lint job.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
+from repro.engine.functional import run_program
+from repro.model.params import ModelParams
+from repro.selection.program_selector import ProgramSelection, select_pthreads
 from repro.timing.config import (
     BASELINE,
     LATENCY_ONLY,
@@ -26,6 +29,7 @@ from repro.timing.config import (
     SimMode,
 )
 from repro.validation.parity import ParityReport, run_parity
+from repro.workloads.suite import Workload, build
 
 #: Modes every workload is compared under: the unassisted machine, the
 #: full pre-execution machine (launch + execute + steal + hint), and
@@ -44,17 +48,16 @@ PARITY_MODES: Sequence[SimMode] = (
 DEFAULT_MAX_INSTRUCTIONS = 120_000
 
 
-def parity_workload(
-    name: str,
-    input_name: str = "train",
-    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-) -> List[ParityReport]:
-    """Parity reports for one workload, one per mode in order."""
-    from repro.engine import run_program
-    from repro.model import ModelParams, SelectionConstraints
-    from repro.selection import select_pthreads
-    from repro.workloads import build
+def fixed_ipc_selection(
+    name: str, input_name: str = "train"
+) -> Tuple[Workload, ProgramSelection]:
+    """Trace ``name`` and select its p-threads at a fixed unassisted IPC.
 
+    The fixed IPC skips the baseline timing simulation: parity,
+    p-thread verification (``lint --pthreads``) and pre-exec codegen
+    validation need a structurally representative selection under the
+    default constraints, not the model's tuned one.
+    """
     workload = build(name, input_name)
     trace = run_program(workload.program, workload.hierarchy)
     params = ModelParams(
@@ -63,9 +66,16 @@ def parity_workload(
         mem_latency=workload.hierarchy.mem_latency,
         load_latency=workload.hierarchy.l1.hit_latency,
     )
-    selection = select_pthreads(
-        workload.program, trace.trace, params, SelectionConstraints()
-    )
+    return workload, select_pthreads(workload.program, trace.trace, params)
+
+
+def parity_workload(
+    name: str,
+    input_name: str = "train",
+    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+) -> List[ParityReport]:
+    """Parity reports for one workload, one per mode in order."""
+    workload, selection = fixed_ipc_selection(name, input_name)
     reports = []
     for mode in PARITY_MODES:
         reports.append(

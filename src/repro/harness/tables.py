@@ -10,15 +10,12 @@ validation methodology (§4.2/§4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
 from repro.harness.report import render_table
 from repro.timing.config import MachineConfig
 from repro.workloads.suite import SUITE
-
-if TYPE_CHECKING:  # import cycle: parallel imports experiment only
-    from repro.harness.parallel import SweepExecutor
 
 
 @dataclass
@@ -34,20 +31,16 @@ class Table1Row:
 
 
 def table1(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     workloads: Sequence[str] = tuple(SUITE),
     machine: Optional[MachineConfig] = None,
-    executor: Optional["SweepExecutor"] = None,
 ) -> List[Table1Row]:
     """Compute Table 1 (benchmark characterization).
 
     Table 1 only needs the shared pipeline stages (trace, baseline,
-    perfect-L2), so it runs on the runner directly; an ``executor`` just
-    donates its runner (and persistent cache).
+    perfect-L2), so it runs them on the runner directly, one workload
+    after another, whatever the runner's job count.
     """
-    if runner is None and executor is not None:
-        runner = executor.runner
-    runner = runner or ExperimentRunner()
     machine = machine or MachineConfig()
     rows: List[Table1Row] = []
     for name in workloads:
@@ -123,25 +116,22 @@ def table2(
     runner: Optional[ExperimentRunner] = None,
     workloads: Sequence[str] = tuple(SUITE),
     machine: Optional[MachineConfig] = None,
-    executor: Optional["SweepExecutor"] = None,
 ) -> List[Table2Row]:
     """Compute Table 2 (primary results + model validation).
 
-    With an ``executor``, the per-benchmark cells fan out in parallel;
-    rows always come back in ``workloads`` order.
+    The per-benchmark cells go through :meth:`ExperimentRunner.run_all`;
+    rows always come back in ``workloads`` order.  Without a runner the
+    cells run serially with no artifact cache, the cold pass
+    ``perfbench/README.md`` regenerates its expected table with.
     """
-    if runner is None and executor is not None:
-        runner = executor.runner
     runner = runner or ExperimentRunner()
     machine = machine or MachineConfig()
-    configs = [
-        ExperimentConfig(workload=name, machine=machine, validate=True)
-        for name in workloads
-    ]
-    if executor is not None:
-        results = executor.run(configs)
-    else:
-        results = [runner.run(config) for config in configs]
+    results = runner.run_all(
+        [
+            ExperimentConfig(workload=name, machine=machine, validate=True)
+            for name in workloads
+        ]
+    )
     rows: List[Table2Row] = []
     for name, result in zip(workloads, results):
         stats = result.preexec

@@ -51,10 +51,6 @@ class DataImage:
         self.regions[name] = region
         return region
 
-    def footprint_bytes(self) -> int:
-        """Total bytes of initialized data (word-granular)."""
-        return len(self.words) * WORD_SIZE
-
 
 class Program:
     """A linked program: instructions with resolved PCs and targets.
@@ -120,7 +116,3 @@ class Program:
                 lines.append(f"{label}:")
             lines.append(f"  #{inst.pc:04d}: {inst}")
         return "\n".join(lines)
-
-    def static_loads(self) -> List[Instruction]:
-        """All static load instructions in the program."""
-        return [inst for inst in self.instructions if inst.is_load]

@@ -159,20 +159,6 @@ class Cache:
         if not self.probe(addr):
             self._fill(addr, dirty=dirty)
 
-    def invalidate(self, addr: int) -> bool:
-        """Drop the line containing ``addr``; returns True if present."""
-        set_index, tag = self._index(addr)
-        base = set_index * self._assoc
-        end = base + self._assoc
-        tags = self._tags
-        dirty = self._dirty
-        for pos in range(base, end):
-            if tags[pos] == tag:
-                tags[pos:end] = tags[pos + 1 : end] + [None]
-                dirty[pos:end] = dirty[pos + 1 : end] + [0]
-                return True
-        return False
-
     def _fill(self, addr: int, *, dirty: bool) -> None:
         set_index, tag = self._index(addr)
         base = set_index * self._assoc
@@ -189,17 +175,6 @@ class Cache:
     @property
     def hits(self) -> int:
         return self.accesses - self.misses
-
-    def miss_rate(self) -> float:
-        """Misses per access (0.0 if never accessed)."""
-        if not self.accesses:
-            return 0.0
-        return self.misses / self.accesses
-
-    def reset_stats(self) -> None:
-        self.accesses = 0
-        self.misses = 0
-        self.writebacks = 0
 
     def publish_metrics(self, registry, prefix: str) -> None:
         """Fold this cache's counters into a metrics registry under

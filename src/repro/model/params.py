@@ -67,17 +67,9 @@ class ModelParams:
         """
         return self.bw_seq_mt / (self.bw_seq * self.bw_seq)
 
-    def with_ipc(self, ipc: float) -> "ModelParams":
-        """Copy with a different unassisted IPC."""
-        return replace(self, unassisted_ipc=ipc)
-
     def with_mem_latency(self, latency: int) -> "ModelParams":
         """Copy with a different ``Lmem`` (Figure 8 sweeps)."""
         return replace(self, mem_latency=latency)
-
-    def with_width(self, width: int) -> "ModelParams":
-        """Copy with a different sequencing width (width sweeps)."""
-        return replace(self, bw_seq=width)
 
 
 @dataclass(frozen=True)

@@ -165,14 +165,6 @@ class PThreadBody:
         """Positions of load instructions."""
         return [i for i, inst in enumerate(self.instructions) if inst.is_load]
 
-    def problem_load_positions(self) -> List[int]:
-        """Positions of loads not forwarded from a body store."""
-        return [
-            i
-            for i in self.loads()
-            if self.dataflow.mem_deps[i] is None
-        ]
-
     def render(self) -> str:
         """Multi-line assembly rendering."""
         lines = []

@@ -13,7 +13,7 @@ fill and sequence-only), the *latency-tolerance-only* implementation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,6 @@ class MachineConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.stride_degree < 1:
             raise ValueError("stride_degree must be >= 1")
-
-    def with_width(self, width: int) -> "MachineConfig":
-        """Copy with a different sequencing width (width sweeps)."""
-        return replace(self, bw_seq=width)
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ class TestTraceGeneration:
             """
         )
         trace = run_program(program).trace
-        assert trace.record(3).memdep == 2
+        assert trace.memdep[3] == 2
 
     def test_miss_levels_recorded(self, sum_loop_program, tiny_hierarchy):
         result = run_program(sum_loop_program, tiny_hierarchy)
@@ -155,18 +155,20 @@ class TestTraceGeneration:
             """
         )
         trace = run_program(program).trace
-        assert not trace.record(1).taken
-        assert trace.record(2).taken
+        assert not trace.taken[1]
+        assert trace.taken[2]
 
     def test_live_in_deps_are_negative(self):
         program = assemble("add r1, r2, r3\nhalt")
         trace = run_program(program).trace
-        assert trace.record(0).dep1 == -1
-        assert trace.record(0).dep2 == -1
+        assert trace.dep1[0] == -1
+        assert trace.dep2[0] == -1
 
     def test_static_counts(self, sum_loop_program):
+        import numpy as np
+
         result = run_program(sum_loop_program)
-        counts = result.trace.static_counts(len(sum_loop_program))
+        counts = np.bincount(result.trace.pc, minlength=len(sum_loop_program))
         # The loop body executes 100 times.
         assert counts[6] == 100  # the load
         assert counts[3] == 101  # the bge (100 + exit check)
@@ -207,7 +209,7 @@ class TestCodec:
             json.loads(json.dumps(result.to_dict()))
         )
         assert rebuilt.instructions == result.instructions
-        assert rebuilt.trace.record(0).pc == result.trace.record(0).pc
+        assert rebuilt.trace.pc[0] == result.trace.pc[0]
 
     def test_traceless_round_trip(self, sum_loop_program, tiny_hierarchy):
         result = run_program(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import _parse_workloads, build_parser, main
+from repro.cli import _parse_workloads, _runner, build_parser, main
 
 
 class TestParser:
@@ -32,6 +32,32 @@ class TestParser:
         assert len(_parse_workloads(None)) == 10
         with pytest.raises(SystemExit):
             _parse_workloads("nope")
+
+
+class TestJobs:
+    """``-j`` sets the one runner's worker count, on table2 and figure."""
+
+    @pytest.mark.parametrize("command", [["table2"], ["figure", "4"]])
+    def test_flag_then_env_set_the_runner_jobs(self, command, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "5")
+        parse = build_parser().parse_args
+        assert _runner(parse([*command, "--no-cache", "-j", "3"])).jobs == 3
+        assert _runner(parse([*command, "--no-cache"])).jobs == 5
+
+    def test_zero_jobs_is_an_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        with pytest.raises(SystemExit, match="^error: job count"):
+            main(["figure", "4", "-j", "0"])
+
+    def test_table1_takes_no_jobs_flag(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "-j", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: -j 2" in capsys.readouterr().err
+        # Nor does it read REPRO_JOBS: its stages run on one runner.
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        args = build_parser().parse_args(["table1", "--no-cache"])
+        assert _runner(args).jobs == 1
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Tests for the parallel sweep executor.
+"""Tests for ExperimentRunner.run_all, serial and over a process pool.
 
 The serial/parallel equivalence test pins down the guarantee README.md
 documents: a sweep run with worker processes produces exactly the same
@@ -11,12 +11,7 @@ import pytest
 
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
 from repro.harness.artifacts import ArtifactCache
-from repro.harness.parallel import (
-    CellError,
-    SweepError,
-    SweepExecutor,
-    resolve_jobs,
-)
+from repro.harness.parallel import SweepError, resolve_jobs
 from repro.model.params import SelectionConstraints
 from repro.obs import reset_registry
 from repro.serve.protocol import result_payload
@@ -35,8 +30,8 @@ def small_inputs(monkeypatch):
     monkeypatch.setitem(pharmacy.INPUTS, "train", dict(SMALL_PHARMACY))
 
 
-def seeded_runner() -> ExperimentRunner:
-    runner = ExperimentRunner()
+def seeded_runner(jobs: int = 1) -> ExperimentRunner:
+    runner = ExperimentRunner(jobs=jobs)
     small = build("pharmacy", "train", **SMALL_PHARMACY)
     runner._workloads[("pharmacy", "train", small.hierarchy)] = small
     return runner
@@ -49,6 +44,10 @@ TWO_CELLS = [
         constraints=SelectionConstraints(max_pthread_length=16),
     ),
 ]
+
+#: A cell that fails (an unknown input), run between the two good ones.
+BAD_CELL = ExperimentConfig(workload="pharmacy", input_name="nope")
+GOOD_BAD_GOOD = [TWO_CELLS[0], BAD_CELL, TWO_CELLS[1]]
 
 #: Modules of a cell's inputs (trace arrays, memory image, workload),
 #: which a shipped result must not name.
@@ -65,6 +64,19 @@ def measured(result):
     payload = result_payload(result)
     payload.pop("timings")
     return payload
+
+
+def assert_only_bad_cell_failed(excinfo, tracer):
+    """The SweepError names the bad cell alone, with its traceback, and
+    the cell after it still ran to the end."""
+    (failure,) = excinfo.value.failures
+    assert failure.config == BAD_CELL
+    assert "KeyError" in failure.error
+    assert "nope" in str(excinfo.value)
+    (sweep,) = tracer.root.children
+    cells = [span for span in sweep.children if span.name == "experiment"]
+    assert [span.meta["input"] for span in cells] == ["train", "nope", "train"]
+    assert cells[2].find("timing") is not None
 
 
 class TestResolveJobs:
@@ -86,50 +98,51 @@ class TestResolveJobs:
             resolve_jobs(jobs)
 
 
+class TestRunnerJobs:
+    def test_defaults_to_one_job(self):
+        assert ExperimentRunner().jobs == 1
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_nonpositive(self, jobs):
+        with pytest.raises(ValueError, match="job count"):
+            ExperimentRunner(jobs=jobs)
+
+
 class TestSerialPath:
     def test_empty_sweep(self):
-        executor = SweepExecutor(jobs=1, runner=seeded_runner())
-        assert executor.map([]) == []
+        assert seeded_runner().run_all([]) == []
 
     def test_results_index_aligned(self):
-        executor = SweepExecutor(jobs=1, runner=seeded_runner())
-        results = executor.run(TWO_CELLS)
+        results = seeded_runner().run_all(TWO_CELLS)
         assert [r.config for r in results] == TWO_CELLS
 
-    def test_cell_error_captured(self):
-        executor = SweepExecutor(jobs=1, runner=seeded_runner())
-        configs = [
-            ExperimentConfig(workload="pharmacy"),
-            ExperimentConfig(workload="pharmacy", input_name="nope"),
-        ]
-        outcomes = executor.map(configs)
-        assert not isinstance(outcomes[0], CellError)
-        assert isinstance(outcomes[1], CellError)
-        assert outcomes[1].config is configs[1]
-        assert "KeyError" in outcomes[1].error
+    def test_cell_error_captured(self, fresh_obs):
+        tracer, _ = fresh_obs
+        with pytest.raises(SweepError) as excinfo:
+            seeded_runner().run_all(GOOD_BAD_GOOD)
+        assert_only_bad_cell_failed(excinfo, tracer)
 
     def test_run_raises_sweep_error(self):
-        executor = SweepExecutor(jobs=1, runner=seeded_runner())
+        # One SweepError lists every failed cell, in input order.
+        other = ExperimentConfig(workload="pharmacy", input_name="nada")
         with pytest.raises(SweepError) as excinfo:
-            executor.run([ExperimentConfig(workload="pharmacy", input_name="nope")])
-        assert len(excinfo.value.failures) == 1
-        assert "nope" in str(excinfo.value)
+            seeded_runner().run_all([BAD_CELL, other])
+        assert [f.config for f in excinfo.value.failures] == [BAD_CELL, other]
+        assert "2 sweep cell(s) failed" in str(excinfo.value)
 
     def test_single_cell_stays_in_process(self):
-        # Even with jobs > 1, one cell runs on the shared runner.
-        runner = seeded_runner()
-        executor = SweepExecutor(jobs=4, runner=runner)
-        executor.run([ExperimentConfig(workload="pharmacy")])
+        # Even with jobs > 1, one cell runs on the runner itself.
+        runner = seeded_runner(jobs=4)
+        runner.run_all([ExperimentConfig(workload="pharmacy")])
         assert [kind for kind, _ in runner._memo].count("trace") == 1
 
 
 class TestParallelPath:
     def test_parallel_matches_serial(self, small_inputs, tmp_path):
-        serial = SweepExecutor(jobs=1, runner=seeded_runner())
-        expected = [measured(r) for r in serial.run(TWO_CELLS)]
+        expected = [measured(r) for r in seeded_runner().run_all(TWO_CELLS)]
 
-        parallel = SweepExecutor(jobs=2, artifacts=ArtifactCache(tmp_path))
-        results = parallel.run(TWO_CELLS)
+        parallel = ExperimentRunner(jobs=2, artifacts=ArtifactCache(tmp_path))
+        results = parallel.run_all(TWO_CELLS)
         assert [r.config for r in results] == TWO_CELLS
         assert [measured(r) for r in results] == expected
         # A worker ships a cell's outputs, not its trace or workload.
@@ -158,7 +171,7 @@ class TestParallelPath:
 
         def stage_counts(jobs):
             registry = reset_registry()
-            SweepExecutor(jobs=jobs, artifacts=None).run(cells)
+            ExperimentRunner(jobs=jobs).run_all(cells)
             return {
                 name: entry["value"]
                 for name, entry in registry.snapshot().items()
@@ -172,14 +185,10 @@ class TestParallelPath:
         assert stage_counts(2) == serial
 
     def test_parallel_cell_error_does_not_kill_sweep(
-        self, small_inputs, tmp_path
+        self, small_inputs, tmp_path, fresh_obs
     ):
-        executor = SweepExecutor(jobs=2, artifacts=ArtifactCache(tmp_path))
-        configs = [
-            ExperimentConfig(workload="pharmacy"),
-            ExperimentConfig(workload="pharmacy", input_name="nope"),
-        ]
-        outcomes = executor.map(configs)
-        assert not isinstance(outcomes[0], CellError)
-        assert isinstance(outcomes[1], CellError)
-        assert "KeyError" in outcomes[1].error
+        tracer, _ = fresh_obs
+        runner = ExperimentRunner(jobs=2, artifacts=ArtifactCache(tmp_path))
+        with pytest.raises(SweepError) as excinfo:
+            runner.run_all(GOOD_BAD_GOOD)
+        assert_only_bad_cell_failed(excinfo, tracer)

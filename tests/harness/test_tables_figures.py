@@ -64,6 +64,19 @@ class TestTable2:
         ratio = row.overhead_sequence_ipc / row.pred_overhead_ipc
         assert ratio == pytest.approx(1.0, abs=0.25)
 
+    def test_one_workload_stays_in_process(self, runner, monkeypatch):
+        # perfbench calls table2 one workload at a time: a one-cell
+        # sweep runs on the runner itself whatever its job count.
+        import repro.harness.experiment as experiment
+
+        def no_pool(*args):
+            raise AssertionError("a one-cell sweep started a pool")
+
+        monkeypatch.setattr(experiment, "run_pool", no_pool)
+        monkeypatch.setattr(runner, "jobs", 2)
+        (row,) = table2(runner, workloads=["pharmacy"])
+        assert row.launches > 0
+
 
 class TestFigures:
     def test_figure4_shape(self, runner):

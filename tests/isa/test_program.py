@@ -30,11 +30,6 @@ class TestDataImage:
         assert list(region) == [256, 260, 264, 268]
         assert "table" in image.regions
 
-    def test_footprint(self):
-        image = DataImage()
-        image.store_words(0, range(10))
-        assert image.footprint_bytes() == 40
-
 
 class TestProgram:
     def test_empty_program_rejected(self):
@@ -59,16 +54,6 @@ class TestProgram:
         ]
         program = Program(instructions, labels={"end": 2})
         assert program[0].target == 2
-
-    def test_static_loads(self):
-        instructions = [
-            Instruction(Opcode.LW, rd=1, rs1=2, imm=0),
-            Instruction(Opcode.ADD, rd=1, rs1=1, rs2=1),
-            Instruction(Opcode.LW, rd=3, rs1=2, imm=4),
-            Instruction(Opcode.HALT),
-        ]
-        program = Program(instructions)
-        assert [inst.pc for inst in program.static_loads()] == [0, 2]
 
     def test_label_for_pc(self):
         program = Program(

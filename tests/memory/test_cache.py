@@ -97,26 +97,6 @@ class TestAccess:
         cache.fill(0)
         assert cache.resident_lines() == 1
 
-    def test_invalidate(self):
-        cache = small_cache()
-        cache.fill(0)
-        assert cache.invalidate(0)
-        assert not cache.probe(0)
-        assert not cache.invalidate(0)
-
-    def test_miss_rate(self):
-        cache = small_cache()
-        assert cache.miss_rate() == 0.0
-        cache.access(0)
-        cache.access(0)
-        assert cache.miss_rate() == 0.5
-
-    def test_reset_stats(self):
-        cache = small_cache()
-        cache.access(0)
-        cache.reset_stats()
-        assert cache.accesses == 0 and cache.misses == 0
-
     def test_capacity_bound(self):
         cache = small_cache(assoc=2, sets=4)
         for i in range(100):
@@ -178,30 +158,6 @@ class TestGoldenSequences:
         cache.access(32, is_write=False)
         cache.access(64, is_write=False)  # evicts line 0: dirty
         assert cache.writebacks == 1
-
-    def test_invalidate_golden_sequence(self):
-        cache = small_cache(assoc=2, sets=1, line=32)
-        cache.access(0)
-        cache.access(32)
-        assert cache.resident_lines() == 2
-        assert cache.invalidate(0) is True
-        assert cache.invalidate(0) is False  # already gone
-        assert cache.resident_lines() == 1
-        assert cache.probe(32)
-        assert not cache.probe(0)
-        # The freed way is reused without evicting the survivor.
-        cache.access(64)
-        assert cache.probe(32)
-        assert cache.resident_lines() == 2
-
-    def test_invalidated_dirty_line_never_writes_back(self):
-        cache = small_cache(assoc=2, sets=1, line=32)
-        cache.access(0, is_write=True)
-        assert cache.invalidate(0) is True
-        cache.access(32)
-        cache.access(64)
-        cache.access(96)  # pressure: evictions, but line 0 is gone
-        assert cache.writebacks == 0
 
     def test_mru_move_preserves_dirty_bits(self):
         cache = small_cache(assoc=2, sets=1, line=32)

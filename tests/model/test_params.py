@@ -30,9 +30,7 @@ class TestModelParams:
 
     def test_with_helpers(self):
         params = ModelParams()
-        assert params.with_ipc(2.0).unassisted_ipc == 2.0
         assert params.with_mem_latency(140).mem_latency == 140
-        assert params.with_width(4).bw_seq == 4
 
     @pytest.mark.parametrize(
         "kwargs",

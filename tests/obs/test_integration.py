@@ -6,7 +6,6 @@ import pytest
 
 from repro.harness.artifacts import ArtifactCache, publish_cache_gauges
 from repro.harness.experiment import ExperimentConfig, ExperimentRunner
-from repro.harness.parallel import SweepExecutor
 from repro.model.params import SelectionConstraints
 from repro.obs import check_snapshot, load_snapshot, write_snapshot
 from repro.workloads.suite import build
@@ -152,7 +151,7 @@ def test_parallel_sweep_merges_worker_spans_and_metrics(
     small_inputs, tmp_path, fresh_obs
 ):
     tracer, registry = fresh_obs
-    executor = SweepExecutor(jobs=2, artifacts=ArtifactCache(tmp_path))
+    runner = ExperimentRunner(jobs=2, artifacts=ArtifactCache(tmp_path))
     configs = [
         ExperimentConfig(workload="pharmacy"),
         ExperimentConfig(
@@ -160,7 +159,7 @@ def test_parallel_sweep_merges_worker_spans_and_metrics(
             constraints=SelectionConstraints(max_pthread_length=16),
         ),
     ]
-    results = executor.run(configs)
+    results = runner.run_all(configs)
 
     (sweep,) = tracer.root.children
     assert sweep.name == "sweep"

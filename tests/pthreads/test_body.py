@@ -92,8 +92,9 @@ class TestDataflow:
     def test_problem_load_positions(self):
         body = PThreadBody([sw(3, 9, 0), lw(4, 9, 0), lw(5, 4, 0)])
         # Position 1 is forwarded from the store; position 2 reads memory.
-        assert body.problem_load_positions() == [2]
         assert body.loads() == [1, 2]
+        assert body.dataflow.mem_deps[1] == 0
+        assert body.dataflow.mem_deps[2] is None
 
     def test_render_includes_origin_pcs(self):
         body = PThreadBody([addi(1, 2, 3).with_pc(17)])

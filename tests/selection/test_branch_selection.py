@@ -1,5 +1,7 @@
 """Tests for branch pre-execution (the paper's footnote 1 scenario)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine import run_program
@@ -112,7 +114,7 @@ class TestBranchSelection:
         selection = select_branch_pthreads(
             workload.program,
             trace.trace,
-            PARAMS.with_ipc(max(base.ipc, 0.05)),
+            replace(PARAMS, unassisted_ipc=max(base.ipc, 0.05)),
             SelectionConstraints(),
         )
         pre = TimingSimulator(

@@ -1,5 +1,6 @@
 """Tests for per-tree candidate enumeration and overlap-aware selection."""
 
+import numpy as np
 import pytest
 
 from repro.engine.functional import run_program
@@ -20,7 +21,7 @@ def pharmacy_setup(pharmacy_small, pharmacy_small_run):
     trace = pharmacy_small_run.trace
     trees = build_slice_trees(trace, scope=1024, max_length=48)
     tree = trees[pharmacy.PROBLEM_LOAD_PC]
-    counts = trace.static_counts(len(pharmacy_small))
+    counts = np.bincount(trace.pc, minlength=len(pharmacy_small))
     dc_trig = {pc: int(c) for pc, c in enumerate(counts) if c}
     return pharmacy_small, tree, dc_trig
 

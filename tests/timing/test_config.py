@@ -22,9 +22,6 @@ class TestMachineConfig:
         assert machine.pthread_burst == 8
         assert machine.pthread_burst_period == 8
 
-    def test_with_width(self):
-        assert MachineConfig().with_width(4).bw_seq == 4
-
     @pytest.mark.parametrize(
         "kwargs",
         [
