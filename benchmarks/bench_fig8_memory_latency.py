@@ -10,6 +10,7 @@ cross-validation experiments.
 
 from benchmarks.conftest import run_once
 from repro.harness.figures import figure8_memory_latency
+from repro.workloads.suite import SUITE
 
 # Bar order from repro.harness.figures: p140(t70), p140(t140),
 # p70(t70), p70(t140).
@@ -49,7 +50,10 @@ def test_fig8_memory_latency(benchmark, runner, workloads, save_report):
         # bars are highest in this group").
         if full[P70_T140] >= full[P70_T70] - 1.0:
             fuller += 1
-    if active:
+    # The three fractions describe the whole suite.  On a subset such as
+    # mcf,vpr.r one program that bucks a trend is half the vote, so a
+    # subset run only renders and saves the figure.
+    if active and set(workloads) == set(SUITE):
         assert longer >= 0.6 * active
         assert self_wins_high >= 0.7 * active
         assert fuller >= 0.7 * active

@@ -97,7 +97,6 @@ AUXILIARY_METRICS: Dict[str, str] = {
     "serve.requests.errors": "counter",
     "serve.requests.rejected": "counter",
     "serve.requests.budget_exceeded": "counter",
-    "serve.requests.cache_hits": "counter",
     "serve.queue.depth": "gauge",
     "serve.request.seconds": "histogram",
 }

@@ -8,10 +8,11 @@ artifact cache, runner stage caches) shared across requests.
 Layout:
 
 - :mod:`repro.serve.protocol` — request/response schema;
-- :mod:`repro.serve.state` — warm caches, admission control, the
-  thread pool whose FIFO is the one queue;
-- :mod:`repro.serve.http` — the asyncio HTTP/1.1 front end;
-- :mod:`repro.serve.client` — the minimal client (tests, scripting).
+- :mod:`repro.serve.state` — the shared runner, whose stage memo is
+  the one cache, admission control, and the thread pool whose FIFO is
+  the one queue;
+- :mod:`repro.serve.http` — the asyncio HTTP/1.1 front end, which any
+  HTTP client (``curl``, :mod:`http.client`) can drive.
 """
 
 from .protocol import (
@@ -25,7 +26,6 @@ from .protocol import (
 )
 from .state import QueueFullError, ServeConfig, ServerState
 from .http import ReproServer, run_server
-from .client import ServeClient
 
 __all__ = [
     "ProtocolError",
@@ -33,7 +33,6 @@ __all__ = [
     "ReproServer",
     "RunRequest",
     "SERVE_SCHEMA_VERSION",
-    "ServeClient",
     "ServeConfig",
     "ServerState",
     "error_payload",

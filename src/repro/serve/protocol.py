@@ -64,7 +64,7 @@ def _nested(doc: Dict[str, Any], key: str, cls):
     bool field takes only a JSON boolean, an int field only a
     non-boolean integer.  The dataclass would take ``"false"`` or
     ``256.5`` as they come, run a different experiment than asked,
-    and key the response and stage caches on the stray value.
+    and key the stage caches on the stray value.
     """
     raw = doc.get(key)
     if raw is None:
@@ -163,18 +163,6 @@ def parse_run_request(doc: Any) -> RunRequest:
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"invalid request: {error}") from None
     return RunRequest(config=config, budget_seconds=budget)
-
-
-def request_cache_key(request: RunRequest) -> str:
-    """Canonical identity of a request's *result* (budget excluded).
-
-    Two submissions asking for the same experiment cell produce the
-    same payload no matter their budgets, so the response cache keys on
-    the config alone.
-    """
-    from repro.harness.artifacts import stable_key
-
-    return stable_key("serve-request", config=request.config)
 
 
 def _selection_payload(result: ExperimentResult) -> Dict[str, Any]:

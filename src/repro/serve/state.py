@@ -9,14 +9,17 @@ than one-shot CLI runs:
   across requests, backed by the persistent
   :class:`~repro.harness.artifacts.ArtifactCache`;
 * a thread pool of ``workers`` threads whose FIFO is the daemon's one
-  queue: each computed request runs on a pool thread, so the event loop
-  never blocks on a simulation;
+  queue: every request runs on a pool thread, so the event loop never
+  blocks on a simulation;
 * admission control — once ``workers + queue_size`` requests are
   admitted and not yet answered, the daemon sheds load (HTTP 503 +
   ``Retry-After``) instead of queueing without bound;
-* a bounded response cache keyed on the canonical request config, so a
-  repeat submission is answered without re-entering the pipeline;
 * a bounded span-tree history backing ``/trace/<id>``.
+
+The runner's stage memo is the daemon's one cache.  A repeat of an
+answered request is admitted like any other and finds every stage in
+the memo, so its payload differs from the first answer only in its own
+``timings``.
 
 Every request carries a soft budget (its own ``budget_seconds`` or the
 server default): the deadline is only consulted between pipeline
@@ -41,15 +44,12 @@ from repro.serve.protocol import (
     RunRequest,
     check_budget,
     partial_payload,
-    request_cache_key,
     result_payload,
 )
 
 #: Latency buckets in seconds for the serve.request.seconds histogram.
 LATENCY_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10)
 
-#: Payloads the response cache holds, least recently used evicted first.
-RESPONSE_CACHE_SIZE = 256
 #: Completed requests whose ``/trace/<id>`` record is kept.
 TRACE_HISTORY = 256
 
@@ -80,7 +80,7 @@ class QueueFullError(RuntimeError):
 
 
 class ServerState:
-    """Warm caches, admission control, and the thread pool."""
+    """The shared runner, admission control, and the thread pool."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
@@ -100,8 +100,6 @@ class ServerState:
         )
         self._records: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._records_lock = threading.Lock()
-        self._responses: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._responses_lock = threading.Lock()
         self._register_metrics()
 
     # -- metrics --------------------------------------------------------
@@ -114,7 +112,6 @@ class ServerState:
             "serve.requests.errors",
             "serve.requests.rejected",
             "serve.requests.budget_exceeded",
-            "serve.requests.cache_hits",
         ):
             registry.counter(name)
         registry.gauge("serve.queue.depth")
@@ -149,17 +146,10 @@ class ServerState:
         """Run one request on the pool; returns ``(request_id, payload)``.
 
         Raises :class:`QueueFullError` when ``workers + queue_size``
-        requests are already admitted.  A response-cache hit is answered
-        immediately and is never admitted.
+        requests are already admitted.
         """
         request_id = self.next_request_id()
         self._count("serve.requests.total")
-        cached = self._response_get(request_cache_key(request))
-        if cached is not None:
-            self._count("serve.requests.cache_hits")
-            self._count("serve.requests.ok")
-            self._record(request_id, request, cached, spans=None, cached=True)
-            return request_id, cached
         if self._admitted >= self.config.workers + self.config.queue_size:
             self._count("serve.requests.rejected")
             raise QueueFullError("request queue full")
@@ -218,25 +208,7 @@ class ServerState:
             result = self.runner.run(request.config, deadline=deadline)
         except ExperimentDeadlineError as expired:
             return partial_payload(expired.partial)
-        payload = result_payload(result)
-        self._response_put(request_cache_key(request), payload)
-        return payload
-
-    # -- response cache -------------------------------------------------
-
-    def _response_get(self, key: str) -> Optional[Dict[str, Any]]:
-        with self._responses_lock:
-            payload = self._responses.get(key)
-            if payload is not None:
-                self._responses.move_to_end(key)
-            return payload
-
-    def _response_put(self, key: str, payload: Dict[str, Any]) -> None:
-        with self._responses_lock:
-            self._responses[key] = payload
-            self._responses.move_to_end(key)
-            while len(self._responses) > RESPONSE_CACHE_SIZE:
-                self._responses.popitem(last=False)
+        return result_payload(result)
 
     # -- trace records --------------------------------------------------
 
@@ -245,15 +217,16 @@ class ServerState:
         request_id: str,
         request: RunRequest,
         payload: Dict[str, Any],
-        spans: Optional[Dict[str, Any]],
-        cached: bool = False,
+        spans: Dict[str, Any],
     ) -> None:
+        # ``cached`` is always false: every request runs on the pool.
+        # The key stays because perfbench's traced serve run reads it.
         record = {
             "id": request_id,
             "workload": request.config.workload,
             "input": request.config.input_name,
             "status": payload.get("status"),
-            "cached": cached,
+            "cached": False,
             "spans": spans,
         }
         with self._records_lock:

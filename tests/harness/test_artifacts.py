@@ -190,8 +190,8 @@ class TestSourceDigest:
         core.write_text(core.read_text() + SLOWER_CORE)
         assert stages() == (cycles + 1000, computed)
         # So does a comment in a module no stage imports.
-        client = package / "serve" / "client.py"
-        client.write_text(client.read_text() + "\n# edited\n")
+        front_end = package / "serve" / "http.py"
+        front_end.write_text(front_end.read_text() + "\n# edited\n")
         assert stages() == (cycles + 1000, computed)
 
 

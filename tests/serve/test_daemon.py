@@ -5,14 +5,19 @@ the full pipeline actually runs) serves two workloads concurrently; the
 payloads are compared bit-for-bit against the offline
 :class:`~repro.harness.experiment.ExperimentRunner` building the same
 ``result_payload`` — excluding ``timings``, the only wall-clock field.
-The same daemon then answers a repeat request from the response cache,
-a budget-starved request with a truncated-but-well-formed payload, and
-a metrics scrape that passes the ``repro obs check`` catalog gate.
-Backpressure (503 + ``Retry-After``) is pinned in a second daemon
-with one worker thread, stalled, and one queue slot.
+The same daemon then runs a repeat request from the runner's stage
+memo, a budget-starved request with a truncated-but-well-formed
+payload, and a metrics scrape that passes the ``repro obs check``
+catalog gate.  Backpressure (503 + ``Retry-After``) is pinned in a
+second daemon with one worker thread, stalled, and one queue slot.
+
+The tests speak to the daemon with the standard library's
+:mod:`http.client`, one connection per request, each blocking call
+on a thread (``asyncio.to_thread``) so several can be in flight.
 """
 
 import asyncio
+import http.client
 import json
 import logging
 import threading
@@ -23,7 +28,6 @@ from repro.harness.experiment import OUTCOMES, STAGE_KINDS, ExperimentRunner
 from repro.obs import check_snapshot, reset_registry
 from repro.serve import (
     ReproServer,
-    ServeClient,
     ServeConfig,
     ServerState,
     parse_run_request,
@@ -62,6 +66,37 @@ async def _start_daemon(config):
     return state, server
 
 
+def _round_trip(address, method, path, doc=None):
+    """One request on its own connection: ``(status, headers, body)``."""
+    conn = http.client.HTTPConnection(*address, timeout=120)
+    try:
+        body = None if doc is None else json.dumps(doc).encode("utf-8")
+        conn.request(method, path, body)
+        response = conn.getresponse()
+        data = response.read()
+        headers = {name.lower(): value for name, value in response.getheaders()}
+        return response.status, headers, data
+    finally:
+        conn.close()
+
+
+async def _post(address, doc):
+    status, headers, data = await asyncio.to_thread(
+        _round_trip, address, "POST", "/v1/run", doc
+    )
+    return status, headers, json.loads(data)
+
+
+async def _get(address, path):
+    status, _, data = await asyncio.to_thread(_round_trip, address, "GET", path)
+    return status, data
+
+
+async def _get_json(address, path):
+    status, data = await _get(address, path)
+    return status, json.loads(data)
+
+
 def test_daemon_end_to_end(caplog):
     registry = reset_registry()
     config = ServeConfig(
@@ -72,18 +107,12 @@ def test_daemon_end_to_end(caplog):
     )
 
     async def scenario():
-        state, server = await _start_daemon(config)
+        _, server = await _start_daemon(config)
+        address = server.address
         try:
-            host, port = server.address
-            clients = [ServeClient(host, port) for _ in WORKLOADS]
-
-            # Two workloads in flight concurrently (satellite: the e2e
-            # asyncio test drives >1 submission at once).
+            # Two workloads in flight concurrently.
             responses = await asyncio.gather(
-                *(
-                    client.post_json("/v1/run", {"workload": name})
-                    for client, name in zip(clients, WORKLOADS)
-                )
+                *(_post(address, {"workload": name}) for name in WORKLOADS)
             )
             for (status, headers, payload), name in zip(responses, WORKLOADS):
                 assert status == 200, payload
@@ -91,30 +120,39 @@ def test_daemon_end_to_end(caplog):
                 assert payload["workload"] == name
                 assert headers.get("x-request-id", "").startswith("r")
 
-            # Repeat submission: served from the response cache, byte-
-            # identical (timings included — it is the same payload).
-            status, headers, repeat = await clients[0].post_json(
-                "/v1/run", {"workload": WORKLOADS[0]}
+            # Repeat submission: run again, every stage from the
+            # runner's memo.  Only its own timings differ.
+            status, headers, repeat = await _post(
+                address, {"workload": WORKLOADS[0]}
             )
             assert status == 200
-            assert repeat == responses[0][2]
+            assert repeat["status"] == "ok"
+            assert _without_timings(repeat) == _without_timings(
+                responses[0][2]
+            )
             assert headers["x-request-id"] != responses[0][1]["x-request-id"]
 
             # Span tree of a completed request is queryable by id.
-            status, trace = await clients[0].get_json(
-                "/trace/" + responses[0][1]["x-request-id"]
+            status, trace = await _get_json(
+                address, "/trace/" + responses[0][1]["x-request-id"]
             )
             assert status == 200
             assert trace["workload"] == WORKLOADS[0]
             assert trace["spans"]["name"] == "request"
             assert trace["spans"]["children"], "request span has no children"
-            status, _ = await clients[0].get_json("/trace/nope")
+            # The repeat ran on the pool too, so it has its own span.
+            status, trace = await _get_json(
+                address, "/trace/" + headers["x-request-id"]
+            )
+            assert status == 200
+            assert trace["cached"] is False
+            assert trace["spans"]["name"] == "request"
+            status, _ = await _get_json(address, "/trace/nope")
             assert status == 404
 
-            # Budget-starved request on a *fresh* workload (the response
-            # cache would answer a cached one): well-formed truncation.
-            status, _, starved = await clients[1].post_json(
-                "/v1/run", {"workload": "twolf", "budget_seconds": 1e-9}
+            # Budget-starved request: well-formed truncation.
+            status, _, starved = await _post(
+                address, {"workload": "twolf", "budget_seconds": 1e-9}
             )
             assert status == 200
             assert starved["status"] == "budget_exceeded"
@@ -123,53 +161,44 @@ def test_daemon_end_to_end(caplog):
             assert starved["stages_completed"] == []
             assert starved["workload"] == "twolf"
 
-            status, health = await clients[0].get_json("/healthz")
+            status, health = await _get_json(address, "/healthz")
             assert status == 200
             assert health["status"] == "ok"
             assert health["cache_enabled"] is False
-            assert health["requests_total"] >= 4
+            assert health["requests_total"] == 4
 
             # The metrics snapshot passes the `repro obs check` gate and
             # the Prometheus exposition carries the serve counters.
-            status, snapshot = await clients[0].get_json("/metrics/json")
+            status, snapshot = await _get_json(address, "/metrics/json")
             assert status == 200
             assert check_snapshot(snapshot) == []
-            status, _, prom = await clients[0].get("/metrics")
+            status, prom = await _get(address, "/metrics")
             assert status == 200
             text = prom.decode("utf-8")
             assert "serve_requests_total" in text
             assert "functional_runs" in text
-
-            for client in clients:
-                await client.close()
         finally:
             await server.close()
-        return state
+        return [payload for _, _, payload in responses]
 
-    state = asyncio.run(scenario())
+    served = asyncio.run(scenario())
     # The loop's teardown cancels idle keep-alive handlers; they end
     # like dropped connections, with nothing logged.
     assert _asyncio_errors(caplog) == []
 
     # Offline equivalence: the same configs through a fresh offline
-    # runner yield bit-for-bit the served payloads, minus wall-clock.
+    # runner yield bit-for-bit the bodies the daemon sent, minus
+    # wall-clock.
     offline = ExperimentRunner(
         max_instructions=MAX_INSTRUCTIONS, artifacts=None
     )
+    for name, payload in zip(WORKLOADS, served):
+        config = parse_run_request({"workload": name}).config
+        expected = _jsonify(result_payload(offline.run(config)))
+        assert _without_timings(payload) == _without_timings(expected)
 
-    # The daemon is gone, but its response cache holds the exact "ok"
-    # payloads it served, keyed by config.
-    from repro.serve.protocol import request_cache_key
-
-    for name in WORKLOADS:
-        request = parse_run_request({"workload": name})
-        cached = state._response_get(request_cache_key(request))
-        assert cached is not None, f"no served payload cached for {name}"
-        expected = _jsonify(result_payload(offline.run(request.config)))
-        assert _without_timings(_jsonify(cached)) == _without_timings(expected)
-
-    assert registry.get("serve.requests.cache_hits").value >= 1
-    assert registry.get("serve.requests.budget_exceeded").value >= 1
+    assert registry.get("serve.requests.ok").value == 3
+    assert registry.get("serve.requests.budget_exceeded").value == 1
 
 
 def _stall(state):
@@ -190,24 +219,23 @@ def _stall(state):
     return running, release
 
 
-async def _queue_depth(client):
-    status, health = await client.get_json("/healthz")
+async def _queue_depth(address):
+    status, health = await _get_json(address, "/healthz")
     assert status == 200
     return health["queue_depth"]
 
 
-async def _fill(server, running, probe, doc):
+async def _fill(address, running, doc):
     """Fill a one-worker, one-slot daemon with two submissions of
     ``doc``: the first waits on the stalled thread, the second in the
-    queue.  Returns the clients and their pending responses."""
-    clients = [ServeClient(*server.address) for _ in range(2)]
-    held = [asyncio.create_task(clients[0].post_json("/v1/run", doc))]
+    queue.  Returns their pending responses."""
+    held = [asyncio.create_task(_post(address, doc))]
     while not running.is_set():
         await asyncio.sleep(0.01)
-    held.append(asyncio.create_task(clients[1].post_json("/v1/run", doc)))
-    while await _queue_depth(probe) != 1:
+    held.append(asyncio.create_task(_post(address, doc)))
+    while await _queue_depth(address) != 1:
         await asyncio.sleep(0.01)
-    return clients, held
+    return held
 
 
 def test_backpressure_sheds_with_503_and_retry_after():
@@ -222,17 +250,15 @@ def test_backpressure_sheds_with_503_and_retry_after():
 
     async def scenario():
         state, server = await _start_daemon(config)
+        address = server.address
         running, release = _stall(state)
         held = []
         try:
-            probe = ServeClient(*server.address)
-            clients, held = await _fill(
-                server, running, probe, {"workload": "mcf"}
-            )
+            held = await _fill(address, running, {"workload": "mcf"})
 
             # One request runs and one waits: the daemon is full.
-            status, headers, payload = await probe.post_json(
-                "/v1/run", {"workload": "mcf"}
+            status, headers, payload = await _post(
+                address, {"workload": "mcf"}
             )
             assert status == 503
             assert headers["retry-after"] == "1"
@@ -240,8 +266,8 @@ def test_backpressure_sheds_with_503_and_retry_after():
             assert payload["error"] == "request queue full"
 
             # Malformed documents are a 400, not a shed.
-            status, _, payload = await probe.post_json(
-                "/v1/run", {"workload": "not-a-benchmark"}
+            status, _, payload = await _post(
+                address, {"workload": "not-a-benchmark"}
             )
             assert status == 400
             assert payload["status"] == "error"
@@ -250,8 +276,6 @@ def test_backpressure_sheds_with_503_and_retry_after():
             for status, _, payload in await asyncio.gather(*held):
                 assert status == 200, payload
                 assert payload["status"] == "ok"
-            for client in clients + [probe]:
-                await client.close()
         finally:
             release.set()
             await asyncio.gather(*held, return_exceptions=True)
@@ -272,6 +296,7 @@ def test_failed_request_answers_500_and_frees_its_slot():
 
     async def scenario():
         state, server = await _start_daemon(config)
+        address = server.address
         run = state.runner.run
 
         def failing_run(config, deadline=None):
@@ -283,29 +308,24 @@ def test_failed_request_answers_500_and_frees_its_slot():
         release = threading.Event()
         held = []
         try:
-            probe = ServeClient(*server.address)
-            status, _, payload = await probe.post_json(
-                "/v1/run", {"workload": "twolf"}
-            )
+            status, _, payload = await _post(address, {"workload": "twolf"})
             assert status == 500
             assert payload["error"] == "experiment failed: pipeline failed"
-            assert await _queue_depth(probe) == 0
+            assert await _queue_depth(address) == 0
 
             # Both slots are free again: two submissions are admitted
             # and the third is shed.  A starved budget answers as soon
             # as the thread is released.
             running, release = _stall(state)
             starved = {"workload": "mcf", "budget_seconds": 1e-9}
-            clients, held = await _fill(server, running, probe, starved)
-            status, _, _ = await probe.post_json("/v1/run", starved)
+            held = await _fill(address, running, starved)
+            status, _, _ = await _post(address, starved)
             assert status == 503
 
             release.set()
             for status, _, payload in await asyncio.gather(*held):
                 assert status == 200, payload
                 assert payload["status"] == "budget_exceeded"
-            for client in clients + [probe]:
-                await client.close()
         finally:
             release.set()
             await asyncio.gather(*held, return_exceptions=True)
@@ -386,10 +406,12 @@ def test_bad_content_length_gets_400(length):
 
 
 def test_served_metrics_count_each_stage_once(fresh_obs, caplog):
-    """Three mcf requests at three scopes: the first computes the trace,
-    baseline, selection and timing stages; the next two hit the trace
-    and baseline in memory and compute selection and timing.  The
-    served counts say exactly that, however often ``/metrics`` is read.
+    """Three mcf requests at three scopes, then a repeat of the first:
+    the first computes the trace, baseline, selection and timing
+    stages; the next two hit the trace and baseline in memory and
+    compute selection and timing; the repeat runs again and hits all
+    four stages in memory.  The served counts say exactly that,
+    however often ``/metrics`` is read.
     """
     config = ServeConfig(
         port=0, workers=1, no_cache=True, max_instructions=300_000
@@ -397,19 +419,18 @@ def test_served_metrics_count_each_stage_once(fresh_obs, caplog):
 
     async def scenario():
         state, server = await _start_daemon(config)
+        address = server.address
         snapshots = []
         try:
-            client = ServeClient(*server.address)
-            for scope in (64, 128, 256):
-                status, _, payload = await client.post_json(
-                    "/v1/run",
+            for scope in (64, 128, 256, 64):
+                status, _, payload = await _post(
+                    address,
                     {"workload": "mcf", "constraints": {"scope": scope}},
                 )
                 assert status == 200 and payload["status"] == "ok", payload
-                status, snapshot = await client.get_json("/metrics/json")
+                status, snapshot = await _get_json(address, "/metrics/json")
                 assert status == 200
                 snapshots.append(snapshot)
-            await client.close()
         finally:
             await server.close()
         return state, snapshots
@@ -419,7 +440,8 @@ def test_served_metrics_count_each_stage_once(fresh_obs, caplog):
     assert check_snapshot(snapshots[0]) == []
     metrics = snapshots[-1]["metrics"]
     assert metrics["harness.cache.misses"]["value"] == 8
-    assert metrics["harness.cache.hits"]["value"] == 4
+    assert metrics["harness.cache.hits"]["value"] == 8
+    assert metrics["serve.requests.ok"]["value"] == 4
     assert metrics["harness.cache.disk_hits"]["value"] == 0
     # Each total is the sum of its per-kind counts.
     for outcome in OUTCOMES:

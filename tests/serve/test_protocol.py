@@ -8,7 +8,6 @@ from repro.serve.protocol import (
     error_payload,
     parse_run_request,
     partial_payload,
-    request_cache_key,
 )
 from repro.harness.experiment import PartialExperimentResult
 
@@ -90,14 +89,6 @@ def test_full_request_round_trips():
 def test_malformed_requests_raise(doc):
     with pytest.raises(ProtocolError):
         parse_run_request(doc)
-
-
-def test_cache_key_ignores_budget():
-    base = parse_run_request({"workload": "mcf"})
-    budgeted = parse_run_request({"workload": "mcf", "budget_seconds": 0.5})
-    other = parse_run_request({"workload": "twolf"})
-    assert request_cache_key(base) == request_cache_key(budgeted)
-    assert request_cache_key(base) != request_cache_key(other)
 
 
 def test_partial_payload_shape():
