@@ -6,7 +6,7 @@ Public surface::
     from repro.analysis import (
         ControlFlowGraph, constant_registers,               # dataflow
         verify_body, verify_pthread, verify_selection,       # verifier
-        lint_program, lint_source, lint_workload,            # linter
+        lint_program, lint_workload,                         # linter
         Diagnostic, Severity, verification_enabled,          # reporting
         validate_timing,                                     # transval
     )
@@ -15,7 +15,6 @@ Public surface::
 from repro.analysis.dataflow import ControlFlowGraph, constant_registers
 from repro.analysis.program_lint import (
     lint_program,
-    lint_source,
     lint_workload,
 )
 from repro.analysis.report import (
@@ -25,8 +24,6 @@ from repro.analysis.report import (
     VerificationError,
     assert_clean,
     errors,
-    max_severity,
-    render_json,
     render_text,
     sort_diagnostics,
     verification_enabled,
@@ -39,7 +36,6 @@ from repro.analysis.transval import (
     validate_timing,
 )
 from repro.analysis.verifier import (
-    summarize,
     verify_body,
     verify_pthread,
     verify_selection,
@@ -50,7 +46,6 @@ __all__ = [
     "ControlFlowGraph",
     "constant_registers",
     "lint_program",
-    "lint_source",
     "lint_workload",
     "VERIFY_ENV",
     "Diagnostic",
@@ -58,8 +53,6 @@ __all__ = [
     "VerificationError",
     "assert_clean",
     "errors",
-    "max_severity",
-    "render_json",
     "render_text",
     "sort_diagnostics",
     "verification_enabled",
@@ -68,7 +61,6 @@ __all__ = [
     "TransvalResult",
     "fallback_reason",
     "validate_timing",
-    "summarize",
     "verify_body",
     "verify_pthread",
     "verify_selection",

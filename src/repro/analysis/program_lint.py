@@ -1,4 +1,4 @@
-"""Workload-level lints over full programs (PL001–PL005).
+"""Workload-level lints over full programs (PL002–PL005).
 
 Where the verifier (``verifier.py``) checks p-thread invariants, this
 module checks the *source programs* the pipeline consumes.  The bundled
@@ -6,8 +6,6 @@ workload analogues are hand-written assembly; these lints catch the
 mistakes hand-written assembly actually accumulates:
 
 ========  ========================================================
-PL001     the source does not assemble (syntax error, undefined or
-          duplicate label) — reported with line/column.
 PL002     unreachable instructions (dead code the trace can never
           visit, so the profile and the selector never see it).
 PL003     a register is read somewhere but written nowhere in the
@@ -29,8 +27,7 @@ from typing import List, Optional, Set
 
 from repro.analysis.dataflow import ControlFlowGraph, constant_registers
 from repro.analysis.report import Diagnostic, Severity
-from repro.isa.assembler import AssemblerError, assemble
-from repro.isa.program import DataImage, Program, ProgramError
+from repro.isa.program import DataImage, Program
 
 
 def _unreachable_runs(cfg: ControlFlowGraph) -> List[range]:
@@ -173,32 +170,6 @@ def lint_program(program: Program) -> List[Diagnostic]:
         key=lambda d: (d.pc if d.pc is not None else -1, d.code)
     )
     return diagnostics
-
-
-def lint_source(
-    source: str,
-    data: Optional[DataImage] = None,
-    name: str = "program",
-) -> List[Diagnostic]:
-    """Lint assembly text: PL001 on assembly failure, else the program
-    lints on the assembled result."""
-    try:
-        program = assemble(source, data=data, name=name)
-    except AssemblerError as exc:
-        return [
-            Diagnostic(
-                "PL001",
-                Severity.ERROR,
-                str(exc),
-                line=exc.line_no,
-                column=exc.column,
-            )
-        ]
-    except ProgramError as exc:
-        # Link-stage failures (undefined labels, out-of-range targets)
-        # carry no line information.
-        return [Diagnostic("PL001", Severity.ERROR, str(exc))]
-    return lint_program(program)
 
 
 def lint_workload(name: str, input_name: str = "train") -> List[Diagnostic]:

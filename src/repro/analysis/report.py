@@ -1,7 +1,7 @@
 """Diagnostic records shared by the p-thread verifier and program linter.
 
 A :class:`Diagnostic` is one finding with a stable code (``PT001`` ...
-``PT006`` for p-thread invariants, ``PL001`` ... ``PL005`` for
+``PT006`` for p-thread invariants, ``PL002`` ... ``PL005`` for
 workload-level lints, ``SL001`` for dynamic-slice structure), a
 severity, a message, and whatever location information applies: a
 source-program PC, a p-thread body position, or an assembly source
@@ -17,7 +17,6 @@ error-severity finding.
 from __future__ import annotations
 
 import enum
-import json
 import os
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
@@ -93,11 +92,6 @@ def errors(diagnostics: Iterable[Diagnostic]) -> List[Diagnostic]:
     return [d for d in diagnostics if d.severity is Severity.ERROR]
 
 
-def max_severity(diagnostics: Iterable[Diagnostic]) -> Optional[Severity]:
-    """Highest severity present, or ``None`` for a clean report."""
-    return max((d.severity for d in diagnostics), default=None)
-
-
 def sort_diagnostics(
     diagnostics: Iterable[Diagnostic],
 ) -> List[Diagnostic]:
@@ -131,13 +125,6 @@ def render_text(
         lines.append("  clean (no diagnostics)")
     lines.extend("  " + d.render() for d in diagnostics)
     return "\n".join(lines)
-
-
-def render_json(diagnostics: Sequence[Diagnostic], **extra: object) -> str:
-    """JSON report: ``extra`` keys ride along next to the findings."""
-    payload = dict(extra)
-    payload["diagnostics"] = [d.to_dict() for d in diagnostics]
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 #: Environment variable enabling transformation post-pass verification.

@@ -40,7 +40,7 @@ must uphold (descending dynamic order, in-slice producer positions).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.dataflow import ControlFlowGraph
 from repro.analysis.report import Diagnostic, Severity
@@ -449,10 +449,3 @@ def verify_slice(dynamic_slice: DynamicSlice) -> List[Diagnostic]:
                 )
     return diagnostics
 
-
-def summarize(diagnostics: Sequence[Diagnostic]) -> Dict[str, int]:
-    """Finding counts by code (stable across runs; handy in tests)."""
-    counts: Dict[str, int] = {}
-    for diagnostic in diagnostics:
-        counts[diagnostic.code] = counts.get(diagnostic.code, 0) + 1
-    return counts

@@ -106,13 +106,3 @@ class Program:
             if index == pc:
                 return name
         return None
-
-    def disassemble(self) -> str:
-        """Render the whole program as annotated assembly text."""
-        lines: List[str] = []
-        for inst in self.instructions:
-            label = self.label_for_pc(inst.pc)
-            if label is not None:
-                lines.append(f"{label}:")
-            lines.append(f"  #{inst.pc:04d}: {inst}")
-        return "\n".join(lines)

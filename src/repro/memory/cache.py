@@ -81,10 +81,6 @@ class Cache:
         self.misses = 0
         self.writebacks = 0
 
-    def line_addr(self, addr: int) -> int:
-        """Aligned line address containing byte ``addr``."""
-        return (addr >> self._line_shift) << self._line_shift
-
     def _index(self, addr: int) -> Tuple[int, int]:
         line = addr >> self._line_shift
         if self._sets_pow2:
@@ -183,7 +179,3 @@ class Cache:
         registry.counter(f"{prefix}.accesses").inc(self.accesses)
         registry.counter(f"{prefix}.misses").inc(self.misses)
         registry.counter(f"{prefix}.writebacks").inc(self.writebacks)
-
-    def resident_lines(self) -> int:
-        """Number of lines currently resident (for tests)."""
-        return sum(1 for tag in self._tags if tag is not None)

@@ -66,37 +66,6 @@ class HierarchyConfig:
     memory_bus_bytes: int = 32
     memory_bus_divisor: int = 4
 
-    def scaled(self, factor: int) -> "HierarchyConfig":
-        """Return a copy with both cache capacities divided by ``factor``.
-
-        Line sizes and associativities are preserved, so indexing
-        behaviour is unchanged — only capacity shrinks.
-        """
-        if factor < 1:
-            raise ValueError("scale factor must be >= 1")
-        return HierarchyConfig(
-            l1=CacheConfig(
-                name=self.l1.name,
-                size_bytes=self.l1.size_bytes // factor,
-                line_bytes=self.l1.line_bytes,
-                assoc=self.l1.assoc,
-                hit_latency=self.l1.hit_latency,
-            ),
-            l2=CacheConfig(
-                name=self.l2.name,
-                size_bytes=self.l2.size_bytes // factor,
-                line_bytes=self.l2.line_bytes,
-                assoc=self.l2.assoc,
-                hit_latency=self.l2.hit_latency,
-            ),
-            mem_latency=self.mem_latency,
-            mshr_entries=self.mshr_entries,
-            backside_bus_bytes=self.backside_bus_bytes,
-            backside_bus_divisor=self.backside_bus_divisor,
-            memory_bus_bytes=self.memory_bus_bytes,
-            memory_bus_divisor=self.memory_bus_divisor,
-        )
-
     def with_mem_latency(self, latency: int) -> "HierarchyConfig":
         """Copy with a different main-memory latency (Figure 8 sweeps)."""
         return HierarchyConfig(

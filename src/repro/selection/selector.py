@@ -149,18 +149,6 @@ class TreeSelection:
     selected: List[TreeCandidate]
     iterations: int
 
-    def total_corrected_advantage(self) -> float:
-        """Solution value with all pairwise overlap corrections applied."""
-        total = 0.0
-        for i, candidate in enumerate(self.selected):
-            total += candidate.score.adv_agg
-            for other in self.selected[i + 1 :]:
-                if is_strict_ancestor(candidate.node, other.node):
-                    total -= other.score.dc_pt_cm * candidate.score.lt
-                elif is_strict_ancestor(other.node, candidate.node):
-                    total -= candidate.score.dc_pt_cm * other.score.lt
-        return total
-
 
 def select_from_tree(
     tree: SliceTree,

@@ -1,6 +1,6 @@
 """``repro serve`` — long-lived selection/simulation daemon.
 
-An asyncio HTTP/JSON service over the experiment pipeline: submit a
+An HTTP/JSON service over the experiment pipeline: submit a
 workload/scenario, get the selection, measured statistics, and
 table/figure payloads, with warm in-process state (compile memo,
 artifact cache, runner stage caches) shared across requests.
@@ -11,8 +11,10 @@ Layout:
 - :mod:`repro.serve.state` — the shared runner, whose stage memo is
   the one cache, admission control, and the thread pool whose FIFO is
   the one queue;
-- :mod:`repro.serve.http` — the asyncio HTTP/1.1 front end, which any
-  HTTP client (``curl``, :mod:`http.client`) can drive.
+- :mod:`repro.serve.http` — the HTTP/1.1 front end on
+  :mod:`http.server`, a thread per connection, which any HTTP client
+  (``curl``, :mod:`http.client`) can drive; :func:`run_server`, its
+  entry point, is the package's one coroutine.
 """
 
 from .protocol import (

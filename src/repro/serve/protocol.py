@@ -31,6 +31,11 @@ from repro.workloads.suite import SUITE, available_inputs
 
 SERVE_SCHEMA_VERSION = 1
 
+#: Largest ``machine`` fields a request may ask for: every timing run
+#: allocates a list of ``window`` and one of ``pthread_contexts``
+#: entries.  The paper's machine, which every figure uses, has 128 and 3.
+MACHINE_MAXIMA = {"window": 65_536, "pthread_contexts": 64}
+
 #: Request keys accepted at the top level, besides the nested objects.
 _SCALAR_KEYS = {
     "workload": str,
@@ -144,6 +149,12 @@ def parse_run_request(doc: Any) -> RunRequest:
             raise ProtocolError(str(error)) from None
     constraints = _nested(doc, "constraints", SelectionConstraints)
     machine = _nested(doc, "machine", MachineConfig)
+    if machine is not None:
+        for name, most in MACHINE_MAXIMA.items():
+            if getattr(machine, name) > most:
+                raise ProtocolError(
+                    f"machine field {name!r} must be <= {most}"
+                )
     kwargs: Dict[str, Any] = {
         "workload": workload,
         "input_name": doc.get("input", "train"),

@@ -9,8 +9,8 @@ than one-shot CLI runs:
   across requests, backed by the persistent
   :class:`~repro.harness.artifacts.ArtifactCache`;
 * a thread pool of ``workers`` threads whose FIFO is the daemon's one
-  queue: every request runs on a pool thread, so the event loop never
-  blocks on a simulation;
+  queue: every request runs on a pool thread, while the connection
+  thread that submitted it waits for the answer;
 * admission control — once ``workers + queue_size`` requests are
   admitted and not yet answered, the daemon sheds load (HTTP 503 +
   ``Retry-After``) instead of queueing without bound;
@@ -29,7 +29,6 @@ payload rather than an error (see :mod:`repro.serve.protocol`).
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from collections import OrderedDict
@@ -89,10 +88,10 @@ class ServerState:
             max_instructions=self.config.max_instructions, artifacts=artifacts
         )
         self.started = time.monotonic()
+        # Guards the request sequence and the admission count.
+        self._lock = threading.Lock()
         self._seq = 0
-        self._seq_lock = threading.Lock()
-        # Requests admitted and not yet answered.  Only the event-loop
-        # thread reads or writes it, so it needs no lock.
+        # Requests admitted and not yet answered.
         self._admitted = 0
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers,
@@ -128,42 +127,39 @@ class ServerState:
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the pool; a handler awaiting a queued request is cancelled."""
+        """Stop the pool; a queued request's submitter gets a 500."""
         self._pool.shutdown(wait=False, cancel_futures=True)
 
     # -- submission -----------------------------------------------------
-
-    def next_request_id(self) -> str:
-        with self._seq_lock:
-            self._seq += 1
-            return f"r{self._seq:06d}"
 
     def _waiting(self) -> int:
         """Admitted requests that no pool thread has taken yet."""
         return max(0, self._admitted - self.config.workers)
 
-    async def submit(self, request: RunRequest) -> Tuple[str, Dict[str, Any]]:
-        """Run one request on the pool; returns ``(request_id, payload)``.
+    def submit(self, request: RunRequest) -> Tuple[str, Dict[str, Any]]:
+        """Run one request on the pool and wait for it; returns
+        ``(request_id, payload)``.
 
         Raises :class:`QueueFullError` when ``workers + queue_size``
-        requests are already admitted.
+        requests are already admitted, and whatever the run raised.
         """
-        request_id = self.next_request_id()
         self._count("serve.requests.total")
-        if self._admitted >= self.config.workers + self.config.queue_size:
-            self._count("serve.requests.rejected")
-            raise QueueFullError("request queue full")
         depth = get_registry().gauge("serve.queue.depth")
-        self._admitted += 1
-        depth.set(self._waiting())
-        try:
-            payload = await asyncio.get_running_loop().run_in_executor(
-                self._pool, self._run_job, request_id, request
-            )
-        finally:
-            self._admitted -= 1
+        with self._lock:
+            self._seq += 1
+            request_id = f"r{self._seq:06d}"
+            if self._admitted >= self.config.workers + self.config.queue_size:
+                self._count("serve.requests.rejected")
+                raise QueueFullError("request queue full")
+            self._admitted += 1
             depth.set(self._waiting())
-        return request_id, payload
+        try:
+            job = self._pool.submit(self._run_job, request_id, request)
+            return request_id, job.result()
+        finally:
+            with self._lock:
+                self._admitted -= 1
+                depth.set(self._waiting())
 
     def _run_job(self, request_id: str, request: RunRequest) -> Dict[str, Any]:
         """Execute one request on the shared runner (pool thread).

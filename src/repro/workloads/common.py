@@ -79,12 +79,6 @@ class DataBuilder:
         rand = self.rng.randint
         return self.words(name, (rand(lo, hi) for _ in range(count)))
 
-    def permutation(self, name: str, count: int) -> int:
-        """Region containing a random permutation of ``0..count-1``."""
-        perm = list(range(count))
-        self.rng.shuffle(perm)
-        return self.words(name, perm)
-
 
 def mixed_indices(
     rng: random.Random,

@@ -1,17 +1,11 @@
-"""Tests for workload-level lints (PL001–PL005)."""
+"""Tests for workload-level lints (PL002–PL005)."""
 
-from repro.analysis.program_lint import (
-    lint_program,
-    lint_source,
-    lint_workload,
-)
-from repro.analysis.report import Severity, errors
-from repro.isa import DataImage, assemble
+import pytest
+
+from repro.analysis.program_lint import lint_program, lint_workload
+from repro.analysis.report import Severity
+from repro.isa import AssemblerError, DataImage, ProgramError, assemble
 from repro.workloads.suite import SUITE
-
-
-def codes(diagnostics):
-    return sorted({d.code for d in diagnostics})
 
 
 CLEAN = """
@@ -30,20 +24,22 @@ def clean_data() -> DataImage:
 
 
 class TestLintSource:
+    """Source that does not assemble never reaches the lints: the
+    assembler refuses it, with the position where one is known (the
+    former PL001)."""
+
     def test_clean_program(self):
-        assert lint_source(CLEAN, data=clean_data()) == []
+        assert lint_program(assemble(CLEAN, data=clean_data())) == []
 
     def test_pl001_syntax_error_with_position(self):
-        diags = lint_source("    addi t0, t0, xyz\n")
-        assert codes(diags) == ["PL001"]
-        d = diags[0]
-        assert d.severity is Severity.ERROR
-        assert d.line == 1
-        assert d.column == 18
+        with pytest.raises(AssemblerError) as error:
+            assemble("    addi t0, t0, xyz\n")
+        assert (error.value.line_no, error.value.column) == (1, 18)
+        assert str(error.value).startswith("line 1:18: ")
 
     def test_pl001_undefined_label(self):
-        diags = lint_source("    j nowhere\n    halt\n")
-        assert codes(diags) == ["PL001"] or errors(diags)
+        with pytest.raises(ProgramError, match="undefined label"):
+            assemble("    j nowhere\n    halt\n")
 
 
 class TestLintProgram:

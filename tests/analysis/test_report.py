@@ -1,11 +1,9 @@
 """Tests for the shared diagnostic-reporting module.
 
-Covers rendering (text and JSON), location formatting, severity
+Covers text rendering, location formatting, severity
 helpers, deterministic sorting, the ``REPRO_VERIFY`` switch, and the
 strict/assert paths the pipeline and CLIs lean on.
 """
-
-import json
 
 import pytest
 
@@ -15,8 +13,6 @@ from repro.analysis.report import (
     VerificationError,
     assert_clean,
     errors,
-    max_severity,
-    render_json,
     render_text,
     sort_diagnostics,
     verification_enabled,
@@ -73,18 +69,6 @@ class TestHelpers:
         ]
         assert [d.severity for d in errors(mixed)] == [Severity.ERROR]
 
-    def test_max_severity(self):
-        assert max_severity([]) is None
-        assert (
-            max_severity([diag(severity=Severity.INFO)]) is Severity.INFO
-        )
-        assert (
-            max_severity(
-                [diag(severity=Severity.INFO), diag(severity=Severity.ERROR)]
-            )
-            is Severity.ERROR
-        )
-
     def test_sort_diagnostics_orders_by_code_then_location(self):
         unsorted = [
             diag(code="PT002", pc=1),
@@ -121,24 +105,6 @@ class TestRendering:
         assert lines[0] == "head"
         assert lines[1] == "  error PT001: boom"
         assert lines[2] == "  error PT001 at pc#0004: boom"
-
-    def test_render_json_roundtrip_and_extras(self):
-        out = render_json([diag(pc=1)], workload="mcf", input="train")
-        payload = json.loads(out)
-        assert payload["workload"] == "mcf"
-        assert payload["input"] == "train"
-        assert payload["diagnostics"] == [diag(pc=1).to_dict()]
-
-    def test_render_json_byte_identical(self):
-        diagnostics = [diag(pc=2), diag(code="PL001", pc=1)]
-        first = render_json(sort_diagnostics(diagnostics), input="train")
-        second = render_json(sort_diagnostics(diagnostics), input="train")
-        assert first == second
-        # Keys are sorted, so semantically equal payloads serialize
-        # identically regardless of construction order.
-        assert first == render_json(
-            sort_diagnostics(list(reversed(diagnostics))), input="train"
-        )
 
 
 class TestVerificationSwitch:

@@ -400,3 +400,44 @@ class TestServeCommand:
         monkeypatch.setattr(asyncio, "run", no_daemon)
         with pytest.raises(SystemExit, match="^error: "):
             main(["serve", *flags])
+
+    def test_ctrl_c_stops_the_daemon(self):
+        """A live ``repro serve`` answers; Ctrl-C then closes it with a
+        keep-alive connection still open, and it exits 0 without a
+        traceback."""
+        import http.client
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--no-cache"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            # A shell's background job may inherit an ignored SIGINT.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        conn = None
+        try:
+            port = int(proc.stdout.readline().rsplit(":", 1)[1])
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().status == 200
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if conn is not None:
+                conn.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert "shutting down" in out
+        assert "Traceback" not in err

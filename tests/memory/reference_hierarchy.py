@@ -3,7 +3,7 @@
 This is the formulation of :class:`repro.memory.hierarchy.TimedHierarchy`,
 :class:`repro.memory.bus.Bus` and :class:`repro.memory.mshr.MshrFile`
 from before the hot path was flattened: every line address goes
-through ``Cache.line_addr``, every L2 hit through ``_l2_hit_latency``,
+through ``_line2``, every L2 hit through ``_l2_hit_latency``,
 every bus duration through ``transfer_cycles``, ``_fetch_line`` refills
 the L2 line its caller's ``access`` already allocated, and the MSHR
 file rebuilds its expiry list over every entry on each lookup and
@@ -136,7 +136,7 @@ class ReferenceTimedHierarchy:
         self, addr: int, now: int, is_write: bool = False
     ) -> Tuple[int, int]:
         self.mt_accesses += 1
-        line2 = self.l2.line_addr(addr)
+        line2 = self._line2(addr)
         stamp = self._pt_lines.pop(line2, None)
 
         if self.l1.access(addr, is_write):
@@ -169,7 +169,7 @@ class ReferenceTimedHierarchy:
 
     def pt_access_fast(self, addr: int, now: int) -> Tuple[int, int]:
         self.pt_accesses += 1
-        line2 = self.l2.line_addr(addr)
+        line2 = self._line2(addr)
         pending = self._line_ready.get(line2)
         if self.l1.probe(addr):
             complete = now + self.config.l1.hit_latency
@@ -195,10 +195,14 @@ class ReferenceTimedHierarchy:
             complete = now + self.config.l2.hit_latency
         else:
             return 3, now + self.config.mem_latency
-        pending = self._line_ready.get(self.l2.line_addr(addr))
+        pending = self._line_ready.get(self._line2(addr))
         if pending is not None and pending > complete:
             complete = pending
         return level, complete
+
+    def _line2(self, addr: int) -> int:
+        """Aligned L2 line address containing byte ``addr``."""
+        return addr - addr % self.config.l2.line_bytes
 
     def _l2_hit_latency(self, now: int) -> int:
         done = self.backside_bus.request(

@@ -92,23 +92,25 @@ class TestAccess:
         assert cache.accesses == 0 and cache.misses == 0
 
     def test_fill_existing_line_is_noop(self):
-        cache = small_cache(assoc=1, sets=1)
+        cache = small_cache(assoc=2, sets=1)
         cache.fill(0)
-        cache.fill(0)
-        assert cache.resident_lines() == 1
+        cache.fill(32)
+        cache.fill(0)  # resident: no second copy, no LRU update
+        cache.fill(64)  # evicts the LRU line, 0
+        assert not cache.probe(0) and cache.probe(32)
 
     def test_capacity_bound(self):
         cache = small_cache(assoc=2, sets=4)
         for i in range(100):
             cache.access(i * 32)
-        assert cache.resident_lines() <= 8
+        assert sum(cache.probe(i * 32) for i in range(100)) == 8
 
     def test_line_addr(self):
         cache = small_cache(line=32)
-        assert cache.line_addr(0) == 0
-        assert cache.line_addr(31) == 0
-        assert cache.line_addr(32) == 32
-        assert cache.line_addr(100) == 96
+        cache.access(0)
+        assert cache.probe(31) and not cache.probe(32)
+        cache.access(100)
+        assert cache.probe(96) and not cache.probe(128)
 
 
 class TestGoldenSequences:

@@ -41,12 +41,6 @@ class TestFunctionalHierarchy:
         assert hierarchy.access_fast(0) == MemoryLevel.L1
         assert hierarchy.l1.misses == 0
 
-    def test_scaled_config(self):
-        config = tiny_config().scaled(2)
-        assert config.l1.size_bytes == 128
-        assert config.l2.size_bytes == 512
-        assert config.l1.line_bytes == 32
-
     def test_with_mem_latency(self):
         config = tiny_config().with_mem_latency(140)
         assert config.mem_latency == 140

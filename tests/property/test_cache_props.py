@@ -18,7 +18,8 @@ def test_cache_capacity_never_exceeded(addrs):
     cache = Cache(CacheConfig("T", 1024, 32, 2, 1))
     for addr in addrs:
         cache.access(addr)
-    assert cache.resident_lines() <= 32  # 1024 / 32
+    lines = {addr // 32 * 32 for addr in addrs}
+    assert sum(cache.probe(line) for line in lines) <= 32  # 1024 / 32
 
 
 @given(addrs=addresses)

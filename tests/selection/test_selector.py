@@ -6,6 +6,7 @@ import pytest
 from repro.engine.functional import run_program
 from repro.model.params import ModelParams, SelectionConstraints
 from repro.selection.selector import (
+    _adjusted_advantage,
     enumerate_candidates,
     is_strict_ancestor,
     select_from_tree,
@@ -145,7 +146,14 @@ class TestSelection:
         selection = select_from_tree(
             tree, program, dc_trig, PARAMS, SelectionConstraints()
         )
-        assert selection.total_corrected_advantage() > 0
+        # Each candidate's advantage net of its overlap with those
+        # before it: the selection's value with every pairwise
+        # correction applied once.
+        total = sum(
+            _adjusted_advantage(candidate, selection.selected[:index])
+            for index, candidate in enumerate(selection.selected)
+        )
+        assert total > 0
 
     def test_tight_length_no_selection_when_useless(self, pharmacy_setup):
         """With a 1-instruction limit, no candidate can tolerate latency,

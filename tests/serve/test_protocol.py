@@ -84,11 +84,27 @@ def test_full_request_round_trips():
         {"workload": "mcf", "granularity": 3000, "effective_latency": True},
         # Not a request field: REPRO_VERIFY is the one verification switch.
         {"workload": "mcf", "verify": True},
+        # Each timing run allocates lists this long: 8 GB, 8 MB.
+        {"workload": "mcf", "machine": {"window": 1_000_000_000}},
+        {"workload": "mcf", "machine": {"pthread_contexts": 1_000_000}},
+        {"workload": "mcf", "machine": {"window": 65_537}},
+        {"workload": "mcf", "machine": {"pthread_contexts": 65}},
     ],
 )
 def test_malformed_requests_raise(doc):
     with pytest.raises(ProtocolError):
         parse_run_request(doc)
+
+
+def test_largest_machine_fields_are_accepted():
+    request = parse_run_request(
+        {
+            "workload": "mcf",
+            "machine": {"window": 65_536, "pthread_contexts": 64},
+        }
+    )
+    assert request.config.machine.window == 65_536
+    assert request.config.machine.pthread_contexts == 64
 
 
 def test_partial_payload_shape():
